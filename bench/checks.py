@@ -241,8 +241,10 @@ def eta_direct(verts, gradient=tanh_layer_gradient):
     return float((q @ w) @ jac) / alpha2
 
 
-def check_eta_sample(points, loops, eta_local, ids, tol=ETA_TOL):
-    """Recompute eta_K on the given elements; returns how many were fanned.
+def check_eta_sample(points, loops, eta_local, ids, count=None, tol=ETA_TOL):
+    """Recompute eta_K on the first ``count`` elements of ``ids`` that a
+    centroid fan covers (on all of ``ids`` when ``count`` is None); returns
+    how many were checked, and fails if fewer than ``count`` could be.
 
     The error is measured against eta_K plus the mean indicator, because
     elements far from the layers carry values near 1e-25 whose relative
@@ -250,8 +252,11 @@ def check_eta_sample(points, loops, eta_local, ids, tol=ETA_TOL):
     """
     eta_local = np.asarray(eta_local, dtype=float)
     mean = math.fsum(eta_local.tolist()) / len(eta_local)
+    want = len(ids) if count is None else min(count, len(ids))
     done = 0
     for k in ids:
+        if done == want:
+            break
         own = eta_direct(np.asarray(points)[list(loops[k])])
         if own is None:
             continue
@@ -259,11 +264,8 @@ def check_eta_sample(points, loops, eta_local, ids, tol=ETA_TOL):
         require(abs(got - own) <= tol * (own + mean),
                 f"eta of element {k} is {got!r}, recomputed {own!r}")
         done += 1
+    require(done == want, f"only {done} of {want} sampled elements could be fanned")
     return done
-
-
-def sample_ids(rng, n_elements, count):
-    return sorted(rng.choice(n_elements, size=min(count, n_elements), replace=False).tolist())
 
 
 # ---------------------------------------------------------------------------

@@ -6,8 +6,8 @@ Each round is a new single-threaded Python process (bench/workloads.py),
 because anisomesh keeps module-global caches (the star-kernel cache in
 regularity) that would otherwise carry over and make later rounds cheaper
 than a user's run.  Rounds run one after another until the next one would
-end past ``--seconds``, and at least twice, so that every run can compare
-outputs between two rounds.  The last line of standard output is one JSON
+end past ``--seconds`` (or past ``DEADLINE_S``, whichever comes first), and
+at least twice, so that every run can compare outputs between two rounds.  The last line of standard output is one JSON
 object: ``correct``, ``attempted``, ``failed`` and ``metrics``; with
 ``--trace 0`` the metrics are the end-to-end ones (medians over rounds),
 with ``--trace 1`` the per-layer ones from the traced rounds.
@@ -121,7 +121,7 @@ def main(argv=None):
     longest = 0.0
     while True:
         elapsed = time.monotonic() - start
-        if len(rounds) >= MIN_ROUNDS and elapsed + longest > args.seconds:
+        if len(rounds) >= MIN_ROUNDS and elapsed + longest > min(args.seconds, DEADLINE_S):
             break
         t0 = time.monotonic()
         try:

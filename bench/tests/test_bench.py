@@ -100,6 +100,20 @@ def test_eta_checks_reject_a_perturbed_eta(aniso_history):
         checks.check_eta_global(bad, rep.eta_global)
 
 
+def test_eta_sample_skips_unfannable_elements_but_checks_count():
+    # A C-shaped cell: its centroid lies in the notch, so no centroid fan.
+    c_shape = [(0, 0), (1, 0), (1, 0.2), (0.2, 0.2), (0.2, 0.8), (1, 0.8), (1, 1), (0, 1)]
+    points, loops = grid(2)
+    n = len(points)
+    points = np.vstack([points, np.array(c_shape, dtype=float)])
+    loops = loops + [list(range(n, n + len(c_shape)))]
+    assert checks.eta_direct(points[loops[-1]]) is None
+    eta = [checks.eta_direct(points[loop]) for loop in loops[:-1]] + [1.0]
+    assert checks.check_eta_sample(points, loops, eta, [4, 0, 2, 1], 2) == 2
+    with pytest.raises(CheckFailed):
+        checks.check_eta_sample(points, loops, eta, [4, 0], 2)
+
+
 def test_marking_check_rejects_wrong_marks_and_growth(aniso_history):
     levels = [(m.n_elements, rep.eta_local, rep.marked) for m, rep in aniso_history]
     checks.check_refinement_growth(levels, [])
@@ -191,6 +205,26 @@ def test_reduced_cli_run_passes_all_checks(cli_round):
     assert layers["regularity.audit_s"] > 0.0 and layers["regularity.lp_solves"] > 0
     again = workloads.run_round("cli_polygonal", 5, time.monotonic(), small=True, tag="again")
     assert again["digest"] == result["digest"]
+
+
+@pytest.mark.parametrize("round_s, expected", [(60.0, 2), (30.0, 5)])
+def test_run_stops_before_the_deadline(monkeypatch, capsys, round_s, expected):
+    clock = [0.0]
+    timeouts = []
+
+    def fake_round(workload, seed, trace, index, timeout):
+        timeouts.append(timeout)
+        clock[0] += round_s
+        return {"setup_s": 0.5, "run_s": round_s - 1.0, "peak_rss_mb": 100.0,
+                "ndof_at_eta": 500.0, "l2_final": 0.01, "attempted": 10, "failures": []}
+
+    monkeypatch.setattr(run, "run_round", fake_round)
+    monkeypatch.setattr(run, "time", type("Clock", (), {"monotonic": lambda: clock[0]}))
+    assert run.main(["--workload", "aniso_layer", "--seed", "1", "--seconds", "1000"]) == 0
+    result = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
+    assert result["correct"] and result["attempted"] == 10 * expected + 2 * (expected - 1)
+    assert len(timeouts) == expected and clock[0] <= run.DEADLINE_S
+    assert all(t >= round_s for t in timeouts)
 
 
 def test_benchmark_json_names_what_run_reports():

@@ -143,8 +143,8 @@ def run_adaptive(spec, seed, spawned, tracer):
             ops.check(f"L{level} counts", checks.check_uniform_counts, level,
                       m.n_elements, m.n_nodes)
         ops.check(f"L{level} eta", checks.check_eta_global, rep.eta_local, rep.eta_global)
-        ids = checks.sample_ids(rng, m.n_elements, spec["eta_samples"])
-        ops.check(f"L{level} eta_K", checks.check_eta_sample, points, loops, rep.eta_local, ids)
+        ops.check(f"L{level} eta_K", checks.check_eta_sample, points, loops, rep.eta_local,
+                  rng.permutation(m.n_elements), spec["eta_samples"])
     ops.check("marking", checks.check_refinement_growth,
               [(m.n_elements, rep.eta_local, rep.marked) for m, rep in history],
               skips.ids, uniform)
@@ -229,8 +229,8 @@ def run_cli(spec, seed, spawned, tracer, tag):
         # The CSVs carry 12 significant digits.
         ops.check(f"L{level} eta", checks.check_eta_global, eta_local, float(row["eta"]), 1e-10)
         ops.check(f"L{level} spectra", checks.check_spectra, points, loops, ind)
-        ids = checks.sample_ids(rng, len(loops), spec["eta_samples"])
-        ops.check(f"L{level} eta_K", checks.check_eta_sample, points, loops, eta_local, ids)
+        ops.check(f"L{level} eta_K", checks.check_eta_sample, points, loops, eta_local,
+                  rng.permutation(len(loops)), spec["eta_samples"])
         ops.check(f"L{level} aspect", checks.check_aspects,
                   checks.read_csv(prefix + "_audit_elements.csv"))
         levels.append((len(loops), eta_local, None))
@@ -291,10 +291,8 @@ def main(argv=None):
     parser.add_argument("--spawned", type=float, required=True)
     parser.add_argument("--out", required=True)
     parser.add_argument("--tag", default="round")
-    parser.add_argument("--small", action="store_true")
     args = parser.parse_args(argv)
-    result = run_round(args.workload, args.seed, args.spawned, bool(args.trace),
-                       args.small, args.tag)
+    result = run_round(args.workload, args.seed, args.spawned, bool(args.trace), tag=args.tag)
     with open(args.out, "w") as fh:
         json.dump(result, fh)
     return 0
