@@ -7,7 +7,9 @@ because anisomesh keeps module-global caches (the star-kernel cache in
 regularity) that would otherwise carry over and make later rounds cheaper
 than a user's run.  Rounds run one after another until the next one would
 end past ``--seconds`` (or past ``DEADLINE_S``, whichever comes first), and
-at least twice, so that every run can compare outputs between two rounds.  The last line of standard output is one JSON
+at least twice, so that every run can compare outputs between two rounds.
+Untraced runs first start ``SETUP_REPEATS`` processes that only set up, and
+report ``setup_s`` as the median over those and the rounds.  The last line of standard output is one JSON
 object: ``correct``, ``attempted``, ``failed`` and ``metrics``; with
 ``--trace 0`` the metrics are the end-to-end ones (medians over rounds),
 with ``--trace 1`` the per-layer ones from the traced rounds.
@@ -32,6 +34,9 @@ from tracing import COUNTS, RATIOS, SELF_TIMES  # noqa: E402
 from workloads import WORKLOADS  # noqa: E402
 
 MIN_ROUNDS = 2
+# Untraced runs also start this many set-up-only processes, so that
+# setup_s, which is short and noisy, is a median of MIN_ROUNDS + 3 samples.
+SETUP_REPEATS = 3
 DEADLINE_S = 170.0  # a run must end within 180 s
 
 END_TO_END = {
@@ -52,10 +57,11 @@ PER_LAYER.update({name: "1" for name in RATIOS})
 THREAD_ENV = {"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1", "ANISOMESH_THREADS": "1"}
 
 
-def run_round(workload, seed, trace, index, timeout):
+def run_round(workload, seed, trace, index, timeout, setup_only=False):
     """One fresh-process round; returns its record, or raises RuntimeError."""
     os.makedirs(OUT_ROOT, exist_ok=True)
-    out = os.path.join(OUT_ROOT, f"{workload}-trace{trace}-r{index}.json")
+    tag = f"trace{trace}-{'s' if setup_only else 'r'}{index}"
+    out = os.path.join(OUT_ROOT, f"{workload}-{tag}.json")
     if os.path.exists(out):
         os.remove(out)
     env = dict(os.environ)
@@ -63,7 +69,7 @@ def run_round(workload, seed, trace, index, timeout):
     spawned = time.monotonic()
     cmd = [sys.executable, os.path.join(HERE, "workloads.py"), "--workload", workload,
            "--seed", str(seed), "--trace", str(trace), "--spawned", repr(spawned),
-           "--out", out, "--tag", f"trace{trace}-r{index}"]
+           "--out", out, "--tag", tag] + (["--setup-only"] if setup_only else [])
     try:
         proc = subprocess.run(cmd, env=env, cwd=ROOT, timeout=timeout)
     except subprocess.TimeoutExpired:
@@ -74,7 +80,7 @@ def run_round(workload, seed, trace, index, timeout):
         return json.load(fh)
 
 
-def aggregate(rounds, trace):
+def aggregate(rounds, trace, setups=()):
     failures = [f for r in rounds for f in r["failures"]]
     attempted = sum(r["attempted"] for r in rounds)
     for key in REPEATABLE:
@@ -92,6 +98,7 @@ def aggregate(rounds, trace):
     else:
         names = END_TO_END
         values = {k: [r[k] for r in rounds] for k in names}
+        values["setup_s"] += list(setups)
     metrics = {}
     for name, unit in names.items():
         if any(v is None for v in values[name]):
@@ -117,6 +124,16 @@ def main(argv=None):
         return 2
 
     start = time.monotonic()
+    setups = []
+    if not args.trace:
+        for i in range(1, SETUP_REPEATS + 1):
+            try:
+                setups.append(run_round(args.workload, args.seed, 0, i,
+                                        DEADLINE_S - (time.monotonic() - start),
+                                        setup_only=True)["setup_s"])
+            except RuntimeError as exc:
+                print(f"error: {args.workload}: set-up {exc}", file=sys.stderr)
+                return 1
     rounds = []
     longest = 0.0
     while True:
@@ -136,7 +153,7 @@ def main(argv=None):
               f"peak_rss_mb={r['peak_rss_mb']:.1f} checks failed={len(r['failures'])}",
               flush=True)
 
-    result, failures = aggregate(rounds, args.trace)
+    result, failures = aggregate(rounds, args.trace, setups)
     for f in failures:
         print(f"FAILED {f}")
     for name, m in result["metrics"].items():

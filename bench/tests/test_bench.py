@@ -7,6 +7,7 @@ result, and a reduced-size round of every workload passes all checks.
 import json
 import os
 import shutil
+import statistics
 import sys
 import time
 
@@ -212,7 +213,10 @@ def test_run_stops_before_the_deadline(monkeypatch, capsys, round_s, expected):
     clock = [0.0]
     timeouts = []
 
-    def fake_round(workload, seed, trace, index, timeout):
+    def fake_round(workload, seed, trace, index, timeout, setup_only=False):
+        if setup_only:
+            clock[0] += 1.0
+            return {"setup_s": 0.25}
         timeouts.append(timeout)
         clock[0] += round_s
         return {"setup_s": 0.5, "run_s": round_s - 1.0, "peak_rss_mb": 100.0,
@@ -225,6 +229,8 @@ def test_run_stops_before_the_deadline(monkeypatch, capsys, round_s, expected):
     assert result["correct"] and result["attempted"] == 10 * expected + 2 * (expected - 1)
     assert len(timeouts) == expected and clock[0] <= run.DEADLINE_S
     assert all(t >= round_s for t in timeouts)
+    setups = [0.25] * run.SETUP_REPEATS + [0.5] * expected
+    assert result["metrics"]["setup_s"]["value"] == statistics.median(setups)
 
 
 def test_benchmark_json_names_what_run_reports():

@@ -104,7 +104,7 @@ def check_mesh_level(ops, level, points, loops):
     ops.check(f"L{level} conformity", checks.check_conformity, points, loops)
 
 
-def run_adaptive(spec, seed, spawned, tracer):
+def run_adaptive(spec, seed, spawned, tracer, setup_only=False):
     from anisomesh import fields, interp, mesh as mesh_mod, refine
 
     fld = fields.get_field("tanh_layer")
@@ -117,6 +117,8 @@ def run_adaptive(spec, seed, spawned, tracer):
         tracer.install()
 
     setup_s = time.monotonic() - spawned
+    if setup_only:
+        return {"setup_s": setup_s}
     t0 = time.perf_counter()
     history = refine.adaptive_loop(initial, fld, cfg)
     cache = interp.BasisCache()
@@ -173,7 +175,7 @@ def run_adaptive(spec, seed, spawned, tracer):
     }
 
 
-def run_cli(spec, seed, spawned, tracer, tag):
+def run_cli(spec, seed, spawned, tracer, tag, setup_only=False):
     from anisomesh import cli
 
     work = os.path.join(OUT_ROOT, "cli", tag)
@@ -197,6 +199,8 @@ def run_cli(spec, seed, spawned, tracer, tag):
         tracer.install()
 
     setup_s = time.monotonic() - spawned
+    if setup_only:
+        return {"setup_s": setup_s}
     t0 = time.perf_counter()
     rc = cli.main(["run", cfg_path, "--output-dir", out_dir])
     run_s = time.perf_counter() - t0
@@ -259,8 +263,12 @@ def peak_rss_mb():
     return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
 
 
-def run_round(workload, seed, spawned, trace=False, small=False, tag="round"):
-    """Set up, time and check one round; returns the JSON-ready record."""
+def run_round(workload, seed, spawned, trace=False, small=False, tag="round", setup_only=False):
+    """Set up, time and check one round; returns the JSON-ready record.
+
+    With ``setup_only`` the round stops after set-up and reports only
+    ``setup_s``: run.py takes extra set-up samples that way.
+    """
     spec = dict(WORKLOADS[workload])
     if small:
         spec.update(SMALL[workload])
@@ -271,9 +279,9 @@ def run_round(workload, seed, spawned, trace=False, small=False, tag="round"):
 
         tracer = Tracer()
     if spec["kind"] == "cli":
-        result = run_cli(spec, seed, spawned, tracer, f"{workload}-{tag}")
+        result = run_cli(spec, seed, spawned, tracer, f"{workload}-{tag}", setup_only)
     else:
-        result = run_adaptive(spec, seed, spawned, tracer)
+        result = run_adaptive(spec, seed, spawned, tracer, setup_only)
     if tracer is not None:
         layers = tracer.layer_metrics()
         layers["cli.bytes_written"] = result.get("bytes_written", 0)
@@ -291,8 +299,10 @@ def main(argv=None):
     parser.add_argument("--spawned", type=float, required=True)
     parser.add_argument("--out", required=True)
     parser.add_argument("--tag", default="round")
+    parser.add_argument("--setup-only", action="store_true")
     args = parser.parse_args(argv)
-    result = run_round(args.workload, args.seed, args.spawned, bool(args.trace), tag=args.tag)
+    result = run_round(args.workload, args.seed, args.spawned, bool(args.trace), tag=args.tag,
+                       setup_only=args.setup_only)
     with open(args.out, "w") as fh:
         json.dump(result, fh)
     return 0
