@@ -13,23 +13,16 @@ import json
 import os
 import sys
 import time
+from itertools import islice
 
 import numpy as np
 
 from . import __version__
 from .errors import AnisomeshError, ParseError
 from .fields import get_field
-from .indicator import eta_global
 from .interp import BasisCache, CLEMENT, POINTWISE, coefficients, l2_error
 from .mesh import load_mesh, save_mesh, generate_grid, generate_polygonal
-from .refine import (
-    ANISOTROPIC,
-    ISOTROPIC,
-    UNIFORM,
-    RefineConfig,
-    mark,
-    refine,
-)
+from .refine import ANISOTROPIC, ISOTROPIC, UNIFORM, RefineConfig, _adaptive_levels
 from .regularity import audit_mesh, write_element_csv, write_pair_csv
 from .render import render_svg
 from .verify import (
@@ -127,33 +120,30 @@ def make_initial_mesh(spec, seed=0):
 
 
 def run_strategy(mesh, fld, strategy, cfg, out_dir, tag=None):
-    """One adaptive run; returns the per-level convergence rows."""
+    """One adaptive run; returns the per-level convergence rows.
+
+    A row's ``wall_ms`` covers the refinement that produced its mesh, the
+    indicator, the L2 errors and the level's artifacts.
+    """
     tag = tag or strategy.lower()
     rows = []
-    cache = {}
     basis_cache = BasisCache()
     rc = RefineConfig(
         strategy=strategy,
         marking_factor=cfg["marking_factor"],
-        max_levels=max(cfg["levels"], 1),
         quad_depth=cfg["quad_depth"],
     )
-    level = 0
-    while True:
-        t0 = time.perf_counter()
-        report = eta_global(mesh, fld, depth=cfg["quad_depth"], cache=cache)
-        marked = (
-            set(range(mesh.n_elements))
-            if strategy == UNIFORM
-            else mark(report, mesh.n_elements, cfg["marking_factor"])
-        )
-        report.marked = marked
+    levels = islice(_adaptive_levels(mesh, fld, rc), cfg["levels"] + 1)
+    t0 = time.perf_counter()
+    for level, (mesh, report) in enumerate(levels):
         l2_pw = l2_clem = float("nan")
         if cfg["l2"]:
             pw = coefficients(mesh, fld, POINTWISE)
             l2_pw = l2_error(mesh, fld, pw, depth=cfg["basis_depth"], cache=basis_cache)
             clem = coefficients(mesh, fld, CLEMENT, depth=cfg["quad_depth"])
             l2_clem = l2_error(mesh, fld, clem, depth=cfg["basis_depth"], cache=basis_cache)
+        if cfg["save_levels"]:
+            write_level_artifacts(mesh, report, out_dir, tag, level, cfg)
         wall_ms = 0.0 if cfg["deterministic"] else (time.perf_counter() - t0) * 1e3
         rows.append(
             {
@@ -166,12 +156,7 @@ def run_strategy(mesh, fld, strategy, cfg, out_dir, tag=None):
                 "wall_ms": wall_ms,
             }
         )
-        if cfg["save_levels"]:
-            write_level_artifacts(mesh, report, out_dir, tag, level, cfg)
-        if level >= cfg["levels"] or not marked:
-            break
-        mesh, _ = refine(mesh, marked, strategy, report, rc)
-        level += 1
+        t0 = time.perf_counter()
     return rows
 
 

@@ -237,12 +237,8 @@ class Polygon:
     def diameter(self):
         if self._diameter is None:
             v = self.vertices
-            if len(v) <= 96:
-                d = v[:, None, :] - v[None, :, :]
-                self._diameter = float(np.sqrt((d * d).sum(axis=2).max()))
-            else:
-                lo, hi = v.min(axis=0), v.max(axis=0)
-                self._diameter = float(np.hypot(*(hi - lo)))
+            d = v[:, None, :] - v[None, :, :]
+            self._diameter = float(np.sqrt((d * d).sum(axis=2).max()))
         return self._diameter
 
     @property
@@ -282,18 +278,6 @@ class Polygon:
         if not keep.any():
             return v
         return v[keep]
-
-    def geometry_key(self, ndigits=12):
-        """Hashable key identifying the covered region.
-
-        Collinear (hanging-node) vertices are dropped and the loop is rotated
-        to start at its lexicographically smallest corner, so two loops that
-        bound the same region compare equal.
-        """
-        c = self.corner_vertices()
-        start = int(np.lexsort((c[:, 1], c[:, 0]))[0])
-        c = np.roll(c, -start, axis=0)
-        return tuple(np.round(c, ndigits).ravel().tolist())
 
     def similarity_key(self, ndigits=12):
         """Key invariant under translation and uniform scaling."""

@@ -20,7 +20,6 @@ import numpy as np
 from .quadrature import default_depth, integrate_on_polygon, polygon_sample_points, triangle_rule
 
 __all__ = [
-    "GramMatrix",
     "IndicatorReport",
     "HessianTerms",
     "gram_element",
@@ -31,11 +30,7 @@ __all__ = [
     "element_quadrature_depth",
 ]
 
-
-@dataclass(frozen=True)
-class GramMatrix:
-    matrix: np.ndarray
-    domain: object  # element id or tuple of element ids
+BATCH_POINTS = 2_000_000  # quadrature points per field call in eta_global
 
 
 @dataclass
@@ -88,25 +83,12 @@ def gram_element(poly, fld, rule=None, depth=None):
     return m
 
 
-def gram_patch(mesh, eid, fld, rule=None, depth=None, cache=None):
+def gram_patch(mesh, eid, fld, rule=None, depth=None):
     """Patch Gram matrix: sum of element Grams over omega_K."""
-    patch = sorted(mesh.element_patch(eid))
     total = np.zeros((2, 2))
-    for other in patch:
-        total += _cached_gram(mesh.elements[other].polygon, fld, rule, depth, cache)
-    return GramMatrix(matrix=total, domain=tuple(patch))
-
-
-def _cached_gram(poly, fld, rule, depth, cache):
-    if cache is None:
-        return gram_element(poly, fld, rule=rule, depth=depth)
-    d = depth if depth is not None else element_quadrature_depth(poly)
-    key = (poly.geometry_key(), fld.label, d, rule.order if rule is not None else 7)
-    hit = cache.get(key)
-    if hit is None:
-        hit = gram_element(poly, fld, rule=rule, depth=d)
-        cache[key] = hit
-    return hit
+    for other in sorted(mesh.element_patch(eid)):
+        total += gram_element(mesh.elements[other].polygon, fld, rule=rule, depth=depth)
+    return total
 
 
 def eta_from_gram(poly, gram):
@@ -118,10 +100,9 @@ def eta_from_gram(poly, gram):
     return max(val, 0.0)
 
 
-def eta_local(poly, fld, rule=None, depth=None, cache=None):
+def eta_local(poly, fld, rule=None, depth=None):
     """Local error measure via the Gram contraction; >= 0, zero for constants."""
-    gram = _cached_gram(poly, fld, rule, depth, cache)
-    return eta_from_gram(poly, gram)
+    return eta_from_gram(poly, gram_element(poly, fld, rule=rule, depth=depth))
 
 
 def eta_local_direct(poly, fld, rule=None, depth=None):
@@ -138,31 +119,22 @@ def eta_local_direct(poly, fld, rule=None, depth=None):
     return integrate_on_polygon(poly, integrand, rule=rule, depth=depth)
 
 
-def eta_global(mesh, fld, rule=None, depth=None, cache=None, batch_points=2_000_000):
+def eta_global(mesh, fld, rule=None, depth=None, carried=None):
     """Aggregate the local indicators into a report (marking left empty).
 
-    Uncached elements are processed in large batches: their quadrature points
-    are concatenated so the field gradient is evaluated once per batch, then
-    the Gram entries come from segmented weighted sums.
+    ``carried`` maps element ids to Gram matrices that are already known,
+    such as those of elements whose parent was not split at the last
+    refinement; they are used as given.  The other elements are processed
+    in batches of about BATCH_POINTS quadrature points: their points are
+    concatenated so the field gradient is evaluated once per batch, then the
+    Gram entries come from segmented weighted sums.
     """
     if rule is None:
         rule = triangle_rule(7)
-    n = mesh.n_elements
-    grams = np.empty((n, 2, 2))
-    misses = []
-    keys = {}
-    for el in mesh.elements:
-        if cache is None:
-            misses.append(el)
-            continue
-        d = depth if depth is not None else element_quadrature_depth(el.polygon)
-        key = (el.polygon.geometry_key(), fld.label, d, rule.order)
-        keys[el.id] = key
-        hit = cache.get(key)
-        if hit is not None:
-            grams[el.id] = hit
-        else:
-            misses.append(el)
+    carried = carried or {}
+    grams = np.empty((mesh.n_elements, 2, 2))
+    for eid, gram in carried.items():
+        grams[eid] = gram
 
     def flush(batch):
         if not batch:
@@ -179,19 +151,18 @@ def eta_global(mesh, fld, rule=None, depth=None, cache=None, batch_points=2_000_
         g12 = np.add.reduceat(wxy, starts)
         g22 = np.add.reduceat(wyy, starts)
         for k, (el, _, _) in enumerate(batch):
-            m = np.array([[g11[k], g12[k]], [g12[k], g22[k]]])
-            grams[el.id] = m
-            if cache is not None:
-                cache[keys[el.id]] = m
+            grams[el.id] = ((g11[k], g12[k]), (g12[k], g22[k]))
 
     pending = []
     pending_pts = 0
-    for el in misses:
+    for el in mesh.elements:
+        if el.id in carried:
+            continue
         d = depth if depth is not None else element_quadrature_depth(el.polygon)
         pts, w = polygon_sample_points(el.polygon, rule=rule, depth=d)
         pending.append((el, pts, w))
         pending_pts += len(w)
-        if pending_pts >= batch_points:
+        if pending_pts >= BATCH_POINTS:
             flush(pending)
             pending = []
             pending_pts = 0

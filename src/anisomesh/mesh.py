@@ -303,18 +303,6 @@ def build_mesh(points, element_loops, boundary_spec=DIRICHLET, check_simple=True
     return mesh
 
 
-def node_patch(mesh, i):
-    return mesh.node_patch(i)
-
-
-def edge_patch(mesh, edge):
-    return mesh.edge_patch(edge)
-
-
-def element_patch(mesh, eid):
-    return mesh.element_patch(eid)
-
-
 # ---------------------------------------------------------------------------
 # File IO: plain text, 17 significant digits for bit-exact round trips
 # ---------------------------------------------------------------------------

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import logging
 from dataclasses import dataclass, field
+from itertools import islice
 
 import numpy as np
 
@@ -58,7 +59,7 @@ class RefineConfig:
 
 @dataclass
 class RefinementStep:
-    level: int
+    parent_of: list  # new element id -> id of the element it came from in the old mesh
     parent_children: dict  # parent element id -> (child id, child id) in the new mesh
     new_nodes: list
     directions: dict  # parent element id -> unit cut-line direction
@@ -258,7 +259,7 @@ def refine(mesh, marked, strategy=ISOTROPIC, report=None, config=None):
         if parent in splits:
             parent_children.setdefault(parent, []).append(child_id)
     step = RefinementStep(
-        level=-1,
+        parent_of=parent_of_loop,
         parent_children={k: tuple(v) for k, v in parent_children.items()},
         new_nodes=list(range(mesh.n_nodes, len(points))),
         directions=directions,
@@ -267,26 +268,38 @@ def refine(mesh, marked, strategy=ISOTROPIC, report=None, config=None):
     return new_mesh, step
 
 
-def adaptive_loop(initial, fld, config):
-    """Run indicate -> mark -> refine for ``config.max_levels`` levels.
+def _adaptive_levels(mesh, fld, config):
+    """Indicate -> mark -> refine from ``mesh``; yields (mesh, report) per level.
 
-    Returns the history as a list of (mesh, report) pairs including the
-    initial level; stops early when nothing is marked.  Gram matrices of
-    elements that survive a level are reused via a geometry-keyed cache.
+    Stops after a level that marks nothing, and never stops otherwise:
+    callers take as many levels as they want, and a level is refined only
+    when the next one is asked for.  Elements whose parent was not split
+    cover the parent's region, so they keep the parent's Gram matrix, also
+    when a neighbour's cut added a hanging node to their loop.
     """
-    history = []
-    mesh = initial
-    cache = {}
-    for level in range(config.max_levels + 1):
-        report = eta_global(mesh, fld, depth=config.quad_depth, cache=cache)
+    carried = None
+    while True:
+        report = eta_global(mesh, fld, depth=config.quad_depth, carried=carried)
         if config.strategy == UNIFORM:
             marked = set(range(mesh.n_elements))
         else:
             marked = mark(report, mesh.n_elements, config.marking_factor)
         report.marked = marked
-        history.append((mesh, report))
-        if level == config.max_levels or not marked:
-            break
+        yield mesh, report
+        if not marked:
+            return
         mesh, step = refine(mesh, marked, config.strategy, report, config)
-        step.level = level + 1
-    return history
+        carried = {
+            child: report.gram[parent]
+            for child, parent in enumerate(step.parent_of)
+            if parent not in step.parent_children
+        }
+
+
+def adaptive_loop(initial, fld, config):
+    """Run indicate -> mark -> refine for ``config.max_levels`` levels.
+
+    Returns the history as a list of (mesh, report) pairs including the
+    initial level; stops early when nothing is marked.
+    """
+    return list(islice(_adaptive_levels(initial, fld, config), config.max_levels + 1))

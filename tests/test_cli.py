@@ -5,7 +5,9 @@ import pytest
 
 from anisomesh.cli import main, make_initial_mesh, normalize_config, parse_config
 from anisomesh.errors import ParseError
+from anisomesh.fields import tanh_layer
 from anisomesh.mesh import generate_grid, save_mesh
+from anisomesh.refine import ANISOTROPIC, RefineConfig, adaptive_loop
 from anisomesh.render import color_ramp, render_svg
 
 
@@ -70,6 +72,26 @@ class TestRunCommand:
         assert len(rows) == 8  # header + levels 0..6
         last = rows[-1].split(",")
         assert int(last[2]) == 64
+
+    def test_zero_levels_writes_initial_level_only(self, tmp_path):
+        cfg = write_config(tmp_path / "z.cfg", levels=0, output_dir=str(tmp_path / "z"))
+        assert main(["run", str(cfg)]) == 0
+        rows = (tmp_path / "z" / "convergence.csv").read_text().splitlines()
+        assert len(rows) == 2
+        assert rows[1].split(",")[:3] == ["0", "9", "4"]
+        assert not list((tmp_path / "z").glob("*_L01*"))
+
+    def test_rows_match_adaptive_loop(self, tmp_path):
+        cfg = write_config(
+            tmp_path / "a.cfg", mesh="grid 4 4", strategy="ANISOTROPIC", levels=4,
+            save_levels=False, output_dir=str(tmp_path / "a"),
+        )
+        assert main(["run", str(cfg)]) == 0
+        rows = (tmp_path / "a" / "convergence.csv").read_text().splitlines()[1:]
+        history = adaptive_loop(generate_grid(4, 4), tanh_layer(),
+                                RefineConfig(strategy=ANISOTROPIC, max_levels=4))
+        expected = [f"{m.n_nodes},{m.n_elements},{rep.eta_global:.12g}" for m, rep in history]
+        assert [",".join(row.split(",")[1:4]) for row in rows] == expected
 
     def test_outputs_and_determinism(self, tmp_path):
         out1, out2 = tmp_path / "r1", tmp_path / "r2"

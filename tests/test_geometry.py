@@ -264,15 +264,16 @@ class TestPolygonUtilities:
         assert poly.contains((0.5, 0.5))
         assert not poly.contains((1.5, 0.5))
 
+    def test_diameter_of_many_vertex_loop(self):
+        # The pairwise maximum, not a bounding-box diagonal (2.0001 here).
+        t = np.linspace(0.0, 2.0 * math.pi, 200, endpoint=False)
+        ellipse = Polygon(np.column_stack([np.cos(t), 0.01 * np.sin(t)]))
+        assert ellipse.diameter == 2.0
+
     def test_corner_vertices_drop_hanging(self):
         poly = Polygon([(0, 0), (0.5, 0.0), (1, 0), (1, 1), (0, 1)])
         corners = poly.corner_vertices()
         assert len(corners) == 4
-
-    def test_geometry_key_ignores_hanging_nodes(self):
-        plain = Polygon(UNIT_SQUARE)
-        hanging = Polygon([(0, 0), (0.5, 0.0), (1, 0), (1, 1), (0, 1)])
-        assert plain.geometry_key() == hanging.geometry_key()
 
     def test_non_simple_detected(self):
         bowtie = np.array([(0, 0), (1, 1), (1, 0), (0, 1)], dtype=float)

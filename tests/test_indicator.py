@@ -21,6 +21,7 @@ from anisomesh.indicator import (
     hessian_terms,
 )
 from anisomesh.mesh import build_mesh, generate_grid
+from anisomesh.refine import ISOTROPIC, RefineConfig, adaptive_loop, refine
 from conftest import random_polygon
 
 UNIT_SQUARE = Polygon([(0, 0), (1, 0), (1, 1), (0, 1)])
@@ -72,11 +73,11 @@ class TestGram:
         mesh = generate_grid(2, 2)
         fld = tanh_layer()
         total = gram_patch(mesh, 0, fld, depth=3)
-        assert total.domain == (0, 1, 2, 3)
+        assert sorted(mesh.element_patch(0)) == [0, 1, 2, 3]
         expected = sum(
             gram_element(mesh.elements[k].polygon, fld, depth=3) for k in range(4)
         )
-        assert total.matrix == pytest.approx(expected, rel=1e-13)
+        assert total == pytest.approx(expected, rel=1e-13)
 
     def test_split_additivity(self, rng):
         # A layer-scale element fully resolved at depth 6: both integration
@@ -147,13 +148,24 @@ class TestEtaGlobal:
         fine = eta_global(mesh, tanh_layer(), depth=7)
         assert coarse.eta_global == pytest.approx(fine.eta_global, rel=1e-4)
 
-    def test_cache_reuse(self):
-        mesh = generate_grid(2, 2)
-        cache = {}
-        a = eta_global(mesh, tanh_layer(), cache=cache)
-        assert len(cache) == 4
-        b = eta_global(mesh, tanh_layer(), cache=cache)
-        assert np.array_equal(a.eta_local, b.eta_local)
+    def test_gram_carry_over(self):
+        # After one refinement, every element whose parent was not split
+        # keeps exactly its parent's Gram, also when a neighbour's cut left
+        # a hanging node in its loop; split children are integrated afresh.
+        fld = tanh_layer()
+        cfg = RefineConfig(strategy=ISOTROPIC, max_levels=1)
+        (coarse, rep0), (fine, rep1) = adaptive_loop(generate_grid(4, 4), fld, cfg)
+        _, step = refine(coarse, rep0.marked, ISOTROPIC, rep0, cfg)
+        fresh = eta_global(fine, fld)
+        hanging = 0
+        for child, parent in enumerate(step.parent_of):
+            if parent in step.parent_children:
+                assert np.array_equal(rep1.gram[child], fresh.gram[child])
+            else:
+                assert np.array_equal(rep1.gram[child], rep0.gram[parent])
+                hanging += len(fine.elements[child].vertex_loop) > len(
+                    coarse.elements[parent].vertex_loop)
+        assert step.parent_children and hanging
 
     def test_csv_export(self, tmp_path):
         mesh = generate_grid(2, 2)
