@@ -26,6 +26,7 @@ __all__ = [
     "split_polygon_by_line",
     "split_polygon_detailed",
     "symmetric_eig_2x2",
+    "point_set_diameter",
 ]
 
 _ZERO_COMPONENT_TOL = 1e-14
@@ -236,9 +237,7 @@ class Polygon:
     @property
     def diameter(self):
         if self._diameter is None:
-            v = self.vertices
-            d = v[:, None, :] - v[None, :, :]
-            self._diameter = float(np.sqrt((d * d).sum(axis=2).max()))
+            self._diameter = point_set_diameter(self.vertices)
         return self._diameter
 
     @property
@@ -279,13 +278,11 @@ class Polygon:
             return v
         return v[keep]
 
-    def similarity_key(self, ndigits=12):
-        """Key invariant under translation and uniform scaling."""
-        c = self.corner_vertices()
-        c = (c - self.centroid) / math.sqrt(self.area)
-        start = int(np.lexsort((c[:, 1], c[:, 0]))[0])
-        c = np.roll(c, -start, axis=0)
-        return tuple(np.round(c, ndigits).ravel().tolist())
+
+def point_set_diameter(points):
+    """Largest distance between two of the points: the exact pairwise maximum."""
+    d = points[:, None, :] - points[None, :, :]
+    return float(np.sqrt((d * d).sum(axis=2).max()))
 
 
 def points_in_polygon(points, vertices, boundary_tol=0.0):

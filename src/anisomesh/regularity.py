@@ -11,9 +11,8 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.optimize import linprog
 
-from .geometry import Polygon, map_polygon
+from .geometry import Polygon, map_polygon, point_set_diameter
 
 __all__ = [
     "ElementRegularity",
@@ -63,110 +62,122 @@ class RegularityAudit:
     alpha_hist: np.ndarray = field(default=None)
 
 
-def _halfplanes(vertices):
-    """Inward half-planes (n_i . x <= b_i) of a CCW loop, unit normals."""
-    v = np.asarray(vertices, dtype=float)
-    e = np.roll(v, -1, axis=0) - v
-    lengths = np.hypot(e[:, 0], e[:, 1])
-    # Outward normal of a CCW edge is (e_y, -e_x).
-    normals = np.column_stack([e[:, 1], -e[:, 0]]) / lengths[:, None]
-    offsets = (normals * v).sum(axis=1)
-    return normals, offsets
+def _halfplanes(coords):
+    """Inward half-planes (nx, ny, b), n . x <= b, of a CCW loop; unit normals."""
+    lines = []
+    for (x0, y0), (x1, y1) in zip(coords, coords[1:] + coords[:1]):
+        length = math.hypot(x1 - x0, y1 - y0)
+        # Outward normal of a CCW edge is (e_y, -e_x).
+        nx, ny = (y1 - y0) / length, (x0 - x1) / length
+        lines.append((nx, ny, nx * x0 + ny * y0))
+    return lines
 
 
-def _clip_halfplane(points, normal, offset, eps):
-    """Sutherland-Hodgman clip of a convex loop against n . x <= b."""
-    if len(points) == 0:
-        return points
-    d = points @ normal - offset
-    keep = d <= eps
-    out = []
+def _clip_halfplane(points, labels, line, label, eps):
+    """Sutherland-Hodgman clip of a convex loop against n . x <= b.
+
+    ``labels[k]`` names the line carrying the edge from ``points[k]`` to the
+    next point; the edge the clip adds is labelled ``label``.
+    """
+    nx, ny, b = line
+    d = [nx * x + ny * y - b for x, y in points]
+    if max(d) <= eps:
+        return points, labels
+    out, out_labels = [], []
     n = len(points)
     for i in range(n):
-        j = (i + 1) % n
-        if keep[i]:
+        j = i + 1 if i + 1 < n else 0
+        if d[i] <= eps:
             out.append(points[i])
-        if keep[i] != keep[j]:
+            out_labels.append(labels[i])
+        if (d[i] <= eps) != (d[j] <= eps):
             t = d[i] / (d[i] - d[j])
-            out.append(points[i] + t * (points[j] - points[i]))
-    return np.asarray(out) if out else np.empty((0, 2))
+            (xi, yi), (xj, yj) = points[i], points[j]
+            out.append((xi + t * (xj - xi), yi + t * (yj - yi)))
+            out_labels.append(label if d[i] <= eps else labels[i])
+    return out, out_labels
 
 
-def chebyshev_center(normals, offsets):
-    """Largest inscribed circle of the region {n_i . x <= b_i}.
+def chebyshev_center(lines):
+    """Largest inscribed circle of a convex loop, by collapsing its edges.
 
-    Solved as the 3-variable LP  max r  s.t.  n_i . x + r <= b_i.  Returns
-    (z, r); r <= 0 means the region has empty interior.
+    ``lines`` are the lines n . x = b (unit outward normals) carrying the
+    loop's edges in counter-clockwise order.  Offsetting every line inward
+    by t shrinks each edge until the offsets of its two neighbours meet on
+    it; the edge that vanishes first is removed and its neighbours' times
+    are recomputed (the edge events of the straight skeleton).  When three
+    lines remain, their equidistant point is the centre z and its offset
+    the radius.  Returns (z, r); z is NaN and r is 0 below three lines.
     """
-    m = len(offsets)
-    c = np.array([0.0, 0.0, -1.0])
-    a_ub = np.column_stack([normals, np.ones(m)])
-    res = linprog(c, A_ub=a_ub, b_ub=offsets, bounds=[(None, None)] * 2 + [(None, None)],
-                  method="highs")
-    if not res.success:
-        return np.array([np.nan, np.nan]), 0.0
-    z = res.x[:2]
-    r = res.x[2]
-    return z, float(r)
+    k = len(lines)
+    if k < 3:
+        return np.array([math.nan, math.nan]), 0.0
+    prev = [k - 1] + list(range(k - 1))
+    succ = list(range(1, k)) + [0]
+
+    def collapse(i):
+        # Subtracting line i from its neighbours leaves a 2x2 system for the
+        # point at equal offset t from all three lines.
+        nx, ny, b = lines[i]
+        ax, ay, ab = lines[prev[i]]
+        cx, cy, cb = lines[succ[i]]
+        ax, ay, ab, cx, cy, cb = ax - nx, ay - ny, ab - b, cx - nx, cy - ny, cb - b
+        det = ax * cy - ay * cx
+        if det == 0.0:
+            return math.inf, 0.0, 0.0
+        x = (ab * cy - ay * cb) / det
+        y = (ax * cb - ab * cx) / det
+        return b - nx * x - ny * y, x, y
+
+    events = [collapse(i) for i in range(k)]
+    alive = list(range(k))
+    while len(alive) > 3:
+        i = min(alive, key=lambda j: events[j][0])
+        alive.remove(i)
+        a, c = prev[i], succ[i]
+        succ[a], prev[c] = c, a
+        events[a] = collapse(a)
+        events[c] = collapse(c)
+    t, x, y = events[alive[0]]
+    return np.array([x, y]), t
 
 
-_kernel_cache = {}
-
-
-def star_kernel(poly, use_cache=True):
+def star_kernel(poly):
     """Kernel polygon, inscribed-circle radius and center of a polygon.
 
     The kernel is the intersection of the inward half-planes of all edges;
-    a polygon is star-shaped iff the kernel has interior.  Returns
-    (kernel Polygon or None, rho, z) with rho = 0 for non-star-shaped input.
-    The result is cached modulo translation and uniform scaling.
+    a polygon is star-shaped iff the kernel has interior.  A bounding box is
+    clipped by every half-plane, and the largest circle in the resulting
+    convex loop gives rho and z.  Returns (kernel Polygon or None, rho, z);
+    rho = 0 for non-star-shaped input, with z the centroid if the kernel is
+    empty.
     """
-    key = None
-    if use_cache:
-        key = poly.similarity_key()
-        hit = _kernel_cache.get(key)
-        if hit is not None:
-            k_norm, rho_norm, z_norm = hit
-            s = math.sqrt(poly.area)
-            c = poly.centroid
-            kernel = Polygon(k_norm * s + c) if k_norm is not None else None
-            return kernel, rho_norm * s, z_norm * s + c
-
-    normals, offsets = _halfplanes(poly.vertices)
-    z, rho = chebyshev_center(normals, offsets)
-
+    v = poly.vertices
     h = poly.diameter
-    region = np.array(
-        [
-            poly.vertices.min(axis=0) - 0.1 * h,
-            [poly.vertices.max(axis=0)[0] + 0.1 * h, poly.vertices.min(axis=0)[1] - 0.1 * h],
-            poly.vertices.max(axis=0) + 0.1 * h,
-            [poly.vertices.min(axis=0)[0] - 0.1 * h, poly.vertices.max(axis=0)[1] + 0.1 * h],
-        ]
-    )
+    # A local frame keeps the offsets at the scale of h far from the origin.
+    lo = v.min(axis=0)
+    wx, wy = (v.max(axis=0) - lo).tolist()
+    lines = _halfplanes((v - lo).tolist())
+    m = len(lines)
+    pad = 0.1 * h
+    lines += [(0.0, -1.0, pad), (1.0, 0.0, wx + pad), (0.0, 1.0, wy + pad), (-1.0, 0.0, pad)]
+    region = [(-pad, -pad), (wx + pad, -pad), (wx + pad, wy + pad), (-pad, wy + pad)]
+    labels = [m, m + 1, m + 2, m + 3]
     eps = 1e-12 * h
-    for n_vec, b in zip(normals, offsets):
-        region = _clip_halfplane(region, n_vec, b, eps)
-        if len(region) == 0:
+    for k in range(m):
+        region, labels = _clip_halfplane(region, labels, lines[k], k, eps)
+        if not region:
             break
+    z, rho = chebyshev_center([lines[k] for k in labels])
+    z = z + lo
 
     if rho <= 1e-12 * h or len(region) < 3:
-        result = (None, 0.0, z if np.all(np.isfinite(z)) else poly.centroid)
-    else:
-        try:
-            kernel = Polygon(region)
-        except ValueError:
-            kernel = None
-        result = (kernel, rho, z)
-
-    if use_cache and key is not None:
-        s = math.sqrt(poly.area)
-        c = poly.centroid
-        k_norm = (result[0].vertices - c) / s if result[0] is not None else None
-        _kernel_cache[key] = (k_norm, result[1] / s, (result[2] - c) / s)
-        if len(_kernel_cache) > 50000:
-            _kernel_cache.clear()
-    return result
+        return None, 0.0, z if np.all(np.isfinite(z)) else poly.centroid
+    try:
+        kernel = Polygon(np.asarray(region) + lo)
+    except ValueError:
+        kernel = None
+    return kernel, rho, z
 
 
 def _element_record(eid, poly, lambda_ratio, alpha):
@@ -259,14 +270,7 @@ def audit_mapped_patch(mesh, eid):
         records.append(_element_record(other, mapped, mapped.spectrum.ratio, rm.alpha))
         all_pts.append(mapped.vertices)
         max_ratio = max(max_ratio, poly.area / el.polygon.area)
-    pts = np.vstack(all_pts)
-    if len(pts) <= 512:
-        d = pts[:, None, :] - pts[None, :, :]
-        h_patch = float(np.sqrt((d * d).sum(axis=2).max()))
-    else:
-        lo, hi = pts.min(axis=0), pts.max(axis=0)
-        h_patch = float(np.hypot(*(hi - lo)))
-    return records, h_patch, max_ratio
+    return records, point_set_diameter(np.vstack(all_pts)), max_ratio
 
 
 def audit_mesh(mesh, bins=16):
@@ -289,7 +293,7 @@ def audit_mesh(mesh, bins=16):
             lo, hi = lo - 0.5, hi + 0.5
         return np.histogram(vals, bins=bins, range=(lo, hi))[0]
 
-    audit = RegularityAudit(
+    return RegularityAudit(
         elements=recs,
         mapped_elements=mapped_recs,
         pairs=pairs,
@@ -301,7 +305,6 @@ def audit_mesh(mesh, bins=16):
         lambda_ratio_hist=hist(np.log10(ratios)),
         alpha_hist=hist(alphas),
     )
-    return audit
 
 
 def write_element_csv(mesh, audit, fh):

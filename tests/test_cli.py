@@ -1,8 +1,11 @@
 import json
 import os
+import subprocess
+import sys
 
 import pytest
 
+import anisomesh
 from anisomesh.cli import main, make_initial_mesh, normalize_config, parse_config
 from anisomesh.errors import ParseError
 from anisomesh.fields import tanh_layer
@@ -231,3 +234,11 @@ class TestRender:
         mesh = generate_grid(1, 1)
         svg = render_svg(mesh, size=640, viewport=(0, 0, 2, 2), timestamp=False)
         assert "326.400 326.400" in svg
+
+
+def test_import_leaves_scipy_optimize_unloaded():
+    # The package solves no LP; loading scipy.optimize would only cost import time.
+    src = os.path.dirname(os.path.dirname(anisomesh.__file__))
+    code = "import sys, anisomesh.cli; sys.exit('scipy.optimize' in sys.modules)"
+    env = dict(os.environ, PYTHONPATH=src)
+    assert subprocess.run([sys.executable, "-c", code], env=env, timeout=120).returncode == 0

@@ -1,7 +1,9 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
+from scipy.optimize import linprog
 
 from anisomesh.geometry import Polygon, map_polygon
 from anisomesh.mesh import build_mesh, generate_grid, generate_polygonal
@@ -16,7 +18,7 @@ from anisomesh.regularity import (
     write_element_csv,
     write_pair_csv,
 )
-from conftest import random_convex_polygon
+from conftest import random_convex_polygon, random_star_polygon
 
 UNIT_SQUARE = Polygon([(0, 0), (1, 0), (1, 1), (0, 1)])
 U_SHAPE = Polygon([(0, 0), (5, 0), (5, 3), (4, 3), (4, 1), (1, 1), (1, 3), (0, 3)])
@@ -30,27 +32,28 @@ class TestStarKernel:
     def test_convex_kernel_is_polygon_itself(self, rng):
         for _ in range(10):
             poly = random_convex_polygon(rng)
-            kernel, rho, z = star_kernel(poly, use_cache=False)
+            kernel, rho, z = star_kernel(poly)
             assert kernel is not None
             assert kernel.area == pytest.approx(poly.area, rel=1e-9)
             assert rho > 0.0
 
     def test_unit_square(self):
-        kernel, rho, z = star_kernel(UNIT_SQUARE, use_cache=False)
+        kernel, rho, z = star_kernel(UNIT_SQUARE)
         assert rho == pytest.approx(0.5, rel=1e-9)
         assert z == pytest.approx([0.5, 0.5], abs=1e-9)
 
     def test_non_star_shape_empty(self):
         U_SHAPE.validate_simple()
-        kernel, rho, z = star_kernel(U_SHAPE, use_cache=False)
+        kernel, rho, z = star_kernel(U_SHAPE)
         assert kernel is None
         assert rho == 0.0
+        assert np.all(np.isfinite(z))
 
     def test_chebyshev_circle_interior(self, rng):
         # The inscribed circle must keep its distance to every edge.
         for _ in range(15):
             poly = random_convex_polygon(rng, ratio=float(rng.uniform(1, 100)))
-            _, rho, z = star_kernel(poly, use_cache=False)
+            _, rho, z = star_kernel(poly)
             v = poly.vertices
             n = len(v)
             for i in range(n):
@@ -59,13 +62,98 @@ class TestStarKernel:
                 dist = (e[0] * (z[1] - a[1]) - e[1] * (z[0] - a[0])) / np.hypot(*e)
                 assert dist >= rho - 1e-10 * poly.diameter
 
-    def test_cache_consistent_under_similarity(self):
-        a = Polygon(np.asarray(UNIT_SQUARE.vertices) * 3.0 + np.array([5.0, -2.0]))
-        k1, rho1, z1 = star_kernel(a)
-        k2, rho2, z2 = star_kernel(a)
-        assert rho1 == pytest.approx(rho2)
-        assert rho1 == pytest.approx(1.5, rel=1e-9)
-        assert z1 == pytest.approx([6.5, -0.5], abs=1e-8)
+    def test_equivariant_under_similarity(self, rng):
+        # Scaling by 3 and translating multiplies rho by 3 and maps z along.
+        shift = np.array([5.0, -2.0])
+        for _ in range(10):
+            poly = random_star_polygon(rng)
+            _, rho, z = star_kernel(poly)
+            _, rho3, z3 = star_kernel(Polygon(poly.vertices * 3.0 + shift))
+            assert rho3 == pytest.approx(3.0 * rho, rel=1e-12)
+            assert z3 == pytest.approx(3.0 * z + shift, abs=1e-11)
+
+
+def linprog_center(poly):
+    """Oracle: max r s.t. n_i . x + r <= b_i over all edges, solved by HiGHS."""
+    normals, offsets = edge_lines(poly.vertices)
+    res = linprog([0.0, 0.0, -1.0], A_ub=np.column_stack([normals, np.ones(len(offsets))]),
+                  b_ub=offsets, bounds=[(None, None)] * 3, method="highs")
+    assert res.success
+    return res.x[:2], float(res.x[2])
+
+
+def edge_lines(vertices):
+    e = np.roll(vertices, -1, axis=0) - vertices
+    normals = np.column_stack([e[:, 1], -e[:, 0]]) / np.hypot(e[:, 0], e[:, 1])[:, None]
+    return normals, (normals * vertices).sum(axis=1)
+
+
+def min_slack(poly, z):
+    """Distance from z to the nearest edge line; rho for an optimal centre."""
+    normals, offsets = edge_lines(poly.vertices)
+    return float((offsets - normals @ z).min())
+
+
+def with_hanging_nodes(poly, rng):
+    """Insert a node inside every other edge: collinear consecutive edges."""
+    v = poly.vertices
+    out = []
+    for i in range(len(v)):
+        out.append(v[i])
+        if i % 2 == 0:
+            out.append(v[i] + rng.uniform(0.2, 0.8) * (v[(i + 1) % len(v)] - v[i]))
+    return Polygon(out)
+
+
+class TestAgainstLinprog:
+    """rho and z from clipping and edge collapse against an LP solver."""
+
+    def check(self, poly, z_unique=True):
+        kernel, rho, z = star_kernel(poly)
+        z_lp, rho_lp = linprog_center(poly)
+        assert kernel is not None
+        assert rho == pytest.approx(rho_lp, rel=1e-9)
+        assert min_slack(poly, z) == pytest.approx(rho, rel=1e-9)
+        if z_unique:
+            assert np.hypot(*(z - z_lp)) <= 1e-8 * rho
+
+    def test_random_convex(self, rng):
+        for _ in range(40):
+            self.check(random_convex_polygon(rng, ratio=float(rng.uniform(1, 100))))
+
+    def test_random_star_shaped(self, rng):
+        for _ in range(40):
+            self.check(random_star_polygon(rng, ratio=float(rng.uniform(1, 10))))
+
+    def test_rectangles(self, rng):
+        # The centre slides along the midline: only rho and optimality count.
+        for _ in range(10):
+            w, h = rng.uniform(0.01, 10.0, 2)
+            x0, y0 = rng.uniform(-5.0, 5.0, 2)
+            self.check(Polygon([(x0, y0), (x0 + w, y0), (x0 + w, y0 + h), (x0, y0 + h)]),
+                       z_unique=False)
+
+    def test_hanging_nodes(self, rng):
+        for _ in range(20):
+            self.check(with_hanging_nodes(random_convex_polygon(rng, ratio=10.0), rng))
+            self.check(with_hanging_nodes(random_star_polygon(rng), rng))
+        grid = Polygon([(0, 0), (0.5, 0), (1, 0), (1, 0.5), (1, 1), (0.5, 1), (0, 1)])
+        self.check(grid, z_unique=False)
+
+    def test_far_from_origin(self, rng):
+        shift = np.array([1e6, -1e6])
+        for _ in range(10):
+            poly = random_star_polygon(rng)
+            _, rho, z = star_kernel(Polygon(poly.vertices + shift))
+            z_lp, rho_lp = linprog_center(poly)
+            assert rho == pytest.approx(rho_lp, rel=1e-8)
+            assert np.hypot(*(z - shift - z_lp)) <= 1e-7 * rho
+
+    def test_200_vertex_ellipse(self):
+        ang = np.linspace(0.0, 2.0 * math.pi, 200, endpoint=False)
+        for minor in (0.5, 0.01):
+            self.check(Polygon(np.column_stack([np.cos(ang), minor * np.sin(ang)])),
+                       z_unique=False)
 
 
 class TestElementAudit:
@@ -135,6 +223,19 @@ class TestNeighbourAudit:
 
 
 class TestMappedPatch:
+    def test_many_vertex_patch_exact_diameter(self):
+        # 600 vertices on an ellipse map to a near-circle, whose bounding-box
+        # diagonal overstates its diameter by about sqrt(2).
+        ang = np.linspace(0.0, 2.0 * math.pi, 600, endpoint=False)
+        pts = np.column_stack([0.5 + 0.4 * np.cos(ang), 0.5 + 0.1 * np.sin(ang)])
+        mesh = build_mesh(pts, [list(range(600))], check_simple=False)
+        _, h_patch, _ = audit_mapped_patch(mesh, 0)
+        poly = mesh.elements[0].polygon
+        mapped = map_polygon(poly, poly.refmap).vertices
+        assert h_patch == pytest.approx(max(np.hypot(*(mapped - p).T).max() for p in mapped),
+                                        rel=1e-12)
+        assert np.hypot(*np.ptp(mapped, axis=0)) > 1.4 * h_patch
+
     def test_single_element(self):
         mesh = build_mesh(UNIT_SQUARE.vertices, [[0, 1, 2, 3]])
         recs, h_patch, ratio = audit_mapped_patch(mesh, 0)
@@ -166,7 +267,24 @@ class TestMappedPatch:
                 assert rec.aspect <= bound * (1.0 + 1e-9)
 
 
+def record_bits(audit):
+    """Every field of every element record, z as raw bytes."""
+    return [
+        tuple(f.tobytes() if isinstance(f, np.ndarray) else f for f in dataclasses.astuple(rec))
+        for rec in audit.elements + audit.mapped_elements
+    ]
+
+
 class TestMeshAudit:
+    def test_independent_of_process_history(self):
+        mesh = generate_polygonal(4, 4, jitter=0.2, seed=5)
+        first = record_bits(audit_mesh(mesh))
+        assert record_bits(audit_mesh(mesh)) == first
+        moved = build_mesh(mesh.points * 3.0 + np.array([2.0, -7.0]),
+                           [el.vertex_loop for el in mesh.elements])
+        audit_mesh(moved)
+        assert record_bits(audit_mesh(mesh)) == first
+
     def test_global_maxima_match_records(self):
         mesh = generate_polygonal(3, 3, jitter=0.2, seed=9)
         audit = audit_mesh(mesh)
