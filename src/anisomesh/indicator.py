@@ -27,10 +27,7 @@ __all__ = [
     "eta_local",
     "eta_global",
     "hessian_terms",
-    "element_quadrature_depth",
 ]
-
-BATCH_POINTS = 2_000_000  # quadrature points per field call in eta_global
 
 
 @dataclass
@@ -60,27 +57,18 @@ class HessianTerms:
     rhs1: float
 
 
-def element_quadrature_depth(poly, layer_scale=60.0):
-    """Per-element subdivision depth resolving layers of width 1/layer_scale."""
-    return default_depth(poly.diameter, scale=layer_scale)
-
-
 def gram_element(poly, fld, rule=None, depth=None):
     """G*(v) = int over the element of grad v grad v^T, entrywise."""
     if rule is None:
         rule = triangle_rule(7)
     if depth is None:
-        depth = element_quadrature_depth(poly)
+        depth = default_depth(poly.diameter)
     pts, w = polygon_sample_points(poly, rule=rule, depth=depth)
-    g = fld.gradient(pts)
-    gx, gy = g[:, 0], g[:, 1]
-    m = np.array(
-        [
-            [float(w @ (gx * gx)), float(w @ (gx * gy))],
-            [float(w @ (gx * gy)), float(w @ (gy * gy))],
-        ]
-    )
-    return m
+    gx, gy = fld.gradient(pts).T
+    # A one-segment reduceat fixes the summation order; w @ x or x.sum()
+    # would round differently.
+    g11, g12, g22 = np.add.reduceat([w * gx * gx, w * gx * gy, w * gy * gy], [0], axis=1)[:, 0]
+    return np.array([[g11, g12], [g12, g22]])
 
 
 def gram_patch(mesh, eid, fld, rule=None, depth=None):
@@ -115,7 +103,7 @@ def eta_local_direct(poly, fld, rule=None, depth=None):
         return (mapped * mapped).sum(axis=1)
 
     if depth is None:
-        depth = element_quadrature_depth(poly)
+        depth = default_depth(poly.diameter)
     return integrate_on_polygon(poly, integrand, rule=rule, depth=depth)
 
 
@@ -124,49 +112,14 @@ def eta_global(mesh, fld, rule=None, depth=None, carried=None):
 
     ``carried`` maps element ids to Gram matrices that are already known,
     such as those of elements whose parent was not split at the last
-    refinement; they are used as given.  The other elements are processed
-    in batches of about BATCH_POINTS quadrature points: their points are
-    concatenated so the field gradient is evaluated once per batch, then the
-    Gram entries come from segmented weighted sums.
+    refinement; they are used as given.  Every other element's Gram is
+    integrated on its own by ``gram_element``.
     """
-    if rule is None:
-        rule = triangle_rule(7)
     carried = carried or {}
     grams = np.empty((mesh.n_elements, 2, 2))
-    for eid, gram in carried.items():
-        grams[eid] = gram
-
-    def flush(batch):
-        if not batch:
-            return
-        offsets = np.cumsum([0] + [len(w) for _, _, w in batch])
-        pts = np.vstack([p for _, p, _ in batch])
-        ws = np.concatenate([w for _, _, w in batch])
-        g = fld.gradient(pts)
-        wxx = ws * g[:, 0] * g[:, 0]
-        wxy = ws * g[:, 0] * g[:, 1]
-        wyy = ws * g[:, 1] * g[:, 1]
-        starts = offsets[:-1]
-        g11 = np.add.reduceat(wxx, starts)
-        g12 = np.add.reduceat(wxy, starts)
-        g22 = np.add.reduceat(wyy, starts)
-        for k, (el, _, _) in enumerate(batch):
-            grams[el.id] = ((g11[k], g12[k]), (g12[k], g22[k]))
-
-    pending = []
-    pending_pts = 0
     for el in mesh.elements:
-        if el.id in carried:
-            continue
-        d = depth if depth is not None else element_quadrature_depth(el.polygon)
-        pts, w = polygon_sample_points(el.polygon, rule=rule, depth=d)
-        pending.append((el, pts, w))
-        pending_pts += len(w)
-        if pending_pts >= BATCH_POINTS:
-            flush(pending)
-            pending = []
-            pending_pts = 0
-    flush(pending)
+        gram = carried.get(el.id)
+        grams[el.id] = gram if gram is not None else gram_element(el.polygon, fld, rule, depth)
 
     etas = np.array([eta_from_gram(el.polygon, grams[el.id]) for el in mesh.elements])
     return IndicatorReport(
@@ -189,7 +142,7 @@ def hessian_terms(poly, fld, rule=None, depth=None):
     if rule is None:
         rule = triangle_rule(7)
     if depth is None:
-        depth = element_quadrature_depth(poly)
+        depth = default_depth(poly.diameter)
     pts, w = polygon_sample_points(poly, rule=rule, depth=depth)
     h = fld.hessian(pts)
     u = np.stack([s.u1, s.u2])  # (2, 2)

@@ -12,6 +12,7 @@ stretched, aligned sub-cells instead of an isotropic point explosion.
 from __future__ import annotations
 
 import math
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -27,7 +28,7 @@ from .errors import (
 )
 from .mesh import DIRICHLET
 from .parallel import pmap
-from .quadrature import integrate_on_edge, integrate_on_polygon, triangle_rule
+from .quadrature import default_depth, integrate_on_edge, integrate_on_polygon, triangle_rule
 
 __all__ = [
     "POINTWISE",
@@ -287,11 +288,19 @@ def _p1_stiffness(points, triangles):
 
 
 class BasisCache:
-    """Similarity-keyed cache: harmonic bases survive translation/scaling."""
+    """Similarity-keyed cache: harmonic bases survive translation/scaling.
+
+    The store is emptied once it holds ``maxsize`` entries, when an
+    ``l2_error`` call starts, never halfway through one.
+    """
 
     def __init__(self, maxsize=20000):
         self.store = {}
         self.maxsize = maxsize
+
+    def trim(self):
+        if len(self.store) >= self.maxsize:
+            self.store.clear()
 
     def get(self, poly, depth):
         key = (_full_similarity_key(poly), depth)
@@ -310,8 +319,6 @@ class BasisCache:
         )
 
     def put(self, poly, depth, basis):
-        if len(self.store) >= self.maxsize:
-            self.store.clear()
         c = poly.centroid
         s = math.sqrt(poly.area)
         key = (_full_similarity_key(poly), depth)
@@ -402,10 +409,8 @@ class InterpolantCoefficients:
 
 
 def _element_integrals(mesh, fld, rule, depth):
-    from .indicator import element_quadrature_depth
-
     def one(el):
-        d = depth if depth is not None else element_quadrature_depth(el.polygon)
+        d = depth if depth is not None else default_depth(el.polygon.diameter)
         return integrate_on_polygon(el.polygon, fld.value, rule=rule, depth=d)
 
     return pmap(one, mesh.elements)
@@ -499,7 +504,7 @@ def element_l2_error(basis, loop_coeffs, fld, rule=None):
     bary = np.column_stack(
         [1.0 - rule.points[:, 0] - rule.points[:, 1], rule.points[:, 0], rule.points[:, 1]]
     )  # (Q, 3)
-    pts = np.einsum("qk,tkd->tqd", bary, tp)
+    pts = bary @ tp  # (T, Q, 2)
     vh = w_nodes[basis.triangles] @ bary.T  # (T, Q)
     vv = fld.value(pts.reshape(-1, 2)).reshape(vh.shape)
     diff = vv - vh
@@ -507,10 +512,31 @@ def element_l2_error(basis, loop_coeffs, fld, rule=None):
 
 
 def l2_error(mesh, fld, coeffs, depth=None, rule=None, cache=None):
-    """Global L2 interpolation error sqrt(sum_K int_K (v - Iv)^2)."""
+    """Global L2 interpolation error sqrt(sum_K int_K (v - Iv)^2).
+
+    With a shared ``cache``, an element looks up its basis only after the
+    previous element of its similarity class has found or stored its own,
+    so threads get the same cache hits, and the same bits, as a serial run.
+    """
+    prev, done = {}, {}
+    if cache is not None:
+        cache.trim()
+        last = {}
+        for el in mesh.elements:
+            key = _full_similarity_key(el.polygon)
+            if key in last:
+                prev[el.id] = last[key]
+            last[key] = done[el.id] = threading.Event()
 
     def one(el):
-        basis = build_basis(el.polygon, depth=depth, cache=cache)
+        # pmap starts elements in order, so the one waited for is running.
+        if el.id in prev:
+            prev[el.id].wait()
+        try:
+            basis = build_basis(el.polygon, depth=depth, cache=cache)
+        finally:
+            if done:
+                done[el.id].set()
         return element_l2_error(basis, coeffs.values[el.vertex_loop], fld, rule=rule)
 
     parts = pmap(one, mesh.elements)

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -21,7 +22,7 @@ from anisomesh.indicator import (
     hessian_terms,
 )
 from anisomesh.mesh import build_mesh, generate_grid
-from anisomesh.refine import ISOTROPIC, RefineConfig, adaptive_loop, refine
+from anisomesh.refine import ANISOTROPIC, ISOTROPIC, RefineConfig, adaptive_loop, refine
 from conftest import random_polygon
 
 UNIT_SQUARE = Polygon([(0, 0), (1, 0), (1, 1), (0, 1)])
@@ -166,6 +167,21 @@ class TestEtaGlobal:
                 hanging += len(fine.elements[child].vertex_loop) > len(
                     coarse.elements[parent].vertex_loop)
         assert step.parent_children and hanging
+
+    def test_peak_memory_follows_one_element(self):
+        # Grams are integrated element by element, so the quadrature arrays
+        # alive at once belong to one element, not to the whole mesh.
+        fld = tanh_layer()
+        cfg = RefineConfig(strategy=ANISOTROPIC, max_levels=8)
+        mesh = adaptive_loop(generate_grid(4, 4), fld, cfg)[-1][0]
+        assert mesh.n_elements == 131
+        tracemalloc.start()
+        try:
+            eta_global(mesh, fld)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 * 2 ** 20
 
     def test_csv_export(self, tmp_path):
         mesh = generate_grid(2, 2)
