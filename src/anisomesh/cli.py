@@ -50,8 +50,8 @@ def parse_config(path):
     else:
         raw = {}
         for lineno, line in enumerate(text.splitlines(), start=1):
-            line = line.strip()
-            if not line or line.startswith("#"):
+            line = line.split("#", 1)[0].strip()
+            if not line:
                 continue
             if "=" not in line:
                 raise ParseError("expected key=value", line=lineno)
@@ -85,6 +85,8 @@ def normalize_config(raw):
     for key in ("quad_depth", "basis_depth"):
         if isinstance(cfg[key], str):
             cfg[key] = None if cfg[key] in ("auto", "none", "") else int(cfg[key])
+        if cfg[key] is not None and cfg[key] < 0:
+            raise ParseError(f"{key} must be a non-negative integer, got {cfg[key]}")
     for key in ("l2", "deterministic", "save_levels"):
         if isinstance(cfg[key], str):
             cfg[key] = cfg[key].lower() in ("1", "true", "yes", "on")

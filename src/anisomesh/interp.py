@@ -5,8 +5,10 @@ boundary, and Kronecker at the element nodes.  It is realized by a linear
 finite element solve on a per-element Delaunay sub-triangulation: Delaunay
 meshes give an M-matrix Laplacian, so the discrete maximum principle holds
 exactly, and linear boundary data is reproduced exactly.  Lattice points are
-laid out in the element's eigenframe so strongly stretched elements get
-stretched, aligned sub-cells instead of an isotropic point explosion.
+laid out in the element's eigenframe, so at one depth (``BASIS_DEPTH``)
+stretched elements get stretched, aligned sub-cells.  Only the interior block
+of the P1 stiffness becomes a matrix; its boundary columns go straight into
+the right-hand sides (one per basis function), solved by one sparse LU.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ import threading
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.sparse import coo_matrix, csc_matrix
+from scipy.sparse import csc_matrix
 from scipy.sparse.linalg import splu
 from scipy.spatial import Delaunay, QhullError
 
@@ -37,7 +39,7 @@ __all__ = [
     "LocalHarmonicBasis",
     "InterpolantCoefficients",
     "build_basis",
-    "default_basis_depth",
+    "BASIS_DEPTH",
     "coefficients",
     "interpolant_value",
     "l2_error",
@@ -48,11 +50,7 @@ POINTWISE = "POINTWISE"
 CLEMENT = "CLEMENT"
 SCOTT_ZHANG = "SCOTT_ZHANG"
 
-
-def default_basis_depth(poly, cap=5):
-    """Lattice resolution exponent: anisotropy-aware, capped for runtime."""
-    ratio = poly.spectrum.ratio
-    return int(min(cap, max(3, math.ceil(0.5 * math.log2(max(ratio, 1.0))))))
+BASIS_DEPTH = 3  # lattice depth of every basis: at most 7 x 7 interior sub-nodes
 
 
 @dataclass
@@ -282,9 +280,7 @@ def _p1_stiffness(points, triangles):
     )
     rows = np.repeat(triangles, 3, axis=1).reshape(-1)
     cols = np.tile(triangles, (1, 3)).reshape(-1)
-    vals = local.reshape(-1)
-    n = len(points)
-    return coo_matrix((vals, (rows, cols)), shape=(n, n)).tocsr()
+    return rows, cols, local.reshape(-1)
 
 
 class BasisCache:
@@ -345,45 +341,47 @@ def build_basis(poly, depth=None, cache=None):
     vertices (hanging nodes included).
     """
     if depth is None:
-        depth = default_basis_depth(poly)
+        depth = BASIS_DEPTH
     if cache is not None:
         hit = cache.get(poly, depth)
         if hit is not None:
             return hit
 
+    # Sub-nodes [0, n_chain) are the boundary chain, the rest are interior.
     pts, tris, chain_prov, n_chain = _delaunay_conforming(poly, depth)
     n_loop = len(poly.vertices)
     n_pts = len(pts)
-
-    boundary_mask = np.zeros(n_pts, dtype=bool)
-    boundary_mask[:n_chain] = True
+    boundary_mask = np.arange(n_pts) < n_chain
 
     # Hat boundary data: chain point on edge j at parameter t gets
     # (1 - t) from loop vertex j and t from loop vertex j + 1.
+    edge = np.fromiter((j for j, _ in chain_prov), dtype=np.intp, count=n_chain)
+    t = np.fromiter((t for _, t in chain_prov), dtype=float, count=n_chain)
+    chain = np.arange(n_chain)
     hat = np.zeros((n_chain, n_loop))
+    np.add.at(hat, (chain, edge), 1.0 - t)
+    np.add.at(hat, (chain, (edge + 1) % n_loop), t)
     loop_vertex_index = np.full(n_loop, -1, dtype=int)
-    for row, (j, t) in enumerate(chain_prov):
-        hat[row, j] += 1.0 - t
-        hat[row, (j + 1) % n_loop] += t
-        if t == 0.0:
-            loop_vertex_index[j] = row
+    loop_vertex_index[edge[t == 0.0]] = chain[t == 0.0]
     if np.any(loop_vertex_index < 0):
         raise TriangulationFailed("a loop vertex is missing from the boundary chain")
 
-    stiff = _p1_stiffness(pts, tris)
-    interior = np.nonzero(~boundary_mask)[0]
     psi = np.zeros((n_loop, n_pts))
     psi[:, :n_chain] = hat.T
-    if len(interior):
-        a_ii = csc_matrix(stiff[np.ix_(interior, interior)])
-        a_ib = stiff[np.ix_(interior, np.nonzero(boundary_mask)[0])]
+    n_int = n_pts - n_chain
+    if n_int:
+        rows, cols, vals = _p1_stiffness(pts, tris)
+        rows = rows - n_chain
+        ii = (rows >= 0) & (cols >= n_chain)
+        ib = (rows >= 0) & (cols < n_chain)
+        a_ii = csc_matrix((vals[ii], (rows[ii], cols[ii] - n_chain)), shape=(n_int, n_int))
+        rhs = np.zeros((n_int, n_loop))
+        np.add.at(rhs, rows[ib], -vals[ib, None] * hat[cols[ib]])
         try:
             lu = splu(a_ii)
         except RuntimeError as exc:
             raise SolveFailed(f"sub-triangulation Laplacian singular: {exc}") from exc
-        rhs = -a_ib @ hat
-        sol = lu.solve(np.asarray(rhs))
-        psi[:, interior] = sol.T
+        psi[:, n_chain:] = lu.solve(rhs).T
 
     basis = LocalHarmonicBasis(
         polygon=poly,

@@ -122,7 +122,7 @@ def fan_triangles(poly):
         return _fan_from(v, center)
     from .regularity import star_kernel  # deferred: regularity depends on geometry
 
-    kernel, rho, z = star_kernel(poly)
+    rho, z = star_kernel(poly)
     if rho > 0.0:
         return _fan_from(v, z)
     return _ear_clip(v)

@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .geometry import Polygon, map_polygon, point_set_diameter
+from .geometry import map_polygon, point_set_diameter
 
 __all__ = [
     "ElementRegularity",
@@ -142,16 +142,9 @@ def chebyshev_center(lines):
     return np.array([x, y]), t
 
 
-def star_kernel(poly):
-    """Kernel polygon, inscribed-circle radius and center of a polygon.
-
-    The kernel is the intersection of the inward half-planes of all edges;
-    a polygon is star-shaped iff the kernel has interior.  A bounding box is
-    clipped by every half-plane, and the largest circle in the resulting
-    convex loop gives rho and z.  Returns (kernel Polygon or None, rho, z);
-    rho = 0 for non-star-shaped input, with z the centroid if the kernel is
-    empty.
-    """
+def _kernel_region(poly):
+    """(region, lines, lo): a box clipped by every edge's inward half-plane,
+    in the frame with origin lo, and the lines carrying its edges, CCW."""
     v = poly.vertices
     h = poly.diameter
     # A local frame keeps the offsets at the scale of h far from the origin.
@@ -168,20 +161,27 @@ def star_kernel(poly):
         region, labels = _clip_halfplane(region, labels, lines[k], k, eps)
         if not region:
             break
-    z, rho = chebyshev_center([lines[k] for k in labels])
-    z = z + lo
+    return region, [lines[k] for k in labels], lo
 
-    if rho <= 1e-12 * h or len(region) < 3:
-        return None, 0.0, z if np.all(np.isfinite(z)) else poly.centroid
-    try:
-        kernel = Polygon(np.asarray(region) + lo)
-    except ValueError:
-        kernel = None
-    return kernel, rho, z
+
+def star_kernel(poly):
+    """Inscribed-circle radius and center of a polygon's kernel.
+
+    The kernel is the intersection of the inward half-planes of all edges;
+    a polygon is star-shaped iff the kernel has interior.  A bounding box is
+    clipped by every half-plane, and the largest circle in the resulting
+    convex loop gives rho and z.  Returns (rho, z); rho = 0 for
+    non-star-shaped input, with z the centroid if the kernel is empty.
+    """
+    region, lines, lo = _kernel_region(poly)
+    z, rho = chebyshev_center(lines)
+    if rho <= 1e-12 * poly.diameter or len(region) < 3:
+        return 0.0, z + lo if np.all(np.isfinite(z)) else poly.centroid
+    return rho, z + lo
 
 
 def _element_record(eid, poly, lambda_ratio, alpha):
-    kernel, rho, z = star_kernel(poly)
+    rho, z = star_kernel(poly)
     h = poly.diameter
     v = poly.vertices
     edge_len = np.hypot(*(np.roll(v, -1, axis=0) - v).T)

@@ -1,5 +1,6 @@
 import json
 import os
+import pathlib
 import subprocess
 import sys
 
@@ -51,6 +52,25 @@ class TestConfig:
     def test_bad_strategy_rejected(self):
         with pytest.raises(ParseError):
             normalize_config({"strategy": "DIAGONAL"})
+
+    def test_readme_example_with_inline_comments(self, tmp_path):
+        readme = (pathlib.Path(__file__).parents[1] / "README.md").read_text()
+        example = readme.split("```ini\n", 1)[1].split("```", 1)[0]
+        path = tmp_path / "readme.cfg"
+        path.write_text(example)
+        cfg = parse_config(path)
+        assert cfg["field"] == "tanh_layer"
+        assert cfg["mesh"] == "grid 4 4"
+        assert cfg["l2"] and cfg["deterministic"] and cfg["save_levels"]
+        assert cfg["basis_depth"] is None and cfg["quad_depth"] is None
+        assert (cfg["levels"], cfg["seed"], cfg["output_dir"]) == (12, 0, "out")
+
+    @pytest.mark.parametrize("key", ["quad_depth", "basis_depth"])
+    @pytest.mark.parametrize("value", ["-1", -1])
+    def test_negative_depth_rejected(self, key, value):
+        with pytest.raises(ParseError):
+            normalize_config({key: value})
+        assert normalize_config({key: "0"})[key] == 0
 
     def test_generator_specs(self):
         mesh = make_initial_mesh("grid 3 2")

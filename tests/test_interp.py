@@ -13,7 +13,6 @@ from anisomesh.interp import (
     BasisCache,
     build_basis,
     coefficients,
-    default_basis_depth,
     element_l2_error,
     interpolant_value,
     l2_error,
@@ -30,6 +29,22 @@ def sliver(ratio, angle=0.0):
     pts = np.array([(0, 0), (a, 0), (a, 1.0), (0, 1.0)], dtype=float)
     rot = np.array([[math.cos(angle), -math.sin(angle)], [math.sin(angle), math.cos(angle)]])
     return Polygon(pts @ rot.T)
+
+
+SLIVERS = [sliver(r, a) for r in (1e3, 1e6, 1e8) for a in (0.0, 0.4, 1.1)]
+
+
+def full_p1_stiffness(points, triangles):
+    """Dense P1 Laplacian over all sub-nodes, assembled with np.add.at."""
+    x, y = points[triangles, 0], points[triangles, 1]  # (T, 3)
+    area = 0.5 * np.abs((x[:, 1] - x[:, 0]) * (y[:, 2] - y[:, 0])
+                        - (x[:, 2] - x[:, 0]) * (y[:, 1] - y[:, 0]))
+    gx = np.roll(y, -1, axis=1) - np.roll(y, 1, axis=1)
+    gy = np.roll(x, 1, axis=1) - np.roll(x, -1, axis=1)
+    local = gx[:, :, None] * gx[:, None, :] + gy[:, :, None] * gy[:, None, :]
+    k = np.zeros((len(points), len(points)))
+    np.add.at(k, (triangles[:, :, None], triangles[:, None, :]), local / (4.0 * area[:, None, None]))
+    return k
 
 
 class TestBasis:
@@ -67,8 +82,7 @@ class TestBasis:
         polys = [
             random_convex_polygon(rng),
             random_star_polygon(rng),
-            sliver(1e3, 0.4),
-            sliver(1e6, 1.1),
+            *SLIVERS,
         ]
         for poly in polys:
             basis = build_basis(poly)
@@ -84,10 +98,21 @@ class TestBasis:
         assert val == pytest.approx(1.0, abs=1e-12)
         assert basis.partition_residual() <= 1e-10
 
-    def test_depth_default_tracks_anisotropy(self):
-        assert default_basis_depth(UNIT_SQUARE) == 3
-        assert default_basis_depth(sliver(1e3)) == 5
-        assert default_basis_depth(sliver(1e8)) == 5  # capped
+    def test_default_depth_is_three_at_any_anisotropy(self):
+        for poly in (UNIT_SQUARE, sliver(1e3), sliver(1e8)):
+            basis = build_basis(poly)
+            assert 0 < (~basis.boundary_mask).sum() <= 49
+            assert np.array_equal(basis.psi, build_basis(poly, depth=3).psi)
+
+    def test_discrete_harmonic_against_full_stiffness(self, rng):
+        polys = [random_convex_polygon(rng) for _ in range(3)]
+        polys += [random_star_polygon(rng) for _ in range(3)]
+        polys += SLIVERS[::2]
+        for poly in polys:
+            basis = build_basis(poly)
+            k = full_p1_stiffness(basis.points, basis.triangles)
+            residual = (k @ basis.psi.T)[~basis.boundary_mask]
+            assert np.abs(residual).max() <= 1e-12 * np.abs(k).max()
 
     def test_cache_round_trip(self):
         cache = BasisCache()
@@ -97,6 +122,19 @@ class TestBasis:
         assert len(cache.store) == 1
         assert np.allclose(b2.points, b1.points * 2.0 + np.array([3.0, 4.0]))
         assert np.array_equal(b1.psi, b2.psi)
+
+    def test_cache_size_after_anisotropic_curve(self):
+        fld = tanh_layer()
+        cfg = RefineConfig(strategy=ANISOTROPIC, max_levels=8)
+        cache = BasisCache()
+        for mesh, _ in adaptive_loop(generate_grid(4, 4), fld, cfg):
+            l2_error(mesh, fld, coefficients(mesh, fld, POINTWISE), cache=cache)
+        held = sum(
+            b.points.nbytes + b.triangles.nbytes + b.psi.nbytes
+            + b.boundary_mask.nbytes + b.loop_vertex_index.nbytes
+            for b in cache.store.values()
+        )
+        assert held < 3 * 2**20
 
 
 class TestCoefficients:
