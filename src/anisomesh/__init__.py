@@ -15,9 +15,7 @@ from .geometry import (  # noqa: F401
     ReferenceMap,
     covariance_spectrum,
     map_polygon,
-    polygon_moments,
     reference_map,
-    split_polygon_by_line,
 )
 from .mesh import PolyMesh, build_mesh, generate_grid, load_mesh, save_mesh  # noqa: F401
 from .fields import ScalarField, expression_field, get_field, tanh_layer  # noqa: F401

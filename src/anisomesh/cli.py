@@ -79,12 +79,16 @@ def normalize_config(raw):
         if key not in cfg:
             raise ParseError(f"unknown config key {key!r}")
         cfg[key] = val
-    cfg["levels"] = int(cfg["levels"])
-    cfg["seed"] = int(cfg["seed"])
-    cfg["marking_factor"] = float(cfg["marking_factor"])
+    cfg["levels"] = _number(int, "levels", cfg["levels"])
+    if cfg["levels"] < 0:
+        raise ParseError(f"levels must be a non-negative integer, got {cfg['levels']}")
+    cfg["seed"] = _number(int, "seed", cfg["seed"])
+    cfg["marking_factor"] = _number(float, "marking_factor", cfg["marking_factor"])
+    if not 0.0 < cfg["marking_factor"] <= 1.0:
+        raise ParseError(f"marking_factor must be in (0, 1], got {cfg['marking_factor']}")
     for key in ("quad_depth", "basis_depth"):
         if isinstance(cfg[key], str):
-            cfg[key] = None if cfg[key] in ("auto", "none", "") else int(cfg[key])
+            cfg[key] = None if cfg[key] in ("auto", "none", "") else _number(int, key, cfg[key])
         if cfg[key] is not None and cfg[key] < 0:
             raise ParseError(f"{key} must be a non-negative integer, got {cfg[key]}")
     for key in ("l2", "deterministic", "save_levels"):
@@ -96,26 +100,42 @@ def normalize_config(raw):
     return cfg
 
 
+def _number(kind, key, val):
+    """``kind(val)`` for ``kind`` int or float; a ParseError naming ``key`` otherwise."""
+    try:
+        return kind(val)
+    except (TypeError, ValueError):
+        raise ParseError(f"{key} must be {'an integer' if kind is int else 'a number'}, "
+                         f"got {val!r}") from None
+
+
+def _cell_counts(parts):
+    nx, ny = (_number(int, f"{parts[0]} cell count", p) for p in parts[1:3])
+    if nx < 1 or ny < 1:
+        raise ParseError(f"{parts[0]} needs at least one cell per direction, got {nx} x {ny}")
+    return nx, ny
+
+
 def make_initial_mesh(spec, seed=0):
     """Mesh from a path or a generator spec 'grid NX NY' / 'polygonal NX NY ...'."""
     parts = str(spec).split()
     if parts and parts[0] == "grid":
         if len(parts) != 3:
             raise ParseError("generator spec: grid NX NY")
-        return generate_grid(int(parts[1]), int(parts[2]))
+        return generate_grid(*_cell_counts(parts))
     if parts and parts[0] == "polygonal":
-        if len(parts) < 3:
+        if len(parts) < 3 or len(parts) % 2 == 0:
             raise ParseError("generator spec: polygonal NX NY [jitter J] [seed S]")
         kwargs = {"jitter": 0.2, "seed": seed}
         rest = parts[3:]
         for key, val in zip(rest[::2], rest[1::2]):
             if key == "jitter":
-                kwargs["jitter"] = float(val)
+                kwargs["jitter"] = _number(float, "jitter", val)
             elif key == "seed":
-                kwargs["seed"] = int(val)
+                kwargs["seed"] = _number(int, "seed", val)
             else:
                 raise ParseError(f"unknown generator option {key!r}")
-        return generate_polygonal(int(parts[1]), int(parts[2]), **kwargs)
+        return generate_polygonal(*_cell_counts(parts), **kwargs)
     if not os.path.exists(spec):
         raise ParseError(f"mesh path {spec!r} does not exist")
     return load_mesh(spec)

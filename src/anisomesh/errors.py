@@ -43,10 +43,6 @@ class NoAdmissibleEdge(AnisomeshError):
     """Edge-average interpolation found no admissible edge for a node."""
 
 
-class PointOutsideMesh(AnisomeshError):
-    """Evaluation point lies in no mesh element."""
-
-
 class ZeroGram(AnisomeshError):
     """Gradient Gram matrix carries no directional information."""
 

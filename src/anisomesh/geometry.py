@@ -19,17 +19,20 @@ __all__ = [
     "Polygon",
     "CovarianceSpectrum",
     "ReferenceMap",
-    "polygon_moments",
     "covariance_spectrum",
     "reference_map",
     "map_polygon",
-    "split_polygon_by_line",
     "split_polygon_detailed",
     "symmetric_eig_2x2",
     "point_set_diameter",
 ]
 
 _ZERO_COMPONENT_TOL = 1e-14
+
+# Cut tolerance relative to the element diameter: chord intervals this short
+# are dropped, and a cut endpoint this close to a vertex (in refine, also to
+# an earlier cut node on the same edge) snaps to it.
+SNAP_TOL = 1e-9
 
 
 def symmetric_eig_2x2(a, b, c):
@@ -100,9 +103,6 @@ class ReferenceMap:
 
     def apply(self, points):
         return np.asarray(points, dtype=float) @ self.matrix.T
-
-    def pull_back(self, points):
-        return np.asarray(points, dtype=float) @ self.inverse.T
 
     @property
     def inverse_transpose(self):
@@ -252,31 +252,10 @@ class Polygon:
             self._refmap = reference_map(self)
         return self._refmap
 
-    def contains(self, point, boundary_tol=0.0):
-        """Even-odd point-in-polygon test; boundary points count as inside
-        when within ``boundary_tol`` of an edge."""
-        return bool(points_in_polygon(np.asarray(point, float)[None, :], self.vertices,
-                                      boundary_tol=boundary_tol)[0])
-
     def validate_simple(self):
         """Raise NonSimpleResult if any two non-adjacent edges intersect."""
         if not polygon_is_simple(self.vertices):
             raise NonSimpleResult("polygon boundary self-intersects")
-
-    def corner_vertices(self, tol=1e-9):
-        """Vertices with interior angle != pi (drops hanging/collinear nodes)."""
-        v = self.vertices
-        prev = np.roll(v, 1, axis=0)
-        nxt = np.roll(v, -1, axis=0)
-        e1 = v - prev
-        e2 = nxt - v
-        cross = e1[:, 0] * e2[:, 1] - e1[:, 1] * e2[:, 0]
-        dot = (e1 * e2).sum(axis=1)
-        norm = np.hypot(*(e1.T)) * np.hypot(*(e2.T))
-        keep = ~((np.abs(cross) <= tol * norm) & (dot > 0.0))
-        if not keep.any():
-            return v
-        return v[keep]
 
 
 def point_set_diameter(points):
@@ -347,11 +326,6 @@ def polygon_is_simple(vertices):
             if _segments_intersect(p1, p2, v[j], v[(j + 1) % n]):
                 return False
     return True
-
-
-def polygon_moments(poly):
-    """Exact (area, centroid, covariance matrix) of a polygon."""
-    return poly.area, poly.centroid, poly.second_moment
 
 
 def covariance_spectrum(poly):
@@ -437,7 +411,7 @@ def _line_crossings(vertices, point, direction, t_tol):
     return merged
 
 
-def split_polygon_detailed(poly, point, direction, snap_tol=1e-9):
+def split_polygon_detailed(poly, point, direction):
     """Split a polygon by the line through ``point`` along ``direction``.
 
     Returns (piece_a, piece_b, cut_segment, prov_a, prov_b) where each prov
@@ -466,7 +440,7 @@ def split_polygon_detailed(poly, point, direction, snap_tol=1e-9):
     coords = v.tolist()
     intervals = []
     for (t0, e0, s0), (t1, e1, s1) in zip(crossings[:-1], crossings[1:]):
-        if t1 - t0 <= snap_tol * h:
+        if t1 - t0 <= SNAP_TOL * h:
             continue
         tm = 0.5 * (t0 + t1)
         if _point_in_loop(p[0] + tm * d[0], p[1] + tm * d[1], coords):
@@ -489,9 +463,9 @@ def split_polygon_detailed(poly, point, direction, snap_tol=1e-9):
         """Snap near-vertex hits; return (coords, provenance)."""
         a_pt, b_pt = v[edge], v[(edge + 1) % n]
         x = p + t * d
-        if np.hypot(*(x - a_pt)) <= snap_tol * h:
+        if np.hypot(*(x - a_pt)) <= SNAP_TOL * h:
             return a_pt.copy(), ("v", edge)
-        if np.hypot(*(x - b_pt)) <= snap_tol * h:
+        if np.hypot(*(x - b_pt)) <= SNAP_TOL * h:
             return b_pt.copy(), ("v", (edge + 1) % n)
         return x, ("cut", edge, s)
 
@@ -552,9 +526,3 @@ def split_polygon_detailed(poly, point, direction, snap_tol=1e-9):
             f"piece areas {total:.17g} do not sum to parent area {poly.area:.17g}"
         )
     return pieces[0], pieces[1], (lo_pt, hi_pt), prov_a, prov_b
-
-
-def split_polygon_by_line(poly, point, direction, snap_tol=1e-9):
-    """Public split: two CCW simple pieces plus the cut segment endpoints."""
-    a, b, seg, _, _ = split_polygon_detailed(poly, point, direction, snap_tol=snap_tol)
-    return a, b, seg

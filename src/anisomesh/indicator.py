@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .quadrature import default_depth, integrate_on_polygon, polygon_sample_points, triangle_rule
+from .quadrature import default_depth, integrate_on_polygon, polygon_sample_points
 
 __all__ = [
     "IndicatorReport",
@@ -57,13 +57,11 @@ class HessianTerms:
     rhs1: float
 
 
-def gram_element(poly, fld, rule=None, depth=None):
+def gram_element(poly, fld, depth=None):
     """G*(v) = int over the element of grad v grad v^T, entrywise."""
-    if rule is None:
-        rule = triangle_rule(7)
     if depth is None:
         depth = default_depth(poly.diameter)
-    pts, w = polygon_sample_points(poly, rule=rule, depth=depth)
+    pts, w = polygon_sample_points(poly, depth=depth)
     gx, gy = fld.gradient(pts).T
     # A one-segment reduceat fixes the summation order; w @ x or x.sum()
     # would round differently.
@@ -71,11 +69,11 @@ def gram_element(poly, fld, rule=None, depth=None):
     return np.array([[g11, g12], [g12, g22]])
 
 
-def gram_patch(mesh, eid, fld, rule=None, depth=None):
+def gram_patch(mesh, eid, fld, depth=None):
     """Patch Gram matrix: sum of element Grams over omega_K."""
     total = np.zeros((2, 2))
     for other in sorted(mesh.element_patch(eid)):
-        total += gram_element(mesh.elements[other].polygon, fld, rule=rule, depth=depth)
+        total += gram_element(mesh.elements[other].polygon, fld, depth=depth)
     return total
 
 
@@ -88,12 +86,12 @@ def eta_from_gram(poly, gram):
     return max(val, 0.0)
 
 
-def eta_local(poly, fld, rule=None, depth=None):
+def eta_local(poly, fld, depth=None):
     """Local error measure via the Gram contraction; >= 0, zero for constants."""
-    return eta_from_gram(poly, gram_element(poly, fld, rule=rule, depth=depth))
+    return eta_from_gram(poly, gram_element(poly, fld, depth=depth))
 
 
-def eta_local_direct(poly, fld, rule=None, depth=None):
+def eta_local_direct(poly, fld, depth=None):
     """Independent evaluation path: direct quadrature of |A^{-T} grad v|^2."""
     a_inv_t = poly.refmap.inverse_transpose
 
@@ -104,10 +102,10 @@ def eta_local_direct(poly, fld, rule=None, depth=None):
 
     if depth is None:
         depth = default_depth(poly.diameter)
-    return integrate_on_polygon(poly, integrand, rule=rule, depth=depth)
+    return integrate_on_polygon(poly, integrand, depth=depth)
 
 
-def eta_global(mesh, fld, rule=None, depth=None, carried=None):
+def eta_global(mesh, fld, depth=None, carried=None):
     """Aggregate the local indicators into a report (marking left empty).
 
     ``carried`` maps element ids to Gram matrices that are already known,
@@ -119,7 +117,7 @@ def eta_global(mesh, fld, rule=None, depth=None, carried=None):
     grams = np.empty((mesh.n_elements, 2, 2))
     for el in mesh.elements:
         gram = carried.get(el.id)
-        grams[el.id] = gram if gram is not None else gram_element(el.polygon, fld, rule, depth)
+        grams[el.id] = gram if gram is not None else gram_element(el.polygon, fld, depth)
 
     etas = np.array([eta_from_gram(el.polygon, grams[el.id]) for el in mesh.elements])
     return IndicatorReport(
@@ -130,7 +128,7 @@ def eta_global(mesh, fld, rule=None, depth=None, carried=None):
     )
 
 
-def hessian_terms(poly, fld, rule=None, depth=None):
+def hessian_terms(poly, fld, depth=None):
     """Curvature data entering the pointwise-interpolation bounds.
 
     L[i, j] integrates (u_i . H(v) u_j)^2; S0 = 1 and
@@ -139,11 +137,9 @@ def hessian_terms(poly, fld, rule=None, depth=None):
     diagnostic right-hand sides.
     """
     s = poly.spectrum
-    if rule is None:
-        rule = triangle_rule(7)
     if depth is None:
         depth = default_depth(poly.diameter)
-    pts, w = polygon_sample_points(poly, rule=rule, depth=depth)
+    pts, w = polygon_sample_points(poly, depth=depth)
     h = fld.hessian(pts)
     u = np.stack([s.u1, s.u2])  # (2, 2)
     # proj[k, i, j] = u_i . H(x_k) u_j

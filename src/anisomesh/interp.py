@@ -22,15 +22,10 @@ from scipy.sparse import csc_matrix
 from scipy.sparse.linalg import splu
 from scipy.spatial import Delaunay, QhullError
 
-from .errors import (
-    NoAdmissibleEdge,
-    PointOutsideMesh,
-    SolveFailed,
-    TriangulationFailed,
-)
+from .errors import NoAdmissibleEdge, SolveFailed, TriangulationFailed
 from .mesh import DIRICHLET
 from .parallel import pmap
-from .quadrature import default_depth, integrate_on_edge, integrate_on_polygon, triangle_rule
+from .quadrature import RULE, default_depth, integrate_on_edge, integrate_on_polygon
 
 __all__ = [
     "POINTWISE",
@@ -41,7 +36,6 @@ __all__ = [
     "build_basis",
     "BASIS_DEPTH",
     "coefficients",
-    "interpolant_value",
     "l2_error",
     "BasisCache",
 ]
@@ -286,16 +280,17 @@ def _p1_stiffness(points, triangles):
 class BasisCache:
     """Similarity-keyed cache: harmonic bases survive translation/scaling.
 
-    The store is emptied once it holds ``maxsize`` entries, when an
+    The store is emptied once it holds ``MAXSIZE`` entries, when an
     ``l2_error`` call starts, never halfway through one.
     """
 
-    def __init__(self, maxsize=20000):
+    MAXSIZE = 20000
+
+    def __init__(self):
         self.store = {}
-        self.maxsize = maxsize
 
     def trim(self):
-        if len(self.store) >= self.maxsize:
+        if len(self.store) >= self.MAXSIZE:
             self.store.clear()
 
     def get(self, poly, depth):
@@ -328,9 +323,9 @@ class BasisCache:
         )
 
 
-def _full_similarity_key(poly, ndigits=12):
+def _full_similarity_key(poly):
     v = (poly.vertices - poly.centroid) / math.sqrt(poly.area)
-    return tuple(np.round(v, ndigits).ravel().tolist())
+    return tuple(np.round(v, 12).ravel().tolist())
 
 
 def build_basis(poly, depth=None, cache=None):
@@ -406,15 +401,15 @@ class InterpolantCoefficients:
     scheme: str
 
 
-def _element_integrals(mesh, fld, rule, depth):
+def _element_integrals(mesh, fld, depth):
     def one(el):
         d = depth if depth is not None else default_depth(el.polygon.diameter)
-        return integrate_on_polygon(el.polygon, fld.value, rule=rule, depth=d)
+        return integrate_on_polygon(el.polygon, fld.value, depth=d)
 
     return pmap(one, mesh.elements)
 
 
-def coefficients(mesh, fld, scheme, rule=None, depth=None, edge_segments=8):
+def coefficients(mesh, fld, scheme, depth=None):
     """Nodal coefficients for the chosen interpolation operator.
 
     POINTWISE uses nodal values at every node; CLEMENT uses node-patch means
@@ -429,7 +424,7 @@ def coefficients(mesh, fld, scheme, rule=None, depth=None, edge_segments=8):
         return InterpolantCoefficients(values=np.asarray(c, dtype=float), scheme=scheme)
 
     if scheme == CLEMENT:
-        integrals = _element_integrals(mesh, fld, rule, depth)
+        integrals = _element_integrals(mesh, fld, depth)
         areas = [el.polygon.area for el in mesh.elements]
         for i in range(n):
             if int(mesh.node_tags[i]) == DIRICHLET:
@@ -463,53 +458,30 @@ def coefficients(mesh, fld, scheme, rule=None, depth=None, edge_segments=8):
             best = max(range(len(admissible)), key=lambda k: (lengths[k], -admissible[k].id))
             e = admissible[best]
             a, b = mesh.points[e.node_pair[0]], mesh.points[e.node_pair[1]]
-            c[i] = integrate_on_edge(a, b, fld.value, n_seg=edge_segments) / lengths[best]
+            c[i] = integrate_on_edge(a, b, fld.value) / lengths[best]
         return InterpolantCoefficients(values=c, scheme=scheme)
 
     raise ValueError(f"unknown scheme {scheme!r}")
 
 
-def _locate_element(mesh, point):
-    p = np.asarray(point, dtype=float)
-    for el in mesh.elements:
-        v = el.polygon.vertices
-        if p[0] < v[:, 0].min() - 1e-12 or p[0] > v[:, 0].max() + 1e-12:
-            continue
-        if p[1] < v[:, 1].min() - 1e-12 or p[1] > v[:, 1].max() + 1e-12:
-            continue
-        if el.polygon.contains(p, boundary_tol=1e-12 * el.polygon.diameter):
-            return el
-    raise PointOutsideMesh(f"point {p} lies in no element")
-
-
-def interpolant_value(mesh, bases, coeffs, point):
-    """Evaluate the global interpolant at one point."""
-    el = _locate_element(mesh, point)
-    basis = bases[el.id]
-    loop_c = coeffs.values[el.vertex_loop]
-    return float(basis.evaluate(loop_c, np.asarray(point, dtype=float))[0])
-
-
-def element_l2_error(basis, loop_coeffs, fld, rule=None):
+def element_l2_error(basis, loop_coeffs, fld):
     """Integral of (v - interpolant)^2 over one element at basis resolution."""
-    if rule is None:
-        rule = triangle_rule(7)
     w_nodes = basis.nodal_field(loop_coeffs)
     tp = basis.points[basis.triangles]
     e1 = tp[:, 1, :] - tp[:, 0, :]
     e2 = tp[:, 2, :] - tp[:, 0, :]
     jac = np.abs(e1[:, 0] * e2[:, 1] - e1[:, 1] * e2[:, 0])
     bary = np.column_stack(
-        [1.0 - rule.points[:, 0] - rule.points[:, 1], rule.points[:, 0], rule.points[:, 1]]
+        [1.0 - RULE.points[:, 0] - RULE.points[:, 1], RULE.points[:, 0], RULE.points[:, 1]]
     )  # (Q, 3)
     pts = bary @ tp  # (T, Q, 2)
     vh = w_nodes[basis.triangles] @ bary.T  # (T, Q)
     vv = fld.value(pts.reshape(-1, 2)).reshape(vh.shape)
     diff = vv - vh
-    return float(np.einsum("t,q,tq->", jac, rule.weights, diff * diff))
+    return float(np.einsum("t,q,tq->", jac, RULE.weights, diff * diff))
 
 
-def l2_error(mesh, fld, coeffs, depth=None, rule=None, cache=None):
+def l2_error(mesh, fld, coeffs, depth=None, cache=None):
     """Global L2 interpolation error sqrt(sum_K int_K (v - Iv)^2).
 
     With a shared ``cache``, an element looks up its basis only after the
@@ -535,7 +507,7 @@ def l2_error(mesh, fld, coeffs, depth=None, rule=None, cache=None):
         finally:
             if done:
                 done[el.id].set()
-        return element_l2_error(basis, coeffs.values[el.vertex_loop], fld, rule=rule)
+        return element_l2_error(basis, coeffs.values[el.vertex_loop], fld)
 
     parts = pmap(one, mesh.elements)
     return math.sqrt(max(sum(parts), 0.0))

@@ -19,7 +19,6 @@ __all__ = [
     "INTERIOR",
     "NEUMANN",
     "DIRICHLET",
-    "MeshNode",
     "MeshEdge",
     "MeshElement",
     "PolyMesh",
@@ -35,13 +34,6 @@ NEUMANN = 1
 DIRICHLET = 2
 
 _FORMAT_VERSION = 1
-
-
-@dataclass(frozen=True)
-class MeshNode:
-    id: int
-    coords: np.ndarray
-    boundary_tag: int
 
 
 @dataclass
@@ -65,14 +57,6 @@ class MeshElement:
         self.id = eid
         self.vertex_loop = list(vertex_loop)
         self.polygon = polygon
-
-    @property
-    def spectrum(self):
-        return self.polygon.spectrum
-
-    @property
-    def refmap(self):
-        return self.polygon.refmap
 
     def edges(self):
         loop = self.vertex_loop
@@ -106,22 +90,8 @@ class PolyMesh:
     def n_elements(self):
         return len(self.elements)
 
-    def node(self, i):
-        return MeshNode(i, self.points[i], int(self.node_tags[i]))
-
     def total_area(self):
         return float(sum(el.polygon.area for el in self.elements))
-
-    def boundary_edges(self):
-        return [e for e in self.edges if e.is_boundary]
-
-    def element_neighbours(self, eid):
-        """Elements sharing at least one node with eid (excluding eid)."""
-        out = set()
-        for i in self.elements[eid].vertex_loop:
-            out.update(self._node_elems[i])
-        out.discard(eid)
-        return out
 
     def neighbour_pairs(self):
         """All unordered pairs of elements whose closures intersect."""
@@ -215,8 +185,7 @@ def build_mesh(points, element_loops, boundary_spec=DIRICHLET, check_simple=True
     """Construct a PolyMesh with full incidence and invariant validation.
 
     ``boundary_spec`` assigns tags to boundary edges: a single tag for the
-    whole boundary, a dict {(a, b): tag} keyed by node pairs (either order),
-    or a callable mapping the edge midpoint to a tag.
+    whole boundary, or a dict {(a, b): tag} keyed by node pairs (either order).
     """
     pts = np.asarray(points, dtype=float)
     if pts.ndim != 2 or pts.shape[1] != 2:
@@ -278,10 +247,7 @@ def build_mesh(points, element_loops, boundary_spec=DIRICHLET, check_simple=True
     for e in edges:
         if not e.is_boundary:
             continue
-        if callable(boundary_spec):
-            a, b = e.node_pair
-            e.boundary_tag = int(boundary_spec(0.5 * (pts[a] + pts[b])))
-        elif isinstance(boundary_spec, dict):
+        if isinstance(boundary_spec, dict):
             a, b = e.node_pair
             tag = boundary_spec.get((a, b), boundary_spec.get((b, a)))
             if tag is None:

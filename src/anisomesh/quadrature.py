@@ -1,10 +1,12 @@
 """Triangle quadrature and polygon integration.
 
 Rules are conical products of Gauss-Jacobi and Gauss-Legendre lines, so the
-weights are positive at every exactness degree.  Polygons are integrated by
-fanning into triangles around an interior star point and subdividing each fan
-triangle uniformly; all sample points for an element are generated in one
-vectorized batch so the integrand is called once per element.
+weights are positive at every exactness degree.  Every element integral uses
+the one order-7 rule ``RULE``, and every edge integral the order-7 Gauss line.
+Polygons are integrated by fanning into triangles around an interior star
+point and subdividing each fan triangle uniformly; all sample points for an
+element are generated in one vectorized batch so the integrand is called
+once per element.
 """
 
 from __future__ import annotations
@@ -27,6 +29,7 @@ __all__ = [
     "edge_rule",
     "integrate_on_edge",
     "default_depth",
+    "RULE",
 ]
 
 
@@ -44,7 +47,7 @@ class QuadratureRule:
 
 
 @lru_cache(maxsize=32)
-def triangle_rule(order=7):
+def triangle_rule(order):
     """Conical-product rule of the given polynomial exactness degree."""
     if order < 1:
         raise ValueError("order must be >= 1")
@@ -66,13 +69,15 @@ def triangle_rule(order=7):
     return QuadratureRule(order=order, points=pts, weights=w)
 
 
+RULE = triangle_rule(7)  # the rule every element integral uses
+
+
 @lru_cache(maxsize=64)
-def _subdivided_reference(order, depth):
-    """Rule points/weights replicated over the 4^depth uniform sub-triangles.
+def _subdivided_reference(depth):
+    """``RULE`` replicated over the 4^depth uniform sub-triangles.
 
     Returned points live in the reference triangle; weights still sum to 1/2.
     """
-    rule = triangle_rule(order)
     m = 2 ** depth
     corners = []
     for i in range(m):
@@ -88,24 +93,24 @@ def _subdivided_reference(order, depth):
     origin = corners[:, 0, :]
     e1 = corners[:, 1, :] - origin
     e2 = corners[:, 2, :] - origin
-    xi = rule.points[:, 0]
-    eta = rule.points[:, 1]
+    xi = RULE.points[:, 0]
+    eta = RULE.points[:, 1]
     pts = (
         origin[:, None, :]
         + xi[None, :, None] * e1[:, None, :]
         + eta[None, :, None] * e2[:, None, :]
     ).reshape(-1, 2)
-    w = np.tile(rule.weights, len(corners)) / (m * m)
+    w = np.tile(RULE.weights, len(corners)) / (m * m)
     pts.setflags(write=False)
     w.setflags(write=False)
     return pts, w
 
 
-def default_depth(h, scale=60.0, floor=2, cap=6):
-    """Subdivision depth resolving features of width 1/scale on diameter h."""
+def default_depth(h):
+    """Subdivision depth, from 2 to 6, resolving features of width 1/60 on diameter h."""
     if h <= 0.0:
-        return floor
-    return int(min(cap, max(floor, math.ceil(math.log2(max(scale * h, 1.0 + 1e-12))))))
+        return 2
+    return int(min(6, max(2, math.ceil(math.log2(max(60.0 * h, 1.0 + 1e-12))))))
 
 
 def fan_triangles(poly):
@@ -199,16 +204,14 @@ def _any_point_in_triangle(pts, a, b, c):
     return bool(np.any((s1 >= 0) & (s2 >= 0) & (s3 >= 0)))
 
 
-def polygon_sample_points(poly, rule=None, depth=2):
+def polygon_sample_points(poly, depth=2):
     """Quadrature points and physical weights covering the polygon.
 
     Returns (points (M, 2), weights (M,)); sum(weights) equals the polygon
     area up to roundoff.
     """
-    if rule is None:
-        rule = triangle_rule(7)
     tris = fan_triangles(poly)
-    ref_pts, ref_w = _subdivided_reference(rule.order, depth)
+    ref_pts, ref_w = _subdivided_reference(depth)
     origin = tris[:, 0, :]
     e1 = tris[:, 1, :] - origin
     e2 = tris[:, 2, :] - origin
@@ -222,19 +225,19 @@ def polygon_sample_points(poly, rule=None, depth=2):
     return pts, w
 
 
-def integrate_on_polygon(poly, f, rule=None, depth=2):
+def integrate_on_polygon(poly, f, depth=2):
     """Integrate a scalar function over the polygon.
 
     ``f`` maps an (M, 2) array of points to an (M,) array of values.
-    Deterministic for a fixed rule and depth.
+    Deterministic for a fixed depth.
     """
-    pts, w = polygon_sample_points(poly, rule=rule, depth=depth)
+    pts, w = polygon_sample_points(poly, depth=depth)
     vals = np.asarray(f(pts), dtype=float)
     return float(w @ vals)
 
 
 @lru_cache(maxsize=16)
-def edge_rule(order=7):
+def edge_rule(order):
     """Gauss-Legendre nodes/weights on [0, 1]."""
     n = (order + 2) // 2
     t, w = np.polynomial.legendre.leggauss(n)
@@ -245,11 +248,11 @@ def edge_rule(order=7):
     return x, w
 
 
-def integrate_on_edge(a, b, f, order=7, n_seg=8):
-    """Composite Gauss integration of f along the segment a-b."""
+def integrate_on_edge(a, b, f, n_seg=8):
+    """Composite order-7 Gauss integration of f along the segment a-b."""
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
-    x, w = edge_rule(order)
+    x, w = edge_rule(7)
     breaks = np.linspace(0.0, 1.0, n_seg + 1)
     t = (breaks[:-1, None] + np.diff(breaks)[:, None] * x[None, :]).reshape(-1)
     pts = a[None, :] + t[:, None] * (b - a)[None, :]

@@ -17,7 +17,7 @@ from itertools import islice
 import numpy as np
 
 from .errors import CutMissesPolygon, InvalidTopology, NonSimpleResult, ZeroGram
-from .geometry import split_polygon_detailed, symmetric_eig_2x2
+from .geometry import SNAP_TOL, split_polygon_detailed, symmetric_eig_2x2
 from .indicator import eta_global
 from .mesh import INTERIOR, build_mesh
 
@@ -45,7 +45,6 @@ class RefineConfig:
     strategy: str = ISOTROPIC
     marking_factor: float = 0.9
     max_levels: int = 1
-    snap_tol: float = 1e-9
     quad_depth: int = None  # None: per-element automatic depth
 
     def __post_init__(self):
@@ -98,15 +97,15 @@ def split_direction(element, report=None, strategy=ISOTROPIC):
     return s.u2.copy()
 
 
-def refine(mesh, marked, strategy=ISOTROPIC, report=None, config=None):
+def refine(mesh, marked, strategy=ISOTROPIC, report=None):
     """Bisect the marked elements; returns (new mesh, RefinementStep).
 
     UNIFORM ignores ``marked`` and bisects everything.  Elements whose cut
     degenerates in both the chosen and the orthogonal direction are skipped
     and logged.  Split order is ascending element id for determinism.
     """
-    config = config or RefineConfig(strategy=strategy)
-    snap_tol = config.snap_tol
+    if strategy not in (UNIFORM, ISOTROPIC, ANISOTROPIC):
+        raise ValueError(f"unknown strategy {strategy!r}")
     if strategy == UNIFORM:
         marked = set(range(mesh.n_elements))
 
@@ -129,7 +128,7 @@ def refine(mesh, marked, strategy=ISOTROPIC, report=None, config=None):
         key = (a, b) if a < b else (b, a)
         t = s if a < b else 1.0 - s
         length = float(np.hypot(*(points[b] - points[a])))
-        tol_t = snap_tol * el.polygon.diameter / max(length, 1e-300)
+        tol_t = SNAP_TOL * el.polygon.diameter / max(length, 1e-300)
         for t_old, nid in inserted.get(key, []):
             if abs(t_old - t) <= tol_t:
                 return nid
@@ -150,9 +149,7 @@ def refine(mesh, marked, strategy=ISOTROPIC, report=None, config=None):
         failures = []
         for cand in (d, np.array([-d[1], d[0]])):
             try:
-                result = split_polygon_detailed(
-                    el.polygon, el.polygon.centroid, cand, snap_tol=snap_tol
-                )
+                result = split_polygon_detailed(el.polygon, el.polygon.centroid, cand)
                 d = cand
                 break
             except (CutMissesPolygon, NonSimpleResult) as exc:
@@ -288,7 +285,7 @@ def _adaptive_levels(mesh, fld, config):
         yield mesh, report
         if not marked:
             return
-        mesh, step = refine(mesh, marked, config.strategy, report, config)
+        mesh, step = refine(mesh, marked, config.strategy, report)
         carried = {
             child: report.gram[parent]
             for child, parent in enumerate(step.parent_of)

@@ -273,7 +273,7 @@ def audit_mapped_patch(mesh, eid):
     return records, point_set_diameter(np.vstack(all_pts)), max_ratio
 
 
-def audit_mesh(mesh, bins=16):
+def audit_mesh(mesh):
     """Full regularity audit: per-element (original and mapped) and per-pair."""
     recs = []
     mapped_recs = []
@@ -291,7 +291,7 @@ def audit_mesh(mesh, bins=16):
         lo, hi = float(vals.min()), float(vals.max())
         if hi - lo <= 1e-9 * max(abs(lo), abs(hi), 1.0):
             lo, hi = lo - 0.5, hi + 0.5
-        return np.histogram(vals, bins=bins, range=(lo, hi))[0]
+        return np.histogram(vals, bins=16, range=(lo, hi))[0]
 
     return RegularityAudit(
         elements=recs,

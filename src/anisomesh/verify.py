@@ -34,6 +34,8 @@ __all__ = [
     "write_records_csv",
 ]
 
+DEPTH = 3  # quadrature subdivision depth of every element integral here
+
 
 @dataclass(frozen=True)
 class InequalityRecord:
@@ -57,55 +59,54 @@ def _record(name, lhs, rhs, context):
                             context=context)
 
 
-def _l2sq(poly, f, depth=3):
-    return integrate_on_polygon(poly, lambda p: f(p) ** 2, depth=depth)
+def _l2sq(poly, f):
+    return integrate_on_polygon(poly, lambda p: f(p) ** 2, depth=DEPTH)
 
 
-def _mapped_gradient_l2sq(poly, refmap, fld, depth=3):
+def _mapped_gradient_l2sq(poly, refmap, fld):
     a_inv_t = refmap.inverse_transpose
 
     def integrand(p):
         g = fld.gradient(p) @ a_inv_t.T
         return (g * g).sum(axis=1)
 
-    return integrate_on_polygon(poly, integrand, depth=depth)
+    return integrate_on_polygon(poly, integrand, depth=DEPTH)
 
 
-def check_trace(poly, edge, fld, depth=3, edge_segments=16, context=""):
+def check_trace(poly, edge, fld, context=""):
     """Edge norm against the anisotropically scaled element norm.
 
     lhs = ||v||^2_{L2(E)};  rhs = (|E|/|K|) (||v||^2 + ||A^{-T} grad v||^2).
     """
     a, b = np.asarray(edge[0], float), np.asarray(edge[1], float)
-    lhs = integrate_on_edge(a, b, lambda p: fld.value(p) ** 2, n_seg=edge_segments)
+    lhs = integrate_on_edge(a, b, lambda p: fld.value(p) ** 2, n_seg=16)
     e_len = float(np.hypot(*(b - a)))
-    core = _l2sq(poly, fld.value, depth) + _mapped_gradient_l2sq(poly, poly.refmap, fld, depth)
+    core = _l2sq(poly, fld.value) + _mapped_gradient_l2sq(poly, poly.refmap, fld)
     rhs = e_len / poly.area * core
     return _record("trace", lhs, rhs, context)
 
 
-def check_poincare(mesh, patch, eid, fld, depth=3, context=""):
+def check_poincare(mesh, patch, eid, fld, context=""):
     """Patch deviation from its mean against the scaled gradient norm."""
     patch = sorted(patch)
     polys = [mesh.elements[k].polygon for k in patch]
     total_area = sum(p.area for p in polys)
-    mean = sum(integrate_on_polygon(p, fld.value, depth=depth) for p in polys) / total_area
+    mean = sum(integrate_on_polygon(p, fld.value, depth=DEPTH) for p in polys) / total_area
     lhs = sum(
-        integrate_on_polygon(p, lambda q: (fld.value(q) - mean) ** 2, depth=depth)
+        integrate_on_polygon(p, lambda q: (fld.value(q) - mean) ** 2, depth=DEPTH)
         for p in polys
     )
     # Deviations at the roundoff floor of the field's own norm are zero
     # (constant fields otherwise produce 0/0).
-    scale = sum(integrate_on_polygon(p, lambda q: fld.value(q) ** 2, depth=depth)
-                for p in polys)
+    scale = sum(_l2sq(p, fld.value) for p in polys)
     if lhs <= 1e-26 * max(scale, 1.0):
         lhs = 0.0
     rm = mesh.elements[eid].polygon.refmap
-    rhs = sum(_mapped_gradient_l2sq(p, rm, fld, depth) for p in polys)
+    rhs = sum(_mapped_gradient_l2sq(p, rm, fld) for p in polys)
     return _record("poincare", math.sqrt(max(lhs, 0.0)), math.sqrt(max(rhs, 0.0)), context)
 
 
-def check_h1_mapping(poly, fld, depth=3, slack=1e-8, context=""):
+def check_h1_mapping(poly, fld, slack=1e-8, context=""):
     """Exact sandwich between the element and reference H1 seminorms.
 
     sqrt(l2/l1) |v_hat|^2 <= |v|^2 <= sqrt(l1/l2) |v_hat|^2 must hold for
@@ -118,10 +119,10 @@ def check_h1_mapping(poly, fld, depth=3, slack=1e-8, context=""):
         g = fld.gradient(p)
         return (g * g).sum(axis=1)
 
-    h1 = integrate_on_polygon(poly, grad_sq, depth=depth)
+    h1 = integrate_on_polygon(poly, grad_sq, depth=DEPTH)
     # Reference seminorm pulled back to the element: the mapped gradient with
     # the volume factor |det A|.
-    h1_hat = _mapped_gradient_l2sq(poly, rm, fld, depth) * abs(
+    h1_hat = _mapped_gradient_l2sq(poly, rm, fld) * abs(
         rm.matrix[0, 0] * rm.matrix[1, 1] - rm.matrix[0, 1] * rm.matrix[1, 0]
     )
     lo = math.sqrt(s.lambda2 / s.lambda1) * h1_hat
@@ -135,15 +136,15 @@ def check_h1_mapping(poly, fld, depth=3, slack=1e-8, context=""):
     return InequalityRecord("h1_mapping", h1, h1_hat, ratio, context)
 
 
-def check_neighbour_gradient(poly_k, poly_other, fld, depth=3, context=""):
+def check_neighbour_gradient(poly_k, poly_other, fld, context=""):
     """Gradient norm with a neighbour's map against the element's own map.
 
     The ratio is also compared against the pairwise bound
     sqrt(1 + delta_max) (1 + rotation_term) alpha_{K'} / alpha_K derived from
     the audited pair quantities; returns (record, bound).
     """
-    lhs = math.sqrt(_mapped_gradient_l2sq(poly_other, poly_k.refmap, fld, depth))
-    rhs = math.sqrt(_mapped_gradient_l2sq(poly_other, poly_other.refmap, fld, depth))
+    lhs = math.sqrt(_mapped_gradient_l2sq(poly_other, poly_k.refmap, fld))
+    rhs = math.sqrt(_mapped_gradient_l2sq(poly_other, poly_other.refmap, fld))
     rec = _record("neighbour_gradient", lhs, rhs, context)
     pair = neighbour_record((0, 1), poly_other.spectrum, poly_k.spectrum)
     bound = (
@@ -158,7 +159,10 @@ def check_neighbour_gradient(poly_k, poly_other, fld, depth=3, context=""):
 # Sweeps
 # ---------------------------------------------------------------------------
 
-def rectangle_family(scales=(1.0, 10.0, 100.0, 1000.0, 10000.0)):
+SCALES = (1.0, 10.0, 100.0, 1000.0, 10000.0)  # long side of the sweep rectangles
+
+
+def rectangle_family(scales=SCALES):
     """Rectangles [0, s] x [0, 1] of growing anisotropy."""
     return [
         (s, Polygon([(0.0, 0.0), (s, 0.0), (s, 1.0), (0.0, 1.0)]))
@@ -166,7 +170,7 @@ def rectangle_family(scales=(1.0, 10.0, 100.0, 1000.0, 10000.0)):
     ]
 
 
-def sweep_fields(max_degree=3, include_tanh=True):
+def sweep_fields(max_degree, include_tanh):
     """Monomials up to the given total degree, plus the layered test field."""
     fields = []
     for i in range(max_degree + 1):
@@ -179,7 +183,7 @@ def sweep_fields(max_degree=3, include_tanh=True):
     return fields
 
 
-def trace_sweep(scales=(1.0, 10.0, 100.0, 1000.0, 10000.0), max_degree=3):
+def trace_sweep(scales=SCALES, max_degree=3):
     records = []
     for s, poly in rectangle_family(scales):
         v = poly.vertices
@@ -192,34 +196,34 @@ def trace_sweep(scales=(1.0, 10.0, 100.0, 1000.0, 10000.0), max_degree=3):
     return records
 
 
-def poincare_sweep(scales=(1.0, 10.0, 100.0, 1000.0, 10000.0), max_degree=3):
+def poincare_sweep():
     from .mesh import build_mesh
 
     records = []
-    for s, poly in rectangle_family(scales):
+    for s, poly in rectangle_family():
         mesh = build_mesh(poly.vertices, [[0, 1, 2, 3]])
-        for fld in sweep_fields(max_degree, include_tanh=False):
+        for fld in sweep_fields(3, include_tanh=False):
             records.append(
                 check_poincare(mesh, {0}, 0, fld, context=f"s={s:g},{fld.label}")
             )
     return records
 
 
-def h1_sweep(scales=(1.0, 10.0, 100.0, 1000.0, 10000.0), max_degree=3):
+def h1_sweep():
     records = []
-    for s, poly in rectangle_family(scales):
-        for fld in sweep_fields(max_degree, include_tanh=False):
+    for s, poly in rectangle_family():
+        for fld in sweep_fields(3, include_tanh=False):
             records.append(check_h1_mapping(poly, fld, context=f"s={s:g},{fld.label}"))
     return records
 
 
-def neighbour_sweep(max_degree=3):
+def neighbour_sweep():
     """Side-by-side rectangle pairs with jumping thickness."""
     records = []
     for b2 in (1.0, 1.25, 1.5):
         k1 = Polygon([(0.0, 0.0), (2.0, 0.0), (2.0, 1.0), (0.0, 1.0)])
         k2 = Polygon([(2.0, 0.0), (4.0, 0.0), (4.0, b2), (2.0, b2)])
-        for fld in sweep_fields(max_degree, include_tanh=False):
+        for fld in sweep_fields(3, include_tanh=False):
             rec, bound = check_neighbour_gradient(k1, k2, fld, context=f"b={b2:g},{fld.label}")
             records.append(rec)
             if rec.ratio > bound * (1.0 + 1e-9):

@@ -1,6 +1,9 @@
+import ast
+import importlib
 import json
 import os
 import pathlib
+import pkgutil
 import subprocess
 import sys
 
@@ -71,6 +74,19 @@ class TestConfig:
         with pytest.raises(ParseError):
             normalize_config({key: value})
         assert normalize_config({key: "0"})[key] == 0
+
+    @pytest.mark.parametrize("line", [
+        "seed=abc", "mesh=grid a 4", "mesh=grid 0 4", "marking_factor=x", "marking_factor=2",
+        "mesh=polygonal 4 4 jitter q", "levels=-1",
+    ])
+    def test_bad_value_is_parse_error(self, tmp_path, line):
+        key, val = line.split("=")
+        path = write_config(tmp_path / "bad.cfg", output_dir=str(tmp_path / "o"), **{key: val})
+        with pytest.raises(ParseError):
+            cfg = parse_config(path)
+            make_initial_mesh(cfg["mesh"], cfg["seed"])
+        assert main(["run", str(path)]) == 1
+        assert not (tmp_path / "o" / "convergence.csv").exists()
 
     def test_generator_specs(self):
         mesh = make_initial_mesh("grid 3 2")
@@ -262,3 +278,18 @@ def test_import_leaves_scipy_optimize_unloaded():
     code = "import sys, anisomesh.cli; sys.exit('scipy.optimize' in sys.modules)"
     env = dict(os.environ, PYTHONPATH=src)
     assert subprocess.run([sys.executable, "-c", code], env=env, timeout=120).returncode == 0
+
+
+def test_exported_names_resolve():
+    # A name deleted from a module must not stay listed in its __all__ or in
+    # the package's own imports.
+    for info in pkgutil.iter_modules(anisomesh.__path__):
+        mod = importlib.import_module(f"anisomesh.{info.name}")
+        for name in getattr(mod, "__all__", ()):
+            assert hasattr(mod, name), f"anisomesh.{info.name}.__all__ lists {name!r}"
+    tree = ast.parse(pathlib.Path(anisomesh.__file__).read_text())
+    imported = [a.name for node in tree.body if isinstance(node, ast.ImportFrom)
+                for a in node.names]
+    assert imported
+    for name in imported:
+        assert hasattr(anisomesh, name), f"anisomesh imports {name!r}"

@@ -14,7 +14,7 @@ from anisomesh.fields import (
     monomial_field,
     tanh_layer,
 )
-from anisomesh.geometry import Polygon, split_polygon_by_line
+from anisomesh.geometry import Polygon, split_polygon_detailed
 from anisomesh.quadrature import (
     edge_rule,
     integrate_on_edge,
@@ -162,7 +162,7 @@ class TestPolygonIntegration:
             poly = random_polygon(rng)
             theta = rng.uniform(0, math.pi)
             d = np.array([math.cos(theta), math.sin(theta)])
-            a, b, _ = split_polygon_by_line(poly, poly.centroid, d)
+            a, b, _, _, _ = split_polygon_detailed(poly, poly.centroid, d)
             whole = integrate_on_polygon(poly, v, depth=4)
             parts = integrate_on_polygon(a, v, depth=4) + integrate_on_polygon(b, v, depth=4)
             assert parts == pytest.approx(whole, rel=1e-4)
@@ -172,7 +172,7 @@ class TestPolygonIntegration:
         for _ in range(8):
             poly = random_polygon(rng)
             theta = rng.uniform(0, math.pi)
-            a, b, _ = split_polygon_by_line(
+            a, b, _, _, _ = split_polygon_detailed(
                 poly, poly.centroid, np.array([math.cos(theta), math.sin(theta)])
             )
             whole = integrate_on_polygon(poly, fld.value, depth=2)

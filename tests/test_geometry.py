@@ -10,8 +10,7 @@ from anisomesh.geometry import (
     ReferenceMap,
     map_polygon,
     points_in_polygon,
-    polygon_moments,
-    split_polygon_by_line,
+    split_polygon_detailed,
 )
 from conftest import random_convex_polygon, random_polygon, random_star_polygon
 
@@ -48,20 +47,20 @@ def mc_moments(poly, n_samples, rng):
 
 class TestMoments:
     def test_unit_square(self):
-        area, centroid, m = polygon_moments(Polygon(UNIT_SQUARE))
-        assert area == pytest.approx(1.0, abs=1e-15)
-        assert centroid == pytest.approx([0.5, 0.5], abs=1e-15)
-        assert m == pytest.approx(np.diag([1.0 / 12.0, 1.0 / 12.0]), abs=1e-15)
+        poly = Polygon(UNIT_SQUARE)
+        assert poly.area == pytest.approx(1.0, abs=1e-15)
+        assert poly.centroid == pytest.approx([0.5, 0.5], abs=1e-15)
+        assert poly.second_moment == pytest.approx(np.diag([1.0 / 12.0, 1.0 / 12.0]), abs=1e-15)
 
     def test_reference_triangle(self):
-        area, centroid, _ = polygon_moments(Polygon([(0, 0), (1, 0), (0, 1)]))
-        assert area == pytest.approx(0.5, abs=1e-15)
-        assert centroid == pytest.approx([1.0 / 3.0, 1.0 / 3.0], abs=1e-15)
+        poly = Polygon([(0, 0), (1, 0), (0, 1)])
+        assert poly.area == pytest.approx(0.5, abs=1e-15)
+        assert poly.centroid == pytest.approx([1.0 / 3.0, 1.0 / 3.0], abs=1e-15)
 
     @pytest.mark.parametrize("a,b", [(2.0, 1.0), (14.1, 1.0), (100.0, 0.25)])
     def test_rectangle_separable(self, a, b):
         poly = Polygon([(0, 0), (a, 0), (a, b), (0, b)])
-        _, _, m = polygon_moments(poly)
+        m = poly.second_moment
         assert m[0, 0] == pytest.approx(a * a / 12.0, rel=1e-13)
         assert m[1, 1] == pytest.approx(b * b / 12.0, rel=1e-13)
         assert abs(m[0, 1]) < 1e-13 * a * a
@@ -177,7 +176,7 @@ class TestReferenceMap:
 class TestSplit:
     def test_square_symmetric_cut(self):
         poly = Polygon(UNIT_SQUARE)
-        a, b, seg = split_polygon_by_line(poly, (0.5, 0.5), (0.0, 1.0))
+        a, b, seg, _, _ = split_polygon_detailed(poly, (0.5, 0.5), (0.0, 1.0))
         assert a.area == pytest.approx(0.5, abs=1e-15)
         assert b.area == pytest.approx(0.5, abs=1e-15)
         ends = sorted(map(tuple, seg))
@@ -185,7 +184,7 @@ class TestSplit:
 
     def test_rectangle_cut_into_unit_squares(self):
         poly = Polygon([(0, 0), (2, 0), (2, 1), (0, 1)])
-        a, b, _ = split_polygon_by_line(poly, poly.centroid, poly.spectrum.u2)
+        a, b, _, _, _ = split_polygon_detailed(poly, poly.centroid, poly.spectrum.u2)
         for piece in (a, b):
             assert piece.area == pytest.approx(1.0, rel=1e-13)
             w = piece.vertices
@@ -195,7 +194,7 @@ class TestSplit:
     def test_diagonal_cut_snaps_to_vertices(self):
         poly = Polygon(UNIT_SQUARE)
         d = np.array([1.0, 1.0]) / math.sqrt(2.0)
-        a, b, seg = split_polygon_by_line(poly, (0.5, 0.5), d)
+        a, b, seg, _, _ = split_polygon_detailed(poly, (0.5, 0.5), d)
         assert len(a) == 3 and len(b) == 3
         assert a.area + b.area == pytest.approx(1.0, rel=1e-14)
         ends = sorted(map(tuple, seg))
@@ -207,7 +206,7 @@ class TestSplit:
         u_shape = Polygon(
             [(0, 0), (5, 0), (5, 3), (4, 3), (4, 1), (1, 1), (1, 3), (0, 3)]
         )
-        a, b, seg = split_polygon_by_line(u_shape, (0.5, 2.0), (1.0, 0.0))
+        a, b, seg, _, _ = split_polygon_detailed(u_shape, (0.5, 2.0), (1.0, 0.0))
         assert a.area + b.area == pytest.approx(u_shape.area, rel=1e-12)
         xs = sorted(p[0] for p in seg)
         assert xs == pytest.approx([0.0, 1.0], abs=1e-12)
@@ -218,13 +217,13 @@ class TestSplit:
         )
         # Anchor in the notch (outside); both interior intervals have length
         # one, the first is chosen deterministically.
-        a, b, _ = split_polygon_by_line(u_shape, (2.5, 2.0), (1.0, 0.0))
+        a, b, _, _, _ = split_polygon_detailed(u_shape, (2.5, 2.0), (1.0, 0.0))
         assert a.area + b.area == pytest.approx(u_shape.area, rel=1e-12)
 
     def test_cut_misses_polygon(self):
         poly = Polygon(UNIT_SQUARE)
         with pytest.raises(CutMissesPolygon):
-            split_polygon_by_line(poly, (5.0, 5.0), (0.0, 1.0))
+            split_polygon_detailed(poly, (5.0, 5.0), (0.0, 1.0))
 
     def test_conservation_and_vertex_provenance(self, rng):
         for _ in range(30):
@@ -232,7 +231,7 @@ class TestSplit:
             theta = rng.uniform(0, math.pi)
             d = np.array([math.cos(theta), math.sin(theta)])
             try:
-                a, b, seg = split_polygon_by_line(poly, poly.centroid, d)
+                a, b, seg, _, _ = split_polygon_detailed(poly, poly.centroid, d)
             except CutMissesPolygon:
                 continue
             assert a.area + b.area == pytest.approx(poly.area, rel=1e-12)
@@ -254,26 +253,22 @@ class TestSplit:
         gen = np.random.default_rng(seed)
         poly = random_convex_polygon(gen, ratio=float(gen.uniform(1, 50)))
         d = np.array([math.cos(theta), math.sin(theta)])
-        a, b, _ = split_polygon_by_line(poly, poly.centroid, d)
+        a, b, _, _, _ = split_polygon_detailed(poly, poly.centroid, d)
         assert a.area + b.area == pytest.approx(poly.area, rel=1e-12)
 
 
 class TestPolygonUtilities:
     def test_contains(self):
-        poly = Polygon(UNIT_SQUARE)
-        assert poly.contains((0.5, 0.5))
-        assert not poly.contains((1.5, 0.5))
+        inside = points_in_polygon(np.array([(0.5, 0.5), (1.5, 0.5), (1.0, 0.3)]), UNIT_SQUARE)
+        assert inside.tolist() == [True, False, False]
+        on_edge = points_in_polygon(np.array([(1.0, 0.3)]), UNIT_SQUARE, boundary_tol=1e-12)
+        assert on_edge.tolist() == [True]
 
     def test_diameter_of_many_vertex_loop(self):
         # The pairwise maximum, not a bounding-box diagonal (2.0001 here).
         t = np.linspace(0.0, 2.0 * math.pi, 200, endpoint=False)
         ellipse = Polygon(np.column_stack([np.cos(t), 0.01 * np.sin(t)]))
         assert ellipse.diameter == 2.0
-
-    def test_corner_vertices_drop_hanging(self):
-        poly = Polygon([(0, 0), (0.5, 0.0), (1, 0), (1, 1), (0, 1)])
-        corners = poly.corner_vertices()
-        assert len(corners) == 4
 
     def test_non_simple_detected(self):
         bowtie = np.array([(0, 0), (1, 1), (1, 0), (0, 1)], dtype=float)

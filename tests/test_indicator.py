@@ -12,7 +12,7 @@ from anisomesh.fields import (
     monomial_field,
     tanh_layer,
 )
-from anisomesh.geometry import Polygon, split_polygon_by_line
+from anisomesh.geometry import Polygon, split_polygon_detailed
 from anisomesh.indicator import (
     eta_global,
     eta_local,
@@ -87,7 +87,7 @@ class TestGram:
         cell = Polygon([(0.50, 0.0), (0.54, 0.0), (0.54, 0.04), (0.50, 0.04)])
         for _ in range(6):
             theta = rng.uniform(0, math.pi)
-            a, b, _ = split_polygon_by_line(
+            a, b, _, _, _ = split_polygon_detailed(
                 cell, cell.centroid, np.array([math.cos(theta), math.sin(theta)])
             )
             whole = gram_element(cell, fld, depth=6)
@@ -156,7 +156,7 @@ class TestEtaGlobal:
         fld = tanh_layer()
         cfg = RefineConfig(strategy=ISOTROPIC, max_levels=1)
         (coarse, rep0), (fine, rep1) = adaptive_loop(generate_grid(4, 4), fld, cfg)
-        _, step = refine(coarse, rep0.marked, ISOTROPIC, rep0, cfg)
+        _, step = refine(coarse, rep0.marked, ISOTROPIC, rep0)
         fresh = eta_global(fine, fld)
         hanging = 0
         for child, parent in enumerate(step.parent_of):

@@ -85,12 +85,8 @@ class TestBuildMesh:
         assert int(mesh.node_tags[0]) == DIRICHLET
         assert int(mesh.node_tags[1]) == DIRICHLET
 
-        mesh = build_mesh(
-            UNIT_SQUARE_NODES, [[0, 1, 2, 3]],
-            lambda mid: NEUMANN if mid[1] < 0.25 else DIRICHLET,
-        )
-        tags = {e.node_pair: e.boundary_tag for e in mesh.edges}
-        assert tags[(0, 1)] == NEUMANN
+        mesh = build_mesh(UNIT_SQUARE_NODES, [[0, 1, 2, 3]], NEUMANN)
+        assert {e.boundary_tag for e in mesh.edges} == {NEUMANN}
 
 
 class TestPatches:
@@ -215,8 +211,7 @@ class TestGenerators:
 
     def test_boundary_tags_default_dirichlet(self):
         mesh = generate_grid(2, 2)
-        for e in mesh.boundary_edges():
-            assert e.boundary_tag == DIRICHLET
+        assert {e.boundary_tag for e in mesh.edges if e.is_boundary} == {DIRICHLET}
         assert int(mesh.node_tags[4]) == INTERIOR
 
 

@@ -129,8 +129,7 @@ class TestRefine:
     def test_boundary_tags_inherited(self):
         mesh = generate_grid(1, 1)
         out, _ = refine(mesh, {0}, strategy=UNIFORM)
-        for e in out.boundary_edges():
-            assert e.boundary_tag == DIRICHLET
+        assert {e.boundary_tag for e in out.edges if e.is_boundary} == {DIRICHLET}
         interior = [e for e in out.edges if not e.is_boundary]
         assert len(interior) == 1  # the cut chord
 
