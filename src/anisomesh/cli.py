@@ -87,22 +87,37 @@ def normalize_config(raw):
     if not 0.0 < cfg["marking_factor"] <= 1.0:
         raise ParseError(f"marking_factor must be in (0, 1], got {cfg['marking_factor']}")
     for key in ("quad_depth", "basis_depth"):
-        if isinstance(cfg[key], str):
-            cfg[key] = None if cfg[key] in ("auto", "none", "") else _number(int, key, cfg[key])
-        if cfg[key] is not None and cfg[key] < 0:
+        if cfg[key] in (None, "auto", "none", ""):
+            cfg[key] = None
+            continue
+        cfg[key] = _number(int, key, cfg[key])
+        if cfg[key] < 0:
             raise ParseError(f"{key} must be a non-negative integer, got {cfg[key]}")
     for key in ("l2", "deterministic", "save_levels"):
-        if isinstance(cfg[key], str):
-            cfg[key] = cfg[key].lower() in ("1", "true", "yes", "on")
+        word = cfg[key].lower() if isinstance(cfg[key], str) else json.dumps(cfg[key])
+        if word not in _TRUE + _FALSE:
+            raise ParseError(f"{key} must be one of {'/'.join(_TRUE + _FALSE)}, "
+                             f"got {cfg[key]!r}")
+        cfg[key] = word in _TRUE
     cfg["strategy"] = str(cfg["strategy"]).upper()
     if cfg["strategy"] not in STRATEGIES + (COMPARE,):
         raise ParseError(f"strategy must be one of {STRATEGIES + (COMPARE,)}")
     return cfg
 
 
+_TRUE = ("true", "1", "yes", "on")
+_FALSE = ("false", "0", "no", "off")
+
+
 def _number(kind, key, val):
-    """``kind(val)`` for ``kind`` int or float; a ParseError naming ``key`` otherwise."""
+    """``kind(val)`` for ``kind`` int or float; a ParseError naming ``key`` otherwise.
+
+    Booleans are not numbers, and an int must not drop a fraction.
+    """
     try:
+        if isinstance(val, bool) or (kind is int and isinstance(val, float)
+                                     and not val.is_integer()):
+            raise TypeError
         return kind(val)
     except (TypeError, ValueError):
         raise ParseError(f"{key} must be {'an integer' if kind is int else 'a number'}, "

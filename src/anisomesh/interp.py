@@ -14,7 +14,6 @@ the right-hand sides (one per basis function), solved by one sparse LU.
 from __future__ import annotations
 
 import math
-import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -437,28 +436,24 @@ def coefficients(mesh, fld, scheme, depth=None):
         return InterpolantCoefficients(values=c, scheme=scheme)
 
     if scheme == SCOTT_ZHANG:
-        node_edges = {}
-        for e in mesh.edges:
-            for i in e.node_pair:
-                node_edges.setdefault(i, []).append(e)
-        for i in range(n):
-            on_dirichlet = int(mesh.node_tags[i]) == DIRICHLET
-            admissible = []
-            for e in node_edges.get(i, []):
-                if on_dirichlet and e.boundary_tag == DIRICHLET:
-                    admissible.append(e)
-                elif not on_dirichlet and e.boundary_tag != DIRICHLET:
-                    admissible.append(e)
-            if not admissible:
-                raise NoAdmissibleEdge(f"node {i} has no admissible edge")
-            lengths = [
-                float(np.hypot(*(mesh.points[e.node_pair[1]] - mesh.points[e.node_pair[0]])))
-                for e in admissible
-            ]
-            best = max(range(len(admissible)), key=lambda k: (lengths[k], -admissible[k].id))
-            e = admissible[best]
-            a, b = mesh.points[e.node_pair[0]], mesh.points[e.node_pair[1]]
-            c[i] = integrate_on_edge(a, b, fld.value) / lengths[best]
+        edges, pts = mesh.edges, mesh.points
+        d = pts[edges[:, 1]] - pts[edges[:, 0]]
+        lengths = np.hypot(d[:, 0], d[:, 1])
+        # (node, edge) incidences, admissible when both are on the Dirichlet
+        # part or neither is; per node the longest, ties to the lower id.
+        node = edges.ravel()
+        eid = np.repeat(np.arange(len(edges)), 2)
+        node_dir = mesh.node_tags == DIRICHLET
+        ok = node_dir[node] == (mesh.edge_tags == DIRICHLET)[eid]
+        node, eid = node[ok], eid[ok]
+        order = np.lexsort((eid, -lengths[eid], node))
+        chosen, first = np.unique(node[order], return_index=True)
+        if len(chosen) < n:
+            missing = np.setdiff1d(np.arange(n), chosen)[0]
+            raise NoAdmissibleEdge(f"node {missing} has no admissible edge")
+        for i, k in enumerate(eid[order][first]):
+            a, b = pts[edges[k, 0]], pts[edges[k, 1]]
+            c[i] = integrate_on_edge(a, b, fld.value) / lengths[k]
         return InterpolantCoefficients(values=c, scheme=scheme)
 
     raise ValueError(f"unknown scheme {scheme!r}")
@@ -482,31 +477,12 @@ def element_l2_error(basis, loop_coeffs, fld):
 
 
 def l2_error(mesh, fld, coeffs, depth=None, cache=None):
-    """Global L2 interpolation error sqrt(sum_K int_K (v - Iv)^2).
-
-    With a shared ``cache``, an element looks up its basis only after the
-    previous element of its similarity class has found or stored its own,
-    so threads get the same cache hits, and the same bits, as a serial run.
-    """
-    prev, done = {}, {}
+    """Global L2 interpolation error sqrt(sum_K int_K (v - Iv)^2)."""
     if cache is not None:
         cache.trim()
-        last = {}
-        for el in mesh.elements:
-            key = _full_similarity_key(el.polygon)
-            if key in last:
-                prev[el.id] = last[key]
-            last[key] = done[el.id] = threading.Event()
 
     def one(el):
-        # pmap starts elements in order, so the one waited for is running.
-        if el.id in prev:
-            prev[el.id].wait()
-        try:
-            basis = build_basis(el.polygon, depth=depth, cache=cache)
-        finally:
-            if done:
-                done[el.id].set()
+        basis = build_basis(el.polygon, depth=depth, cache=cache)
         return element_l2_error(basis, coeffs.values[el.vertex_loop], fld)
 
     parts = pmap(one, mesh.elements)

@@ -8,7 +8,7 @@ during indicator and interpolation passes; refinement builds a new mesh.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 
@@ -19,7 +19,6 @@ __all__ = [
     "INTERIOR",
     "NEUMANN",
     "DIRICHLET",
-    "MeshEdge",
     "MeshElement",
     "PolyMesh",
     "build_mesh",
@@ -36,18 +35,6 @@ DIRICHLET = 2
 _FORMAT_VERSION = 1
 
 
-@dataclass
-class MeshEdge:
-    id: int
-    node_pair: tuple  # (a, b) with a < b
-    adjacent_elements: list
-    boundary_tag: int = INTERIOR
-
-    @property
-    def is_boundary(self):
-        return len(self.adjacent_elements) == 1
-
-
 class MeshElement:
     """Element as an ordered CCW node-id loop with cached geometry."""
 
@@ -58,25 +45,22 @@ class MeshElement:
         self.vertex_loop = list(vertex_loop)
         self.polygon = polygon
 
-    def edges(self):
-        loop = self.vertex_loop
-        n = len(loop)
-        return [(loop[i], loop[(i + 1) % n]) for i in range(n)]
-
-
-def _edge_key(a, b):
-    return (a, b) if a < b else (b, a)
-
 
 class PolyMesh:
-    """Nodes, edges, elements, and their mutual incidence."""
+    """Nodes, edges, elements, and their mutual incidence.
 
-    def __init__(self, points, node_tags, elements, edges, edge_index, node_elems, domain_area):
+    ``edges`` is an (E, 2) int array of node pairs (a, b) with a < b, sorted
+    lexicographically; the row number is the edge id.  ``edge_tags`` is the
+    (E,) uint8 array of INTERIOR, NEUMANN or DIRICHLET: exactly the edges in
+    one element loop (the boundary) carry NEUMANN or DIRICHLET.
+    """
+
+    def __init__(self, points, node_tags, elements, edges, edge_tags, node_elems, domain_area):
         self.points = points
         self.node_tags = node_tags
         self.elements = elements
         self.edges = edges
-        self.edge_index = edge_index  # (a, b) with a < b -> edge id
+        self.edge_tags = edge_tags
         self._node_elems = node_elems
         self.domain_area = domain_area
 
@@ -110,11 +94,8 @@ class PolyMesh:
         return set(self._node_elems[i])
 
     def edge_patch(self, edge):
-        """omega_E: union of the endpoint node patches."""
-        if isinstance(edge, MeshEdge):
-            a, b = edge.node_pair
-        else:
-            a, b = edge
+        """omega_E: union of the endpoint node patches of edge (a, b)."""
+        a, b = edge
         return self.node_patch(a) | self.node_patch(b)
 
     def element_patch(self, eid):
@@ -130,62 +111,79 @@ class PolyMesh:
     # -- validation ---------------------------------------------------------
 
     def validate(self, check_simple=True):
-        """Run the full invariant suite; raises InvalidTopology on failure."""
-        for e in self.edges:
-            n_adj = len(e.adjacent_elements)
-            if n_adj not in (1, 2):
-                raise InvalidTopology(f"edge {e.id} adjacent to {n_adj} elements")
-            if n_adj == 2 and e.boundary_tag != INTERIOR:
-                raise InvalidTopology(f"interior edge {e.id} carries a boundary tag")
-            if n_adj == 1 and e.boundary_tag == INTERIOR:
-                raise InvalidTopology(f"boundary edge {e.id} tagged interior")
-            for eid in e.adjacent_elements:
-                if e.node_pair not in map(lambda p: _edge_key(*p), self.elements[eid].edges()):
-                    raise InvalidTopology(
-                        f"edge {e.id} lists element {eid} which does not contain it"
-                    )
-        for el in self.elements:
-            for a, b in el.edges():
-                key = _edge_key(a, b)
-                if key not in self.edge_index:
-                    raise InvalidTopology(f"element {el.id} edge {key} missing from edge table")
-                edge = self.edges[self.edge_index[key]]
-                if el.id not in edge.adjacent_elements:
-                    raise InvalidTopology(f"incidence mismatch on edge {key}")
-            if check_simple:
+        """Run the full invariant suite; raises InvalidTopology on failure.
+
+        The edge table and node patches are rebuilt from the element loops
+        and must equal the stored ones.
+        """
+        loops = [el.vertex_loop for el in self.elements]
+        edges, counts, _ = _edge_table(loops, self.n_nodes)
+        if not np.array_equal(edges, self.edges):
+            raise InvalidTopology("edge table does not match the element loops")
+        if not np.array_equal(self.edge_tags != INTERIOR, counts == 1):
+            raise InvalidTopology("boundary tags are not exactly on the boundary edges")
+        if _node_patches(loops, self.n_nodes) != self._node_elems:
+            raise InvalidTopology("node patches do not match the element loops")
+        if check_simple:
+            for el in self.elements:
                 el.polygon.validate_simple()
         total = self.total_area()
         if abs(total - self.domain_area) > 1e-10 * self.domain_area:
             raise InvalidTopology(
                 f"element areas sum to {total:.17g}, domain area is {self.domain_area:.17g}"
             )
-        for i, elems in enumerate(self._node_elems):
-            for eid in elems:
-                if i not in self.elements[eid].vertex_loop:
-                    raise InvalidTopology(f"patch of node {i} lists element {eid} without it")
         return True
 
 
-def _derive_node_tags(n_nodes, edges):
-    tags = np.zeros(n_nodes, dtype=np.uint8)
-    for e in edges:
-        if not e.is_boundary:
-            continue
-        a, b = e.node_pair
-        for i in (a, b):
-            # Dirichlet wins at junction nodes (closure convention).
-            if e.boundary_tag == DIRICHLET:
-                tags[i] = DIRICHLET
-            elif e.boundary_tag == NEUMANN and tags[i] != DIRICHLET:
-                tags[i] = NEUMANN
-    return tags
+def _edge_table(loops, n_nodes):
+    """Edges of the element loops: (edges, counts, boundary walk).
+
+    ``edges`` holds each undirected edge once as (a, b), a < b, in
+    lexicographic order; ``counts`` the number of loops using it; the
+    boundary walk the (tail, head) pairs of the once-used edges as their
+    loop traverses them.  Raises InvalidTopology when a directed edge
+    repeats (orientation mismatch or overlap) or an edge is in > 2 loops.
+    """
+    sizes = np.fromiter(map(len, loops), dtype=np.int64, count=len(loops))
+    tail = np.fromiter(chain.from_iterable(loops), dtype=np.int64, count=int(sizes.sum()))
+    ends = np.cumsum(sizes)
+    nxt = np.arange(1, len(tail) + 1)
+    nxt[ends - 1] = ends - sizes
+    head = tail[nxt]
+    directed, dir_counts = np.unique(tail * n_nodes + head, return_counts=True)
+    if np.any(dir_counts > 1):
+        a, b = divmod(int(directed[dir_counts > 1][0]), n_nodes)
+        raise InvalidTopology(
+            f"edge {a}->{b} traversed twice in the same direction "
+            f"(orientation mismatch or overlapping elements)"
+        )
+    codes, ids, counts = np.unique(
+        np.minimum(tail, head) * n_nodes + np.maximum(tail, head),
+        return_inverse=True,
+        return_counts=True,
+    )
+    edges = np.column_stack(np.divmod(codes, n_nodes))
+    if np.any(counts > 2):
+        k = int(np.argmax(counts > 2))
+        raise InvalidTopology(f"edge {tuple(edges[k].tolist())} shared by {counts[k]} elements")
+    once = counts[ids] == 1
+    return edges, counts, np.column_stack((tail[once], head[once]))
+
+
+def _node_patches(loops, n_nodes):
+    node_elems = [set() for _ in range(n_nodes)]
+    for eid, loop in enumerate(loops):
+        for i in loop:
+            node_elems[i].add(eid)
+    return node_elems
 
 
 def build_mesh(points, element_loops, boundary_spec=DIRICHLET, check_simple=True):
     """Construct a PolyMesh with full incidence and invariant validation.
 
     ``boundary_spec`` assigns tags to boundary edges: a single tag for the
-    whole boundary, or a dict {(a, b): tag} keyed by node pairs (either order).
+    whole boundary, or a dict {(a, b): tag} keyed by node pairs (either
+    order); keys of pairs that are not boundary edges are ignored.
     """
     pts = np.asarray(points, dtype=float)
     if pts.ndim != 2 or pts.shape[1] != 2:
@@ -207,64 +205,35 @@ def build_mesh(points, element_loops, boundary_spec=DIRICHLET, check_simple=True
             raise InvalidTopology(f"element {eid}: {exc}") from exc
         elements.append(MeshElement(eid, loop, poly))
 
-    edge_map = {}
-    oriented = {}
-    for el in elements:
-        for a, b in el.edges():
-            key = _edge_key(a, b)
-            edge_map.setdefault(key, []).append(el.id)
-            if (a, b) in oriented:
-                raise InvalidTopology(
-                    f"edge {a}->{b} traversed twice in the same direction "
-                    f"(orientation mismatch or overlapping elements)"
-                )
-            oriented[(a, b)] = el.id
-
-    edges = []
-    edge_index = {}
-    for key in sorted(edge_map):
-        adj = edge_map[key]
-        if len(adj) > 2:
-            raise InvalidTopology(f"edge {key} shared by {len(adj)} elements")
-        edges.append(MeshEdge(len(edges), key, adj))
-        edge_index[key] = edges[-1].id
-
-    # Domain area from the oriented boundary: each boundary edge appears in
-    # exactly one loop, domain on its left.
-    twice_area = 0.0
-    for e in edges:
-        if not e.is_boundary:
-            continue
-        a, b = e.node_pair
-        if (a, b) not in oriented:
-            a, b = b, a
-        pa, pb = pts[a], pts[b]
-        twice_area += pa[0] * pb[1] - pb[0] * pa[1]
-    domain_area = 0.5 * twice_area
+    loops = [el.vertex_loop for el in elements]
+    edges, counts, walk = _edge_table(loops, n_nodes)
+    # Domain area from the oriented boundary: domain on the left of the walk.
+    pa, pb = pts[walk[:, 0]], pts[walk[:, 1]]
+    domain_area = 0.5 * float(np.sum(pa[:, 0] * pb[:, 1] - pb[:, 0] * pa[:, 1]))
     if domain_area <= 0.0:
         raise InvalidTopology("boundary orientation yields non-positive domain area")
 
-    for e in edges:
-        if not e.is_boundary:
-            continue
+    boundary = np.flatnonzero(counts == 1)
+    edge_tags = np.zeros(len(edges), dtype=np.uint8)
+    for k in boundary:
+        a, b = edges[k].tolist()
         if isinstance(boundary_spec, dict):
-            a, b = e.node_pair
             tag = boundary_spec.get((a, b), boundary_spec.get((b, a)))
             if tag is None:
-                raise InvalidTopology(f"boundary_spec missing tag for edge {e.node_pair}")
-            e.boundary_tag = int(tag)
+                raise InvalidTopology(f"boundary_spec missing tag for edge {(a, b)}")
         else:
-            e.boundary_tag = int(boundary_spec)
-        if e.boundary_tag not in (NEUMANN, DIRICHLET):
-            raise InvalidTopology(f"boundary edge {e.node_pair} needs tag 1 or 2")
+            tag = boundary_spec
+        if int(tag) not in (NEUMANN, DIRICHLET):
+            raise InvalidTopology(f"boundary edge {(a, b)} needs tag 1 or 2")
+        edge_tags[k] = int(tag)
 
-    node_tags = _derive_node_tags(n_nodes, edges)
-    node_elems = [set() for _ in range(n_nodes)]
-    for el in elements:
-        for i in el.vertex_loop:
-            node_elems[i].add(el.id)
+    # Dirichlet wins at junction nodes (closure convention): the larger tag.
+    node_tags = np.zeros(n_nodes, dtype=np.uint8)
+    np.maximum.at(node_tags, edges[boundary].ravel(), np.repeat(edge_tags[boundary], 2))
 
-    mesh = PolyMesh(pts, node_tags, elements, edges, edge_index, node_elems, domain_area)
+    mesh = PolyMesh(
+        pts, node_tags, elements, edges, edge_tags, _node_patches(loops, n_nodes), domain_area
+    )
     mesh.validate(check_simple=check_simple)
     return mesh
 
@@ -341,25 +310,24 @@ def load_mesh(path):
             raise ParseError("bad element row", line=lineno) from None
         if len(loop) != k:
             raise ParseError(f"element row promises {k} nodes, has {len(loop)}", line=lineno)
+        if not all(0 <= i < n_nodes for i in loop):
+            raise ParseError("element row names a node that does not exist", line=lineno)
         loops.append(loop)
 
     # Boundary edge tags are reconstructed from node tags: an edge lies on
     # the Dirichlet part only if both endpoints do (junction nodes carry the
     # Dirichlet tag, so mixed edges read as Neumann).
-    def tag_for(pair):
-        ta, tb = int(tags[pair[0]]), int(tags[pair[1]])
+    def tag_for(a, b):
+        ta, tb = int(tags[a]), int(tags[b])
         if ta == DIRICHLET and tb == DIRICHLET:
             return DIRICHLET
         if NEUMANN in (ta, tb):
             return NEUMANN
         return DIRICHLET
 
-    edge_map = {}
-    for loop in loops:
-        for i in range(len(loop)):
-            key = _edge_key(loop[i], loop[(i + 1) % len(loop)])
-            edge_map[key] = edge_map.get(key, 0) + 1
-    boundary_spec = {key: tag_for(key) for key, cnt in edge_map.items() if cnt == 1}
+    boundary_spec = {
+        (a, b): tag_for(a, b) for loop in loops for a, b in zip(loop, loop[1:] + loop[:1])
+    }
 
     mesh = build_mesh(pts, loops, boundary_spec)
     # Preserve node tags exactly as stored.

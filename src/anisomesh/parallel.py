@@ -1,26 +1,10 @@
-"""Optional thread parallelism, capped by the ANISOMESH_THREADS env var."""
+"""The per-element map that interpolation routes its work through."""
 
 from __future__ import annotations
 
-import os
-from concurrent.futures import ThreadPoolExecutor
-
-__all__ = ["thread_count", "pmap"]
-
-
-def thread_count():
-    try:
-        n = int(os.environ.get("ANISOMESH_THREADS", "1"))
-    except ValueError:
-        n = 1
-    return max(1, n)
+__all__ = ["pmap"]
 
 
 def pmap(fn, items):
-    """Map preserving order; threads only when ANISOMESH_THREADS > 1."""
-    items = list(items)
-    n = thread_count()
-    if n <= 1 or len(items) <= 1:
-        return [fn(x) for x in items]
-    with ThreadPoolExecutor(max_workers=n) as pool:
-        return list(pool.map(fn, items))
+    """``[fn(x) for x in items]``, in order."""
+    return [fn(x) for x in items]

@@ -16,7 +16,7 @@ from itertools import islice
 
 import numpy as np
 
-from .errors import CutMissesPolygon, InvalidTopology, NonSimpleResult, ZeroGram
+from .errors import CutMissesPolygon, NonSimpleResult, ZeroGram
 from .geometry import SNAP_TOL, split_polygon_detailed, symmetric_eig_2x2
 from .indicator import eta_global
 from .mesh import INTERIOR, build_mesh
@@ -110,10 +110,7 @@ def refine(mesh, marked, strategy=ISOTROPIC, report=None):
         marked = set(range(mesh.n_elements))
 
     points = [mesh.points[i].copy() for i in range(mesh.n_nodes)]
-    node_tags = list(map(int, mesh.node_tags))
-    edge_tags = {e.node_pair: e.boundary_tag for e in mesh.edges}
     inserted = {}  # canonical edge key -> list of (t, node id)
-    node_host = {}  # new node id -> canonical edge key it lies on
     splits = {}  # parent id -> [(child ids, provenance), (child ids, provenance)]
     directions = {}
     skipped = []
@@ -137,9 +134,7 @@ def refine(mesh, marked, strategy=ISOTROPIC, report=None):
         xy = points[key[0]] + t * (points[key[1]] - points[key[0]])
         nid = len(points)
         points.append(xy)
-        node_tags.append(edge_tags.get(key, INTERIOR))
         inserted.setdefault(key, []).append((t, nid))
-        node_host[nid] = key
         return nid
 
     for eid in sorted(marked):
@@ -227,29 +222,16 @@ def refine(mesh, marked, strategy=ISOTROPIC, report=None):
             new_loops.append(out)
             parent_of_loop.append(el.id)
 
-    # Boundary tags: a new boundary edge is either an original edge or a
-    # sub-segment created by an inserted node, which remembers its host edge.
-    pts_arr = np.asarray(points)
-    edge_count = {}
-    for loop in new_loops:
-        for i in range(len(loop)):
-            a, b = loop[i], loop[(i + 1) % len(loop)]
-            key = (a, b) if a < b else (b, a)
-            edge_count[key] = edge_count.get(key, 0) + 1
+    # Boundary tags: each boundary edge's chain of inserted nodes splits it
+    # into consecutive pairs that inherit its tag.
     boundary_spec = {}
-    for key, cnt in edge_count.items():
-        if cnt != 1:
-            continue
-        if key in edge_tags:
-            tag = edge_tags[key]
-        else:
-            host = node_host.get(key[0], node_host.get(key[1]))
-            tag = edge_tags.get(host, INTERIOR) if host is not None else INTERIOR
-        if tag == INTERIOR:
-            raise InvalidTopology(f"could not derive a boundary tag for new edge {key}")
-        boundary_spec[key] = tag
+    for k in np.flatnonzero(mesh.edge_tags != INTERIOR):
+        a, b = mesh.edges[k].tolist()
+        tag = int(mesh.edge_tags[k])
+        chain = [a] + [nid for _, nid in chains.get((a, b), ())] + [b]
+        boundary_spec.update((pair, tag) for pair in zip(chain, chain[1:]))
 
-    new_mesh = build_mesh(pts_arr, new_loops, boundary_spec, check_simple=False)
+    new_mesh = build_mesh(np.asarray(points), new_loops, boundary_spec, check_simple=False)
 
     parent_children = {}
     for child_id, parent in enumerate(parent_of_loop):

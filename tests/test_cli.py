@@ -78,10 +78,22 @@ class TestConfig:
     @pytest.mark.parametrize("line", [
         "seed=abc", "mesh=grid a 4", "mesh=grid 0 4", "marking_factor=x", "marking_factor=2",
         "mesh=polygonal 4 4 jitter q", "levels=-1",
+        "l2=ture", "deterministic=yes please", "save_levels=2",
+        # JSON values, written as key:=json
+        "levels:=2.7", "seed:=1.5", "quad_depth:=3.9", "basis_depth:=true",
     ])
     def test_bad_value_is_parse_error(self, tmp_path, line):
-        key, val = line.split("=")
-        path = write_config(tmp_path / "bad.cfg", output_dir=str(tmp_path / "o"), **{key: val})
+        if ":=" in line:
+            key, val = line.split(":=")
+            path = tmp_path / "bad.json"
+            path.write_text(json.dumps({
+                "mesh": "grid 2 2", "levels": 2, "l2": False,
+                "output_dir": str(tmp_path / "o"), key: json.loads(val),
+            }))
+        else:
+            key, val = line.split("=")
+            path = write_config(tmp_path / "bad.cfg", output_dir=str(tmp_path / "o"),
+                                **{key: val})
         with pytest.raises(ParseError):
             cfg = parse_config(path)
             make_initial_mesh(cfg["mesh"], cfg["seed"])
@@ -293,3 +305,19 @@ def test_exported_names_resolve():
     assert imported
     for name in imported:
         assert hasattr(anisomesh, name), f"anisomesh imports {name!r}"
+
+
+def test_package_reads_no_environment():
+    # Results depend on the config alone: no module reads os.environ or
+    # os.getenv, also not as a name imported from os.
+    src = pathlib.Path(anisomesh.__file__).parent
+    readers = []
+    for path in sorted(src.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Attribute) and node.attr in ("environ", "getenv"):
+                readers.append(f"{path.name}:{node.lineno}")
+            if isinstance(node, ast.ImportFrom) and node.module == "os":
+                readers += [f"{path.name}:{node.lineno}" for a in node.names
+                            if a.name in ("environ", "getenv")]
+    assert len(list(src.glob("*.py"))) > 10
+    assert readers == []

@@ -263,31 +263,6 @@ class TestInterpolantAndError:
         c = coefficients(refined, fld, POINTWISE)
         assert l2_error(refined, fld, c) <= 1e-8
 
-    def test_thread_env_gives_identical_results(self, monkeypatch):
-        mesh = generate_grid(2, 2)
-        fld = tanh_layer()
-        serial = coefficients(mesh, fld, CLEMENT, depth=3)
-        monkeypatch.setenv("ANISOMESH_THREADS", "3")
-        threaded = coefficients(mesh, fld, CLEMENT, depth=3)
-        assert np.array_equal(serial.values, threaded.values)
-
-    @pytest.mark.parametrize("shared_cache", [False, True])
-    def test_thread_env_gives_identical_l2(self, monkeypatch, shared_cache):
-        # On this mesh a cache hit and a fresh build of the same element
-        # differ in the last bits, so threads must keep the serial hits.
-        fld = tanh_layer()
-        cfg = RefineConfig(strategy=ANISOTROPIC, max_levels=8)
-        mesh = adaptive_loop(generate_grid(4, 4), fld, cfg)[-1][0]
-        c = coefficients(mesh, fld, POINTWISE)
-
-        def run():
-            cache = BasisCache() if shared_cache else None
-            return l2_error(mesh, fld, c, cache=cache)
-
-        serial = run()
-        monkeypatch.setenv("ANISOMESH_THREADS", "2")
-        assert [run() for _ in range(3)] == [serial] * 3
-
     def test_l2_error_decreases_with_adaptation(self):
         cfg = RefineConfig(strategy=ANISOTROPIC, max_levels=5)
         history = adaptive_loop(generate_grid(4, 4), tanh_layer(), cfg)

@@ -41,7 +41,8 @@ class TestBuildMesh:
         assert len(mesh.edges) == 4
         assert mesh.n_elements == 1
         assert mesh.domain_area == pytest.approx(1.0)
-        assert all(e.is_boundary for e in mesh.edges)
+        assert mesh.edges.tolist() == [[0, 1], [0, 3], [1, 2], [2, 3]]
+        assert np.all(mesh.edge_tags != INTERIOR)
 
     def test_2x2_grid_counts(self):
         mesh = generate_grid(2, 2)
@@ -79,14 +80,37 @@ class TestBuildMesh:
     def test_boundary_spec_variants(self):
         spec = {(0, 1): NEUMANN, (1, 2): DIRICHLET, (2, 3): DIRICHLET, (0, 3): DIRICHLET}
         mesh = build_mesh(UNIT_SQUARE_NODES, [[0, 1, 2, 3]], spec)
-        tags = {e.node_pair: e.boundary_tag for e in mesh.edges}
-        assert tags[(0, 1)] == NEUMANN
+        tags = dict(zip(map(tuple, mesh.edges.tolist()), mesh.edge_tags.tolist()))
+        assert tags == spec
         # Junction nodes carry the Dirichlet tag.
         assert int(mesh.node_tags[0]) == DIRICHLET
         assert int(mesh.node_tags[1]) == DIRICHLET
 
         mesh = build_mesh(UNIT_SQUARE_NODES, [[0, 1, 2, 3]], NEUMANN)
-        assert {e.boundary_tag for e in mesh.edges} == {NEUMANN}
+        assert set(mesh.edge_tags.tolist()) == {NEUMANN}
+
+
+class TestValidate:
+    @staticmethod
+    def corrupt_edge_row(mesh):
+        mesh.edges[3, 1] += 1
+
+    @staticmethod
+    def corrupt_boundary_tag(mesh):
+        mesh.edge_tags[np.flatnonzero(mesh.edge_tags)[0]] = INTERIOR
+
+    @staticmethod
+    def corrupt_node_patch(mesh):
+        mesh._node_elems[5].pop()
+
+    @pytest.mark.parametrize("corrupt", ["corrupt_edge_row", "corrupt_boundary_tag",
+                                         "corrupt_node_patch"])
+    def test_corrupt_table_rejected(self, corrupt):
+        mesh = generate_polygonal(3, 3)
+        assert mesh.validate()
+        getattr(self, corrupt)(mesh)
+        with pytest.raises(InvalidTopology):
+            mesh.validate()
 
 
 class TestPatches:
@@ -100,7 +124,8 @@ class TestPatches:
 
     def test_interior_edge_patch_2x2(self):
         mesh = generate_grid(2, 2)
-        interior = [e for e in mesh.edges if not e.is_boundary]
+        interior = mesh.edges[mesh.edge_tags == INTERIOR]
+        assert len(interior) == 4
         for e in interior:
             assert mesh.edge_patch(e) == {0, 1, 2, 3}
 
@@ -170,6 +195,7 @@ polymesh 2 1
             "polymesh 2 1\nbad\n",
             "polymesh 2 1\n1\n0 0 2\n1\n4 0 1 2\n",
             "polymesh 2 1\n3\n0 0 2\n1 0 2\n",
+            "polymesh 2 1\n3\n0 0 2\n1 0 2\n1 1 2\n1\n3 0 1 7\n",
         ],
     )
     def test_parse_errors(self, tmp_path, text):
@@ -211,7 +237,8 @@ class TestGenerators:
 
     def test_boundary_tags_default_dirichlet(self):
         mesh = generate_grid(2, 2)
-        assert {e.boundary_tag for e in mesh.edges if e.is_boundary} == {DIRICHLET}
+        assert set(mesh.edge_tags.tolist()) == {INTERIOR, DIRICHLET}
+        assert np.count_nonzero(mesh.edge_tags == DIRICHLET) == 8
         assert int(mesh.node_tags[4]) == INTERIOR
 
 

@@ -5,7 +5,14 @@ import pytest
 
 from anisomesh.fields import constant_field, tanh_layer
 from anisomesh.indicator import IndicatorReport, eta_global, gram_element
-from anisomesh.mesh import DIRICHLET, build_mesh, generate_grid, generate_polygonal
+from anisomesh.mesh import (
+    DIRICHLET,
+    INTERIOR,
+    NEUMANN,
+    build_mesh,
+    generate_grid,
+    generate_polygonal,
+)
 from anisomesh.refine import (
     ANISOTROPIC,
     ISOTROPIC,
@@ -129,9 +136,25 @@ class TestRefine:
     def test_boundary_tags_inherited(self):
         mesh = generate_grid(1, 1)
         out, _ = refine(mesh, {0}, strategy=UNIFORM)
-        assert {e.boundary_tag for e in out.edges if e.is_boundary} == {DIRICHLET}
-        interior = [e for e in out.edges if not e.is_boundary]
-        assert len(interior) == 1  # the cut chord
+        assert set(out.edge_tags.tolist()) == {INTERIOR, DIRICHLET}
+        assert np.count_nonzero(out.edge_tags == INTERIOR) == 1  # the cut chord
+
+    @pytest.mark.parametrize("strategy,levels", [(UNIFORM, 5), (ANISOTROPIC, 8)])
+    def test_mixed_boundary_tags_through_levels(self, strategy, levels):
+        # Neumann on x = 1, Dirichlet elsewhere: every sub-segment of a side
+        # keeps that side's tag, and so does every node inserted on it.
+        grid = generate_grid(4, 4)
+        on_right = grid.points[:, 0] == 1.0
+        spec = {
+            (a, b): NEUMANN if on_right[a] and on_right[b] else DIRICHLET
+            for a, b in grid.edges[grid.edge_tags != INTERIOR].tolist()
+        }
+        cfg = RefineConfig(strategy=strategy, max_levels=levels)
+        mesh = adaptive_loop(generate_grid(4, 4, spec), tanh_layer(), cfg)[-1][0]
+        tagged = mesh.edge_tags != INTERIOR
+        right = np.all(mesh.points[mesh.edges[tagged], 0] == 1.0, axis=1)
+        assert np.array_equal(mesh.edge_tags[tagged] == NEUMANN, right)
+        assert right.sum() > 4  # the right side was split
 
     def test_conservation_over_uniform_levels(self):
         mesh = generate_grid(1, 1)
