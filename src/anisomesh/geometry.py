@@ -265,29 +265,28 @@ def point_set_diameter(points):
 
 
 def points_in_polygon(points, vertices, boundary_tol=0.0):
-    """Vectorized even-odd rule for many query points against one loop."""
+    """Even-odd rule for many query points against one loop, all edges at once.
+
+    A point is inside when a ray to +x crosses the loop an odd number of
+    times.  With ``boundary_tol`` > 0, points within that distance of an
+    edge count as inside too.
+    """
     pts = np.asarray(points, dtype=float)
     v = np.asarray(vertices, dtype=float)
     x, y = pts[:, 0], pts[:, 1]
-    inside = np.zeros(len(pts), dtype=bool)
-    x0, y0 = v[:, 0], v[:, 1]
-    x1, y1 = np.roll(x0, -1), np.roll(y0, -1)
-    for i in range(len(v)):
-        cond = (y0[i] > y) != (y1[i] > y)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            xs = x0[i] + (y - y0[i]) / (y1[i] - y0[i]) * (x1[i] - x0[i])
-        inside ^= cond & (x < xs)
+    # (E, P) arrays: edge (x0, y0) -> (x1, y1) against every point.
+    x0, y0 = v[:, 0, None], v[:, 1, None]
+    x1, y1 = np.concatenate((x0[1:], x0[:1])), np.concatenate((y0[1:], y0[:1]))
+    cond = (y0 > y) != (y1 > y)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        xs = x0 + (y - y0) / (y1 - y0) * (x1 - x0)
+    inside = np.logical_xor.reduce(cond & (x < xs), axis=0)
     if boundary_tol > 0.0:
-        on = np.zeros(len(pts), dtype=bool)
-        for i in range(len(v)):
-            ex, ey = x1[i] - x0[i], y1[i] - y0[i]
-            ll = ex * ex + ey * ey
-            t = ((x - x0[i]) * ex + (y - y0[i]) * ey) / ll
-            t = np.clip(t, 0.0, 1.0)
-            dx = x - (x0[i] + t * ex)
-            dy = y - (y0[i] + t * ey)
-            on |= dx * dx + dy * dy <= boundary_tol * boundary_tol
-        inside |= on
+        ex, ey = x1 - x0, y1 - y0
+        t = np.clip(((x - x0) * ex + (y - y0) * ey) / (ex * ex + ey * ey), 0.0, 1.0)
+        dx = x - (x0 + t * ex)
+        dy = y - (y0 + t * ey)
+        inside |= (dx * dx + dy * dy <= boundary_tol * boundary_tol).any(axis=0)
     return inside
 
 

@@ -63,9 +63,14 @@ def gram_element(poly, fld, depth=None):
         depth = default_depth(poly.diameter)
     pts, w = polygon_sample_points(poly, depth=depth)
     gx, gy = fld.gradient(pts).T
+    products = np.empty((3, len(w)))  # w gx gx, w gx gy, w gy gy
+    wgx = w * gx
+    np.multiply(wgx, gx, out=products[0])
+    np.multiply(wgx, gy, out=products[1])
+    np.multiply(w * gy, gy, out=products[2])
     # A one-segment reduceat fixes the summation order; w @ x or x.sum()
     # would round differently.
-    g11, g12, g22 = np.add.reduceat([w * gx * gx, w * gx * gy, w * gy * gy], [0], axis=1)[:, 0]
+    g11, g12, g22 = np.add.reduceat(products, [0], axis=1)[:, 0]
     return np.array([[g11, g12], [g12, g22]])
 
 

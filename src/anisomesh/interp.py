@@ -7,21 +7,25 @@ meshes give an M-matrix Laplacian, so the discrete maximum principle holds
 exactly, and linear boundary data is reproduced exactly.  Lattice points are
 laid out in the element's eigenframe, so at one depth (``BASIS_DEPTH``)
 stretched elements get stretched, aligned sub-cells.  Only the interior block
-of the P1 stiffness becomes a matrix; its boundary columns go straight into
-the right-hand sides (one per basis function), solved by one sparse LU.
+of the P1 stiffness becomes a matrix, in band storage: interior nodes keep
+the lattice order, so its band is about one lattice row wide.  The boundary
+columns go into the right-hand sides (one per basis function), and one
+banded Cholesky solve handles them all.  Every step works on whole arrays:
+chain, lattice, inside tests and assembly make no per-point Python loop.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
-from scipy.sparse import csc_matrix
-from scipy.sparse.linalg import splu
+from scipy.linalg.lapack import dpbsv
 from scipy.spatial import Delaunay, QhullError
 
 from .errors import NoAdmissibleEdge, SolveFailed, TriangulationFailed
+from .geometry import points_in_polygon
 from .mesh import DIRICHLET
 from .parallel import pmap
 from .quadrature import RULE, default_depth, integrate_on_edge, integrate_on_polygon
@@ -102,87 +106,81 @@ def _barycentric(tri_pts, p):
     return np.column_stack([1.0 - x1 - x2, x1, x2])
 
 
-def _boundary_chain(poly, depth):
-    """Boundary sample points with (edge index, parameter) provenance.
-
-    Edge subdivision counts follow the eigenframe lattice spacing so chain
-    density matches the interior lattice.
-    """
-    v = poly.vertices
-    n = len(v)
-    s = poly.spectrum
-    u = s.basis
-    local = (v - poly.centroid) @ u
-    ext = local.max(axis=0) - local.min(axis=0)
-    m = 2 ** depth
-    delta = np.maximum(ext / m, 1e-300)
-    pts = []
-    prov = []
-    for j in range(n):
-        a, b = v[j], v[(j + 1) % n]
-        d_local = (b - a) @ u
-        crossings = math.hypot(d_local[0] / delta[0], d_local[1] / delta[1])
-        n_seg = max(1, min(4 * m, math.ceil(crossings)))
-        for k in range(n_seg):
-            t = k / n_seg
-            pts.append(a + t * (b - a))
-            prov.append((j, t))
-    return np.asarray(pts), prov
-
-
-def _interior_lattice(poly, depth):
-    s = poly.spectrum
-    u = s.basis
-    c = poly.centroid
-    local = (poly.vertices - c) @ u
+def _eigenframe(poly, depth):
+    """Frame of the element's lattice: (U, vertices in U, their low corner, spacing)."""
+    u = poly.spectrum.basis
+    local = (poly.vertices - poly.centroid) @ u
     lo = local.min(axis=0)
-    hi = local.max(axis=0)
-    m = 2 ** depth
-    delta = np.maximum((hi - lo) / m, 1e-300)
-    g1 = lo[0] + delta[0] * np.arange(1, m)
-    g2 = lo[1] + delta[1] * np.arange(1, m)
-    yy1, yy2 = np.meshgrid(g1, g2, indexing="ij")
-    cand_local = np.column_stack([yy1.ravel(), yy2.ravel()])
-    cand = cand_local @ u.T + c
-    from .geometry import points_in_polygon
+    delta = np.maximum((local.max(axis=0) - lo) / 2 ** depth, 1e-300)
+    return u, local, lo, delta
 
+
+def _boundary_chain(poly, frame, depth):
+    """Boundary sample points with their polygon edge and edge parameter.
+
+    Returns (points, edge, t): point k lies on polygon edge ``edge[k]`` at
+    parameter ``t[k]`` in [0, 1).  Edge subdivision counts follow the
+    eigenframe lattice spacing so chain density matches the interior lattice.
+    """
+    u, _, _, delta = frame
+    v = poly.vertices
+    d = np.concatenate((v[1:], v[:1])) - v
+    cap = 4 * 2 ** depth
+    n_seg = np.array([max(1, min(cap, math.ceil(math.hypot(a, b))))
+                      for a, b in ((d @ u) / delta).tolist()])
+    edge = np.repeat(np.arange(len(v)), n_seg)
+    t = (np.arange(len(edge)) - (np.cumsum(n_seg) - n_seg)[edge]) / n_seg[edge]
+    return v[edge] + t[:, None] * d[edge], edge, t
+
+
+@lru_cache(maxsize=8)
+def _lattice_steps(depth):
+    """(i, j) of the interior lattice nodes, 1 <= i, j < 2^depth, j fastest."""
+    steps = np.arange(1, 2 ** depth, dtype=float)
+    ij = np.column_stack([np.repeat(steps, len(steps)), np.tile(steps, len(steps))])
+    ij.setflags(write=False)
+    return ij
+
+
+def _interior_lattice(poly, frame, depth):
+    """Eigenframe lattice points inside the polygon, in lattice order.
+
+    Points closer than 0.45 lattice spacings to the boundary are dropped.
+    """
+    u, local, lo, delta = frame
+    cand_local = lo + delta * _lattice_steps(depth)
+    cand = cand_local @ u.T + poly.centroid
     keep = points_in_polygon(cand, poly.vertices)
-    cand = cand[keep]
-    cand_local = cand_local[keep]
-    if len(cand) == 0:
-        return cand
-    # Drop lattice points crowding the boundary: distance to each polygon
-    # edge measured in the scaled frame where the lattice spacing is 1.
-    scaled_c = cand_local / delta
-    seg = local / delta
-    min_d2 = np.full(len(scaled_c), np.inf)
-    n = len(seg)
-    for j in range(n):
-        a = seg[j]
-        e = seg[(j + 1) % n] - a
-        ll = float(e @ e)
-        t = np.clip(((scaled_c - a) @ e) / ll, 0.0, 1.0)
-        diff = scaled_c - (a[None, :] + t[:, None] * e[None, :])
-        min_d2 = np.minimum(min_d2, (diff * diff).sum(axis=1))
-    return cand[min_d2 >= 0.45 ** 2]
+    # Distance to every polygon edge at once, (E, P), in the scaled frame
+    # where the lattice spacing is 1.
+    sx, sy = (cand_local[keep] / delta).T
+    a = local / delta
+    e = np.concatenate((a[1:], a[:1])) - a
+    ax, ay, ex, ey = a[:, :1], a[:, 1:], e[:, :1], e[:, 1:]
+    t = np.clip(((sx - ax) * ex + (sy - ay) * ey) / (ex * ex + ey * ey), 0.0, 1.0)
+    dx = sx - (ax + t * ex)
+    dy = sy - (ay + t * ey)
+    return cand[keep][(dx * dx + dy * dy).min(axis=0, initial=np.inf) >= 0.45 ** 2]
 
 
 def _delaunay_conforming(poly, depth):
     """Delaunay sub-triangulation whose edges contain the boundary chain.
 
-    Missing chain segments (possible on non-convex elements) are fixed by
-    inserting their midpoints into the chain and retriangulating.
+    Returns (points, triangles, edge, t): the first ``len(edge)`` points are
+    the boundary chain as from ``_boundary_chain``, the rest the interior
+    lattice in lattice order.  Missing chain segments (possible on non-convex
+    elements) are fixed by inserting their midpoints into the chain and
+    retriangulating.
     """
-    from .geometry import points_in_polygon
-
-    chain_pts, chain_prov = _boundary_chain(poly, depth)
+    frame = _eigenframe(poly, depth)
+    chain_pts, edge, t = _boundary_chain(poly, frame, depth)
+    interior = _interior_lattice(poly, frame, depth)
     # Work in translation/scale-normalized coordinates: similarity maps keep
     # both the Delaunay property and harmonicity.
     c = poly.centroid
     scale = math.sqrt(poly.area)
-    interior = _interior_lattice(poly, depth)
     for _ in range(6):
-        pts = np.vstack([chain_pts, interior]) if len(interior) else chain_pts.copy()
+        pts = np.concatenate((chain_pts, interior))
         norm = (pts - c) / scale
         try:
             tri = Delaunay(norm)
@@ -191,102 +189,113 @@ def _delaunay_conforming(poly, depth):
                 tri = Delaunay(norm, qhull_options="QJ Pp")
             except QhullError as exc:
                 raise TriangulationFailed(f"Delaunay failed: {exc}") from exc
-        simplices = tri.simplices.copy()
+        simplices = tri.simplices
         # Orient CCW and drop degenerate or exterior triangles; areas are
         # judged in physical coordinates because the stiffness uses them.
-        tp = pts[simplices]
-        cross = (tp[:, 1, 0] - tp[:, 0, 0]) * (tp[:, 2, 1] - tp[:, 0, 1]) - (
-            tp[:, 1, 1] - tp[:, 0, 1]
-        ) * (tp[:, 2, 0] - tp[:, 0, 0])
+        p0, p1, p2 = pts[simplices.T]
+        cross = (p1[:, 0] - p0[:, 0]) * (p2[:, 1] - p0[:, 1]) - (
+            p1[:, 1] - p0[:, 1]
+        ) * (p2[:, 0] - p0[:, 0])
         flip = cross < 0
-        simplices[flip] = simplices[flip][:, [0, 2, 1]]
+        simplices[flip, 1:] = simplices[flip, :0:-1]
         keep = np.abs(cross) > 1e-12 * np.abs(cross).max()
-        centers = tp.mean(axis=1)
-        keep &= points_in_polygon(centers, poly.vertices)
+        keep &= points_in_polygon((p0 + p1 + p2) / 3, poly.vertices)
         simplices = simplices[keep]
-        # Conformity: every consecutive chain pair must be a Delaunay edge.
-        n_pts = len(pts)
-        tri_edges = np.concatenate(
-            [simplices[:, [0, 1]], simplices[:, [1, 2]], simplices[:, [2, 0]]]
-        )
-        tri_edges.sort(axis=1)
-        codes = tri_edges[:, 0].astype(np.int64) * n_pts + tri_edges[:, 1]
-        n_chain = len(chain_pts)
-        ii = np.arange(n_chain)
-        jj = (ii + 1) % n_chain
-        lo = np.minimum(ii, jj).astype(np.int64)
-        hi = np.maximum(ii, jj).astype(np.int64)
-        present = np.isin(lo * n_pts + hi, codes)
-        if present.all():
-            return pts, simplices, chain_prov, n_chain
-        missing = [0.5 * (chain_pts[i] + chain_pts[(i + 1) % n_chain])
-                   for i in np.nonzero(~present)[0]]
-        chain_pts, chain_prov = _rebuild_chain(poly, chain_pts, chain_prov, missing)
+        # Conformity: every consecutive chain pair must be a triangle edge.
+        adjacent = np.zeros((len(pts), len(pts)), dtype=bool)
+        adjacent[simplices, simplices[:, [1, 2, 0]]] = True
+        ii = np.arange(len(chain_pts))
+        jj = np.concatenate((ii[1:], ii[:1]))
+        missing = np.flatnonzero(~(adjacent[ii, jj] | adjacent[jj, ii]))
+        if not len(missing):
+            return pts, simplices, edge, t
+        chain_pts, edge, t = _rebuild_chain(poly, chain_pts, edge, t, missing)
     raise TriangulationFailed("boundary chain not recovered by Delaunay refinement")
 
 
-def _rebuild_chain(poly, chain_pts, chain_prov, midpoints):
-    items = list(zip(chain_prov, [tuple(p) for p in chain_pts]))
-    for p in midpoints:
-        # Midpoint of chain segment (i, i+1) lies on the same polygon edge
-        # as point i (chains never skip polygon vertices).
-        best = None
-        for idx, ((j, t), xy) in enumerate(items):
-            nxt = items[(idx + 1) % len(items)]
-            a = np.asarray(xy)
-            b = np.asarray(nxt[1])
-            if np.allclose(0.5 * (a + b), p, atol=1e-12):
-                best = (idx, j)
-                break
-        if best is None:
-            continue
-        idx, j = best
-        v = poly.vertices
-        a_edge = v[j]
-        b_edge = v[(j + 1) % len(v)]
-        denom = b_edge - a_edge
-        axis = int(np.argmax(np.abs(denom)))
-        t_new = float((p[axis] - a_edge[axis]) / denom[axis])
-        items.insert(idx + 1, ((j, t_new), tuple(p)))
-    chain_prov = [it[0] for it in items]
-    chain_pts = np.asarray([it[1] for it in items])
-    return chain_pts, chain_prov
+def _rebuild_chain(poly, chain_pts, edge, t, missing):
+    """Insert the midpoint of every chain segment (i, i + 1), i in ``missing``."""
+    nxt = (missing + 1) % len(chain_pts)
+    mid = 0.5 * (chain_pts[missing] + chain_pts[nxt])
+    # Chains never skip a polygon vertex, so segment i lies on edge[i].
+    j = edge[missing]
+    v = poly.vertices
+    a = v[j]
+    d = v[(j + 1) % len(v)] - a
+    k = np.arange(len(j))
+    axis = np.argmax(np.abs(d), axis=1)
+    t_mid = (mid[k, axis] - a[k, axis]) / d[k, axis]
+    at = missing + 1
+    return np.insert(chain_pts, at, mid, axis=0), np.insert(edge, at, j), np.insert(t, at, t_mid)
 
 
 def _p1_stiffness(points, triangles):
-    tp = points[triangles]
-    e1 = tp[:, 1, :] - tp[:, 0, :]
-    e2 = tp[:, 2, :] - tp[:, 0, :]
-    det = e1[:, 0] * e2[:, 1] - e1[:, 1] * e2[:, 0]
-    area = 0.5 * np.abs(det)
-    # Gradients of the three hat functions on each triangle.
-    b = np.stack(
-        [tp[:, 1, 1] - tp[:, 2, 1], tp[:, 2, 1] - tp[:, 0, 1], tp[:, 0, 1] - tp[:, 1, 1]],
-        axis=1,
-    )
-    cc = np.stack(
-        [tp[:, 2, 0] - tp[:, 1, 0], tp[:, 0, 0] - tp[:, 2, 0], tp[:, 1, 0] - tp[:, 0, 0]],
-        axis=1,
-    )
-    local = (b[:, :, None] * b[:, None, :] + cc[:, :, None] * cc[:, None, :]) / (
-        4.0 * area[:, None, None]
-    )
-    rows = np.repeat(triangles, 3, axis=1).reshape(-1)
-    cols = np.tile(triangles, (1, 3)).reshape(-1)
-    return rows, cols, local.reshape(-1)
+    """Rows, columns and values of the P1 Laplacian, nine entries per triangle.
+
+    Entries are ordered (i, j, k): vertex i with vertex j of triangle k, so
+    every array operation loops over the triangles.
+    """
+    tri = triangles.T  # (3, T)
+    x, y = points[tri, 0], points[tri, 1]
+    # Hat function gradients times twice the triangle area.
+    b = y[[1, 2, 0]] - y[[2, 0, 1]]
+    c = x[[2, 0, 1]] - x[[1, 2, 0]]
+    det = c[2] * b[1] - b[2] * c[1]
+    vals = (b[:, None] * b + c[:, None] * c) / (2.0 * np.abs(det))
+    rows = np.repeat(tri, 3, axis=0)
+    cols = tri[[0, 1, 2, 0, 1, 2, 0, 1, 2]]
+    return rows.ravel(), cols.ravel(), vals.ravel()
+
+
+def _harmonic_interior(points, triangles, boundary_values):
+    """Interior values of the discrete harmonic extensions of boundary data.
+
+    ``boundary_values`` is (k, n_chain): k data sets at the chain nodes
+    [0, n_chain); the result is (k, n_interior).  One bincount assembles the
+    interior rows of the P1 stiffness: the interior block into LAPACK lower
+    band storage, the boundary columns into a dense block that moves to the
+    right-hand side.  Interior nodes keep their lattice order, so the band is
+    about one lattice row wide, and one banded Cholesky solve (LAPACK
+    ``pbsv``, called without the ``solveh_banded`` wrapper, whose checks cost
+    more than the solve at these sizes) handles all k data sets.
+    """
+    n_chain = boundary_values.shape[1]
+    rows, cols, vals = _p1_stiffness(points, triangles)
+    # Interior rows, and of their interior columns only the lower triangle.
+    keep = (rows >= n_chain) & (cols <= rows)
+    rows, cols, vals = rows[keep] - n_chain, cols[keep], vals[keep]
+    n_int = len(points) - n_chain
+    interior = cols >= n_chain
+    cols = cols - n_chain
+    band = rows - cols
+    width = int(band.max(where=interior, initial=0)) + 1
+    n_band = width * n_int
+    # Both blocks column-major, as LAPACK takes them: band entry (r - c, c)
+    # at c * width + r - c, boundary entry (r, c) at n_band + c * n_int + r.
+    flat = np.where(interior, cols * width + band, n_band + (cols + n_chain) * n_int + rows)
+    a = np.bincount(flat, vals, minlength=n_band + n_chain * n_int)
+    rhs = -(boundary_values @ a[n_band:].reshape(n_chain, n_int))
+    _, x, info = dpbsv(a[:n_band].reshape(n_int, width).T, rhs.T, lower=1,
+                       overwrite_ab=1, overwrite_b=1)
+    if info:
+        raise SolveFailed(f"sub-triangulation Laplacian not positive definite (pbsv info {info})")
+    return x.T
 
 
 class BasisCache:
     """Similarity-keyed cache: harmonic bases survive translation/scaling.
 
     The store is emptied once it holds ``MAXSIZE`` entries, when an
-    ``l2_error`` call starts, never halfway through one.
+    ``l2_error`` call starts, never halfway through one.  ``put`` stores
+    under the key of the last ``get`` that missed, so a miss computes its
+    key once.
     """
 
     MAXSIZE = 20000
 
     def __init__(self):
         self.store = {}
+        self._missed_key = None
 
     def trim(self):
         if len(self.store) >= self.MAXSIZE:
@@ -296,6 +305,7 @@ class BasisCache:
         key = (_full_similarity_key(poly), depth)
         hit = self.store.get(key)
         if hit is None:
+            self._missed_key = key
             return None
         c = poly.centroid
         s = math.sqrt(poly.area)
@@ -308,13 +318,12 @@ class BasisCache:
             loop_vertex_index=hit.loop_vertex_index,
         )
 
-    def put(self, poly, depth, basis):
-        c = poly.centroid
-        s = math.sqrt(poly.area)
-        key = (_full_similarity_key(poly), depth)
-        self.store[key] = LocalHarmonicBasis(
+    def put(self, basis):
+        """Store ``basis``, built for the polygon of the last missed ``get``."""
+        poly = basis.polygon
+        self.store[self._missed_key] = LocalHarmonicBasis(
             polygon=None,
-            points=(basis.points - c) / s,
+            points=(basis.points - poly.centroid) / math.sqrt(poly.area),
             triangles=basis.triangles,
             psi=basis.psi,
             boundary_mask=basis.boundary_mask,
@@ -342,51 +351,29 @@ def build_basis(poly, depth=None, cache=None):
             return hit
 
     # Sub-nodes [0, n_chain) are the boundary chain, the rest are interior.
-    pts, tris, chain_prov, n_chain = _delaunay_conforming(poly, depth)
+    pts, tris, edge, t = _delaunay_conforming(poly, depth)
     n_loop = len(poly.vertices)
-    n_pts = len(pts)
-    boundary_mask = np.arange(n_pts) < n_chain
-
+    n_chain = len(edge)
+    chain = np.arange(n_chain)
     # Hat boundary data: chain point on edge j at parameter t gets
     # (1 - t) from loop vertex j and t from loop vertex j + 1.
-    edge = np.fromiter((j for j, _ in chain_prov), dtype=np.intp, count=n_chain)
-    t = np.fromiter((t for _, t in chain_prov), dtype=float, count=n_chain)
-    chain = np.arange(n_chain)
-    hat = np.zeros((n_chain, n_loop))
-    np.add.at(hat, (chain, edge), 1.0 - t)
-    np.add.at(hat, (chain, (edge + 1) % n_loop), t)
-    loop_vertex_index = np.full(n_loop, -1, dtype=int)
-    loop_vertex_index[edge[t == 0.0]] = chain[t == 0.0]
-    if np.any(loop_vertex_index < 0):
-        raise TriangulationFailed("a loop vertex is missing from the boundary chain")
-
-    psi = np.zeros((n_loop, n_pts))
-    psi[:, :n_chain] = hat.T
-    n_int = n_pts - n_chain
-    if n_int:
-        rows, cols, vals = _p1_stiffness(pts, tris)
-        rows = rows - n_chain
-        ii = (rows >= 0) & (cols >= n_chain)
-        ib = (rows >= 0) & (cols < n_chain)
-        a_ii = csc_matrix((vals[ii], (rows[ii], cols[ii] - n_chain)), shape=(n_int, n_int))
-        rhs = np.zeros((n_int, n_loop))
-        np.add.at(rhs, rows[ib], -vals[ib, None] * hat[cols[ib]])
-        try:
-            lu = splu(a_ii)
-        except RuntimeError as exc:
-            raise SolveFailed(f"sub-triangulation Laplacian singular: {exc}") from exc
-        psi[:, n_chain:] = lu.solve(rhs).T
+    psi = np.zeros((n_loop, len(pts)))
+    psi[edge, chain] = 1.0 - t
+    psi[(edge + 1) % n_loop, chain] = t
+    if len(pts) > n_chain:
+        psi[:, n_chain:] = _harmonic_interior(pts, tris, psi[:, :n_chain])
 
     basis = LocalHarmonicBasis(
         polygon=poly,
         points=pts,
         triangles=tris,
         psi=psi,
-        boundary_mask=boundary_mask,
-        loop_vertex_index=loop_vertex_index,
+        boundary_mask=np.arange(len(pts)) < n_chain,
+        # Each edge's first chain point, at t == 0, is its loop vertex.
+        loop_vertex_index=np.flatnonzero(t == 0.0),
     )
     if cache is not None:
-        cache.put(poly, depth, basis)
+        cache.put(basis)
     return basis
 
 

@@ -6,7 +6,9 @@ the one order-7 rule ``RULE``, and every edge integral the order-7 Gauss line.
 Polygons are integrated by fanning into triangles around an interior star
 point and subdividing each fan triangle uniformly; all sample points for an
 element are generated in one vectorized batch so the integrand is called
-once per element.
+once per element.  The batch is mapped one coordinate at a time, as (fan
+triangle, reference point) planes whose inner loops run over the reference
+points, and the results are bit-identical to a per-triangle affine map.
 """
 
 from __future__ import annotations
@@ -76,7 +78,8 @@ RULE = triangle_rule(7)  # the rule every element integral uses
 def _subdivided_reference(depth):
     """``RULE`` replicated over the 4^depth uniform sub-triangles.
 
-    Returned points live in the reference triangle; weights still sum to 1/2.
+    Returns (xi, eta, weights): point coordinates in the reference triangle,
+    one contiguous array each, and weights that still sum to 1/2.
     """
     m = 2 ** depth
     corners = []
@@ -93,17 +96,15 @@ def _subdivided_reference(depth):
     origin = corners[:, 0, :]
     e1 = corners[:, 1, :] - origin
     e2 = corners[:, 2, :] - origin
-    xi = RULE.points[:, 0]
-    eta = RULE.points[:, 1]
-    pts = (
-        origin[:, None, :]
-        + xi[None, :, None] * e1[:, None, :]
-        + eta[None, :, None] * e2[:, None, :]
-    ).reshape(-1, 2)
+    xi, eta = (
+        (origin[:, k, None] + RULE.points[:, 0] * e1[:, k, None]
+         + RULE.points[:, 1] * e2[:, k, None]).ravel()
+        for k in (0, 1)
+    )
     w = np.tile(RULE.weights, len(corners)) / (m * m)
-    pts.setflags(write=False)
-    w.setflags(write=False)
-    return pts, w
+    for a in (xi, eta, w):
+        a.setflags(write=False)
+    return xi, eta, w
 
 
 def default_depth(h):
@@ -208,21 +209,20 @@ def polygon_sample_points(poly, depth=2):
     """Quadrature points and physical weights covering the polygon.
 
     Returns (points (M, 2), weights (M,)); sum(weights) equals the polygon
-    area up to roundoff.
+    area up to roundoff.  Each coordinate is mapped as one (T, R) plane,
+    fan triangles by reference points, so the inner loops run over R.
     """
     tris = fan_triangles(poly)
-    ref_pts, ref_w = _subdivided_reference(depth)
+    xi, eta, ref_w = _subdivided_reference(depth)
     origin = tris[:, 0, :]
     e1 = tris[:, 1, :] - origin
     e2 = tris[:, 2, :] - origin
-    pts = (
-        origin[:, None, :]
-        + ref_pts[None, :, 0:1] * e1[:, None, :]
-        + ref_pts[None, :, 1:2] * e2[:, None, :]
-    ).reshape(-1, 2)
+    pts = np.empty((len(tris), len(xi), 2))
+    for k in (0, 1):
+        np.add(origin[:, k, None] + xi * e1[:, k, None], eta * e2[:, k, None], out=pts[:, :, k])
     jac = np.abs(e1[:, 0] * e2[:, 1] - e1[:, 1] * e2[:, 0])  # 2 * triangle area
     w = (jac[:, None] * ref_w[None, :]).reshape(-1)
-    return pts, w
+    return pts.reshape(-1, 2), w
 
 
 def integrate_on_polygon(poly, f, depth=2):

@@ -16,13 +16,15 @@ from anisomesh.fields import (
 )
 from anisomesh.geometry import Polygon, split_polygon_detailed
 from anisomesh.quadrature import (
+    _subdivided_reference,
     edge_rule,
+    fan_triangles,
     integrate_on_edge,
     integrate_on_polygon,
     polygon_sample_points,
     triangle_rule,
 )
-from conftest import random_polygon
+from conftest import random_convex_polygon, random_polygon, random_star_polygon
 
 UNIT_SQUARE = Polygon([(0, 0), (1, 0), (1, 1), (0, 1)])
 
@@ -139,6 +141,22 @@ class TestPolygonIntegration:
             poly = random_polygon(rng, ratio=float(rng.uniform(1, 500)))
             _, w = polygon_sample_points(poly, depth=2)
             assert w.sum() == pytest.approx(poly.area, rel=1e-12)
+
+    def test_sample_points_match_per_triangle_map(self, rng):
+        polys = [random_convex_polygon(rng), random_star_polygon(rng),
+                 random_convex_polygon(rng, ratio=1e6), random_star_polygon(rng, ratio=1e3)]
+        for poly in polys:
+            for depth in range(2, 7):
+                xi, eta, ref_w = _subdivided_reference(depth)
+                want_pts, want_w = [], []
+                for a, b, c in fan_triangles(poly):
+                    e1, e2 = b - a, c - a
+                    want_pts.append(np.column_stack(
+                        [a[k] + xi * e1[k] + eta * e2[k] for k in (0, 1)]))
+                    want_w.append(abs(e1[0] * e2[1] - e1[1] * e2[0]) * ref_w)
+                pts, w = polygon_sample_points(poly, depth=depth)
+                assert np.array_equal(pts, np.concatenate(want_pts))
+                assert np.array_equal(w, np.concatenate(want_w))
 
     def test_tanh_against_separable_oracle(self):
         # The 1/60-wide layers keep depth 3 pre-asymptotic (error ~3e-5);

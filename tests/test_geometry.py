@@ -264,6 +264,36 @@ class TestPolygonUtilities:
         on_edge = points_in_polygon(np.array([(1.0, 0.3)]), UNIT_SQUARE, boundary_tol=1e-12)
         assert on_edge.tolist() == [True]
 
+    def test_contains_matches_per_edge_loop(self, rng):
+        def per_edge(pts, v, boundary_tol=0.0):
+            x, y = pts[:, 0], pts[:, 1]
+            x0, y0 = v[:, 0], v[:, 1]
+            x1, y1 = np.roll(x0, -1), np.roll(y0, -1)
+            inside = np.zeros(len(pts), dtype=bool)
+            on = np.zeros(len(pts), dtype=bool)
+            for i in range(len(v)):
+                cond = (y0[i] > y) != (y1[i] > y)
+                with np.errstate(divide="ignore", invalid="ignore"):
+                    xs = x0[i] + (y - y0[i]) / (y1[i] - y0[i]) * (x1[i] - x0[i])
+                inside ^= cond & (x < xs)
+                ex, ey = x1[i] - x0[i], y1[i] - y0[i]
+                t = np.clip(((x - x0[i]) * ex + (y - y0[i]) * ey) / (ex * ex + ey * ey), 0.0, 1.0)
+                dx, dy = x - (x0[i] + t * ex), y - (y0[i] + t * ey)
+                on |= dx * dx + dy * dy <= boundary_tol * boundary_tol
+            return inside | on if boundary_tol > 0.0 else inside
+
+        polys = [np.array(UNIT_SQUARE), np.array([(0, 0), (2, 0), (2, 1), (1, 0.2), (0, 1)], dtype=float)]
+        polys += [random_star_polygon(rng, ratio=r).vertices for r in (1.0, 1e3)]
+        for v in polys:
+            lo, hi = v.min(axis=0), v.max(axis=0)
+            # Random points, the vertices, and points on the edges.
+            t = rng.uniform(0.0, 1.0, (len(v), 1))
+            pts = np.vstack([rng.uniform(lo - 0.1 * (hi - lo), hi + 0.1 * (hi - lo), (300, 2)),
+                             v, v + t * (np.roll(v, -1, axis=0) - v)])
+            for tol in (0.0, 1e-12, 1e-2 * float((hi - lo).max())):
+                assert np.array_equal(points_in_polygon(pts, v, boundary_tol=tol),
+                                      per_edge(pts, v, boundary_tol=tol))
+
     def test_diameter_of_many_vertex_loop(self):
         # The pairwise maximum, not a bounding-box diagonal (2.0001 here).
         t = np.linspace(0.0, 2.0 * math.pi, 200, endpoint=False)

@@ -22,6 +22,7 @@ from anisomesh.indicator import (
     hessian_terms,
 )
 from anisomesh.mesh import build_mesh, generate_grid
+from anisomesh.quadrature import polygon_sample_points
 from anisomesh.refine import ANISOTROPIC, ISOTROPIC, RefineConfig, adaptive_loop, refine
 from conftest import random_polygon
 
@@ -69,6 +70,17 @@ class TestGram:
             assert g[0, 1] == pytest.approx(g[1, 0], abs=1e-13)
             evals = np.linalg.eigvalsh(g)
             assert evals.min() >= -1e-12 * g.trace()
+
+    def test_matches_list_form_reduceat(self, rng):
+        fld = tanh_layer()
+        for poly in [random_polygon(rng, ratio=r) for r in (1.0, 1e3)] + [UNIT_SQUARE]:
+            for depth in (2, 4, 6):
+                pts, w = polygon_sample_points(poly, depth=depth)
+                gx, gy = fld.gradient(pts).T
+                g11, g12, g22 = np.add.reduceat(
+                    [w * gx * gx, w * gx * gy, w * gy * gy], [0], axis=1)[:, 0]
+                got = gram_element(poly, fld, depth=depth)
+                assert np.array_equal(got, np.array([[g11, g12], [g12, g22]]))
 
     def test_patch_gram_sums_elements(self):
         mesh = generate_grid(2, 2)

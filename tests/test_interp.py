@@ -3,7 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from anisomesh.errors import NoAdmissibleEdge
+from anisomesh import interp
+from anisomesh.errors import NoAdmissibleEdge, SolveFailed
 from anisomesh.fields import ScalarField, constant_field, linear_field, tanh_layer
 from anisomesh.geometry import Polygon, points_in_polygon
 from anisomesh.interp import (
@@ -114,11 +115,39 @@ class TestBasis:
         polys = [random_convex_polygon(rng) for _ in range(3)]
         polys += [random_star_polygon(rng) for _ in range(3)]
         polys += SLIVERS[::2]
-        for poly in polys:
-            basis = build_basis(poly)
+        # Depth 5 widens the interior band from about 8 to about 32.
+        cases = [(poly, None) for poly in polys] + [(poly, 5) for poly in polys[::3]]
+        for poly, depth in cases:
+            basis = build_basis(poly, depth=depth)
             k = full_p1_stiffness(basis.points, basis.triangles)
             residual = (k @ basis.psi.T)[~basis.boundary_mask]
             assert np.abs(residual).max() <= 1e-12 * np.abs(k).max()
+
+    def test_singular_interior_block_raises_solve_failed(self, monkeypatch):
+        # Zeroing the last interior node's stiffness row leaves a zero pivot.
+        def broken(points, triangles):
+            rows, cols, vals = p1_stiffness(points, triangles)
+            return rows, cols, np.where(rows == len(points) - 1, 0.0, vals)
+
+        p1_stiffness = interp._p1_stiffness
+        monkeypatch.setattr(interp, "_p1_stiffness", broken)
+        with pytest.raises(SolveFailed):
+            build_basis(UNIT_SQUARE, depth=3)
+
+    def test_cache_miss_computes_key_once(self, monkeypatch):
+        calls = []
+
+        def counted(poly):
+            calls.append(poly)
+            return similarity_key(poly)
+
+        similarity_key = interp._full_similarity_key
+        monkeypatch.setattr(interp, "_full_similarity_key", counted)
+        cache = BasisCache()
+        build_basis(UNIT_SQUARE, depth=3, cache=cache)
+        assert len(calls) == 1 and len(cache.store) == 1
+        build_basis(UNIT_SQUARE, depth=3, cache=cache)
+        assert len(calls) == 2
 
     def test_cache_round_trip(self):
         cache = BasisCache()
@@ -141,6 +170,61 @@ class TestBasis:
             for b in cache.store.values()
         )
         assert held < 3 * 2**20
+
+
+U_SHAPE = Polygon([(0, 0), (3, 0), (3, 1), (2, 1), (2, 0.1), (1, 0.1), (1, 1), (0, 1)])
+
+
+class TestChainRecovery:
+    """Non-convex elements whose Delaunay triangulation misses chain segments."""
+
+    def recovered(self, poly, monkeypatch):
+        rounds = []
+
+        def spy(*args):
+            rounds.append(1)
+            return rebuild(*args)
+
+        rebuild = interp._rebuild_chain
+        monkeypatch.setattr(interp, "_rebuild_chain", spy)
+        pts, tris, edge, t = interp._delaunay_conforming(poly, interp.BASIS_DEPTH)
+        monkeypatch.undo()
+        return pts, tris, edge, t, len(rounds)
+
+    def check_chain(self, poly, pts, tris, edge, t):
+        n_chain = len(edge)
+        tri_edges = {frozenset(e) for tri in tris.tolist()
+                     for e in ((tri[0], tri[1]), (tri[1], tri[2]), (tri[2], tri[0]))}
+        assert all(frozenset((i, (i + 1) % n_chain)) in tri_edges for i in range(n_chain))
+        at_vertex = np.flatnonzero(t == 0.0)
+        assert edge[at_vertex].tolist() == list(range(len(poly.vertices)))
+        assert np.array_equal(pts[at_vertex], poly.vertices)
+        # Inserted points stay on their edge, in chain order.
+        v = poly.vertices
+        on_edge = v[edge] + t[:, None] * (np.roll(v, -1, axis=0)[edge] - v[edge])
+        assert np.abs(on_edge - pts[:n_chain]).max() <= 1e-12 * np.abs(v).max()
+        assert np.all(np.diff(edge) >= 0)
+        assert np.all(np.diff(t)[np.diff(edge) == 0] > 0.0)
+
+    def check_basis(self, poly):
+        basis = build_basis(poly)
+        assert basis.partition_residual() <= 1e-10
+        assert basis.range_violation() <= 1e-10
+        assert np.array_equal(basis.points[basis.loop_vertex_index], poly.vertices)
+
+    def test_u_shape_recovers_in_one_round(self, monkeypatch):
+        pts, tris, edge, t, rounds = self.recovered(U_SHAPE, monkeypatch)
+        assert rounds == 1
+        self.check_chain(U_SHAPE, pts, tris, edge, t)
+        self.check_basis(U_SHAPE)
+
+    @pytest.mark.parametrize("seed", [0, 5, 6, 28, 55])
+    def test_stretched_star_recovers(self, seed, monkeypatch):
+        poly = random_star_polygon(np.random.default_rng(seed), ratio=1e3)
+        pts, tris, edge, t, rounds = self.recovered(poly, monkeypatch)
+        assert rounds >= 1
+        self.check_chain(poly, pts, tris, edge, t)
+        self.check_basis(poly)
 
 
 class TestCoefficients:
