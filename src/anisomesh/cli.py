@@ -156,13 +156,13 @@ def make_initial_mesh(spec, seed=0):
     return load_mesh(spec)
 
 
-def run_strategy(mesh, fld, strategy, cfg, out_dir, tag=None):
+def run_strategy(mesh, fld, strategy, cfg, out_dir):
     """One adaptive run; returns the per-level convergence rows.
 
     A row's ``wall_ms`` covers the refinement that produced its mesh, the
     indicator, the L2 errors and the level's artifacts.
     """
-    tag = tag or strategy.lower()
+    tag = strategy.lower()
     rows = []
     basis_cache = BasisCache()
     rc = RefineConfig(

@@ -64,11 +64,11 @@ def tanh_layer():
 
     def gradient(points):
         ts, tt = parts(points)
-        sech2_s = 1.0 - ts * ts
-        sech2_t = 1.0 - tt * tt
-        g = np.empty(ts.shape + (2,))
-        g[..., 0] = -60.0 * sech2_t
-        g[..., 1] = 60.0 * sech2_s + 60.0 * sech2_t
+        g = np.empty(np.shape(ts) + (2,))
+        # 60 sech^2(t) once, negated exactly; g's columns are 0-d for one point.
+        dt = 60.0 * (1.0 - tt * tt)
+        np.negative(dt, out=g[..., 0])
+        np.add(60.0 * (1.0 - ts * ts), dt, out=g[..., 1])
         return g
 
     def hessian(points):

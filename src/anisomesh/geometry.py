@@ -344,10 +344,16 @@ def covariance_spectrum(poly):
     return CovarianceSpectrum(lambda1=l1, lambda2=l2, u1=u1, u2=u2, covariance=m)
 
 
+def reference_alpha(poly):
+    """The alpha of ``reference_map``: (sqrt(lambda1 lambda2) / |K|)^(1/2)."""
+    s = poly.spectrum
+    return (math.sqrt(s.lambda1 * s.lambda2) / poly.area) ** 0.5
+
+
 def reference_map(poly):
     """Map A = alpha Lambda^{-1/2} U^T sending the element to unit area and covariance alpha^2 I."""
     s = poly.spectrum
-    alpha = (math.sqrt(s.lambda1 * s.lambda2) / poly.area) ** 0.5
+    alpha = reference_alpha(poly)
     u = s.basis
     lam_inv_sqrt = np.diag([s.lambda1 ** -0.5, s.lambda2 ** -0.5])
     lam_sqrt = np.diag([s.lambda1 ** 0.5, s.lambda2 ** 0.5])

@@ -7,7 +7,8 @@ the covariance spectrum:
 
 which equals the squared L2 norm of A_K^{-T} grad v over the element.  Gram
 matrices are assembled once per element and reused for marking and for the
-anisotropic split direction.
+anisotropic split direction.  A level is integrated in chunked array passes
+and contracted at once; ``gram_element`` and ``eta_local`` are one-element calls.
 """
 
 from __future__ import annotations
@@ -17,12 +18,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .quadrature import default_depth, integrate_on_polygon, polygon_sample_points
+from .geometry import reference_alpha
+from .quadrature import (_subdivided_reference, chunks, default_depth, fan_slices,
+                         integrate_on_polygon, polygon_fans, polygon_sample_points)
 
 __all__ = [
     "IndicatorReport",
     "HessianTerms",
     "gram_element",
+    "gram_elements",
     "gram_patch",
     "eta_local",
     "eta_global",
@@ -59,19 +63,33 @@ class HessianTerms:
 
 def gram_element(poly, fld, depth=None):
     """G*(v) = int over the element of grad v grad v^T, entrywise."""
-    if depth is None:
-        depth = default_depth(poly.diameter)
-    pts, w = polygon_sample_points(poly, depth=depth)
-    gx, gy = fld.gradient(pts).T
-    products = np.empty((3, len(w)))  # w gx gx, w gx gy, w gy gy
-    wgx = w * gx
-    np.multiply(wgx, gx, out=products[0])
-    np.multiply(wgx, gy, out=products[1])
-    np.multiply(w * gy, gy, out=products[2])
-    # A one-segment reduceat fixes the summation order; w @ x or x.sum()
-    # would round differently.
-    g11, g12, g22 = np.add.reduceat(products, [0], axis=1)[:, 0]
-    return np.array([[g11, g12], [g12, g22]])
+    return gram_elements([poly], fld, depth)[0]
+
+
+def gram_elements(polys, fld, depth=None):
+    """Gram matrices of many polygons, (n, 2, 2): per quadrature depth, one ``fld.gradient``
+    call per chunk of whole elements; a larger element fills its own products row."""
+    depths = np.array([default_depth(p.diameter) if depth is None else depth for p in polys])
+    out = np.empty((len(polys), 3))  # g11, g12, g22
+    for d in np.unique(depths).tolist():
+        members = np.flatnonzero(depths == d)
+        tris, counts = polygon_fans([polys[k] for k in members])
+        first = np.cumsum(counts) - counts  # first fan triangle of each element
+        r = len(_subdivided_reference(d)[0])  # points per fan triangle
+        for a, b in chunks(counts * r):
+            t0, t1 = first[a], first[b - 1] + counts[b - 1]
+            products = np.empty((3, (t1 - t0) * r))  # w gx gx, w gx gy, w gy gy
+            for at, pts, w in fan_slices(tris[t0:t1], d):
+                gx, gy = fld.gradient(pts).T
+                row = products[:, at:at + len(w)]
+                wgx = w * gx
+                np.multiply(wgx, gx, out=row[0])
+                np.multiply(wgx, gy, out=row[1])
+                np.multiply(w * gy, gy, out=row[2])
+            # One reduceat segment per element fixes each sum's order whatever
+            # shares the chunk; w @ x or x.sum() would round differently.
+            out[members[a:b]] = np.add.reduceat(products, (first[a:b] - t0) * r, axis=1).T
+    return out[:, [[0, 1], [1, 2]]]
 
 
 def gram_patch(mesh, eid, fld, depth=None):
@@ -82,18 +100,22 @@ def gram_patch(mesh, eid, fld, depth=None):
     return total
 
 
-def eta_from_gram(poly, gram):
-    s = poly.spectrum
-    alpha = poly.refmap.alpha
-    q1 = float(s.u1 @ gram @ s.u1)
-    q2 = float(s.u2 @ gram @ s.u2)
-    val = (s.lambda1 * q1 + s.lambda2 * q2) / (alpha * alpha)
-    return max(val, 0.0)
+def _contract(polys, grams):
+    """eta_K of each polygon from its Gram matrix, in one stacked contraction."""
+    spectra = [p.spectrum for p in polys]
+    u = np.array([(s.u1, s.u2) for s in spectra])  # (n, 2, 2): rows u1, u2
+    lam = np.array([(s.lambda1, s.lambda2) for s in spectra])
+    alpha = np.array([reference_alpha(p) for p in polys])
+    # u_i @ G @ u_i as a stacked matmul rounds as it does for one element;
+    # an einsum or a scalar formula would not.
+    q = ((u[:, :, None, :] @ grams[:, None]) @ u[:, :, :, None])[:, :, 0, 0]
+    val = (lam[:, 0] * q[:, 0] + lam[:, 1] * q[:, 1]) / (alpha * alpha)
+    return np.where(val < 0.0, 0.0, val)
 
 
 def eta_local(poly, fld, depth=None):
     """Local error measure via the Gram contraction; >= 0, zero for constants."""
-    return eta_from_gram(poly, gram_element(poly, fld, depth=depth))
+    return float(_contract([poly], gram_element(poly, fld, depth=depth)[None])[0])
 
 
 def eta_local_direct(poly, fld, depth=None):
@@ -115,16 +137,16 @@ def eta_global(mesh, fld, depth=None, carried=None):
 
     ``carried`` maps element ids to Gram matrices that are already known,
     such as those of elements whose parent was not split at the last
-    refinement; they are used as given.  Every other element's Gram is
-    integrated on its own by ``gram_element``.
+    refinement; they are used as given.  The Grams of all other elements
+    come from one ``gram_elements`` call.
     """
     carried = carried or {}
-    grams = np.empty((mesh.n_elements, 2, 2))
-    for el in mesh.elements:
-        gram = carried.get(el.id)
-        grams[el.id] = gram if gram is not None else gram_element(el.polygon, fld, depth)
-
-    etas = np.array([eta_from_gram(el.polygon, grams[el.id]) for el in mesh.elements])
+    polys = [el.polygon for el in mesh.elements]
+    grams = np.empty((len(polys), 2, 2))
+    grams[list(carried)] = np.reshape(list(carried.values()), (-1, 2, 2))
+    fresh = [k for k in range(len(polys)) if k not in carried]
+    grams[fresh] = gram_elements([polys[k] for k in fresh], fld, depth)
+    etas = _contract(polys, grams)
     return IndicatorReport(
         eta_local=etas,
         eta_global=math.sqrt(float(etas.sum())),

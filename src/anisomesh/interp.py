@@ -12,6 +12,7 @@ the lattice order, so its band is about one lattice row wide.  The boundary
 columns go into the right-hand sides (one per basis function), and one
 banded Cholesky solve handles them all.  Every step works on whole arrays:
 chain, lattice, inside tests and assembly make no per-point Python loop.
+``l2_error`` integrates a level in chunks of elements sharing a cached basis.
 """
 
 from __future__ import annotations
@@ -28,7 +29,8 @@ from .errors import NoAdmissibleEdge, SolveFailed, TriangulationFailed
 from .geometry import points_in_polygon
 from .mesh import DIRICHLET
 from .parallel import pmap
-from .quadrature import RULE, default_depth, integrate_on_edge, integrate_on_polygon
+from .quadrature import (CHUNK, RULE, default_depth, integrate_on_edge, integrate_on_fan,
+                         polygon_fans)
 
 __all__ = [
     "POINTWISE",
@@ -40,6 +42,7 @@ __all__ = [
     "BASIS_DEPTH",
     "coefficients",
     "l2_error",
+    "l2_parts",
     "BasisCache",
 ]
 
@@ -74,13 +77,9 @@ class LocalHarmonicBasis:
         """How far any basis value escapes [0, 1] (0 when the DMP holds)."""
         return max(0.0, float(-self.psi.min()), float(self.psi.max() - 1.0))
 
-    def nodal_field(self, coeff_loop):
-        """Values of sum_i c_i psi_i at all sub-nodes."""
-        return np.asarray(coeff_loop, dtype=float) @ self.psi
-
     def evaluate(self, coeff_loop, pts):
         """Evaluate the interpolant at points inside the element."""
-        w = self.nodal_field(coeff_loop)
+        w = np.asarray(coeff_loop, dtype=float) @ self.psi
         pts = np.atleast_2d(np.asarray(pts, dtype=float))
         tri_pts = self.points[self.triangles]  # (T, 3, 2)
         out = np.empty(len(pts))
@@ -388,9 +387,13 @@ class InterpolantCoefficients:
 
 
 def _element_integrals(mesh, fld, depth):
+    """``integrate_on_polygon`` of each element, from one ``polygon_fans`` call."""
+    tris, counts = polygon_fans([el.polygon for el in mesh.elements])
+    first = np.cumsum(counts) - counts
+
     def one(el):
         d = depth if depth is not None else default_depth(el.polygon.diameter)
-        return integrate_on_polygon(el.polygon, fld.value, depth=d)
+        return integrate_on_fan(tris[first[el.id]:first[el.id] + counts[el.id]], fld.value, d)
 
     return pmap(one, mesh.elements)
 
@@ -446,31 +449,58 @@ def coefficients(mesh, fld, scheme, depth=None):
     raise ValueError(f"unknown scheme {scheme!r}")
 
 
+_BARY = np.column_stack([1.0 - RULE.points[:, 0] - RULE.points[:, 1], RULE.points])  # (Q, 3)
+
+
+def _shared_l2_parts(points, triangles, psi, coeffs, fld):
+    """Integrals of (v - interpolant)^2, (E,), over E elements sharing one
+    sub-triangulation and basis: ``points`` (E, M, 2), ``coeffs`` (E, n_loop)."""
+    w_nodes = coeffs @ psi  # (E, M)
+    tp = points[:, triangles]  # (E, T, 3, 2)
+    e1 = tp[:, :, 1] - tp[:, :, 0]
+    e2 = tp[:, :, 2] - tp[:, :, 0]
+    jac = np.abs(e1[..., 0] * e2[..., 1] - e1[..., 1] * e2[..., 0])
+    pts = _BARY @ tp  # (E, T, Q, 2)
+    vh = w_nodes[:, triangles] @ _BARY.T  # (E, T, Q)
+    diff = fld.value(pts.reshape(-1, 2)).reshape(vh.shape) - vh
+    return np.einsum("et,q,etq->e", jac, RULE.weights, diff * diff)
+
+
 def element_l2_error(basis, loop_coeffs, fld):
     """Integral of (v - interpolant)^2 over one element at basis resolution."""
-    w_nodes = basis.nodal_field(loop_coeffs)
-    tp = basis.points[basis.triangles]
-    e1 = tp[:, 1, :] - tp[:, 0, :]
-    e2 = tp[:, 2, :] - tp[:, 0, :]
-    jac = np.abs(e1[:, 0] * e2[:, 1] - e1[:, 1] * e2[:, 0])
-    bary = np.column_stack(
-        [1.0 - RULE.points[:, 0] - RULE.points[:, 1], RULE.points[:, 0], RULE.points[:, 1]]
-    )  # (Q, 3)
-    pts = bary @ tp  # (T, Q, 2)
-    vh = w_nodes[basis.triangles] @ bary.T  # (T, Q)
-    vv = fld.value(pts.reshape(-1, 2)).reshape(vh.shape)
-    diff = vv - vh
-    return float(np.einsum("t,q,tq->", jac, RULE.weights, diff * diff))
+    coeffs = np.asarray(loop_coeffs, dtype=float)[None]
+    return float(_shared_l2_parts(basis.points[None], basis.triangles, basis.psi, coeffs, fld)[0])
+
+
+def l2_parts(mesh, fld, coeffs, depth=None, cache=None):
+    """Per-element integrals of (v - Iv)^2, (n_elements,); elements of one similarity key
+    share a basis from ``cache`` (fresh if None) and go in chunks of ``CHUNK`` points."""
+    if depth is None:
+        depth = BASIS_DEPTH
+    if cache is None:
+        cache = BasisCache()
+    cache.trim()
+    polys = [el.polygon for el in mesh.elements]
+    groups = {}
+    for k, poly in enumerate(polys):
+        groups.setdefault(_full_similarity_key(poly), []).append(k)
+    parts = np.empty(len(polys))
+    for key, members in groups.items():
+        if (key, depth) not in cache.store:
+            build_basis(polys[members[0]], depth=depth, cache=cache)
+        shared = cache.store[(key, depth)]
+        # Physical sub-nodes as a cache hit maps them: unit points * sqrt|K| + c.
+        scale = np.sqrt([polys[k].area for k in members])
+        center = np.array([polys[k].centroid for k in members])
+        values = coeffs.values[[mesh.elements[k].vertex_loop for k in members]]
+        per_chunk = max(1, CHUNK // (len(shared.triangles) * len(RULE.weights)))
+        for a in range(0, len(members), per_chunk):
+            s = slice(a, a + per_chunk)
+            pts = shared.points * scale[s, None, None] + center[s, None, :]
+            parts[members[s]] = _shared_l2_parts(pts, shared.triangles, shared.psi, values[s], fld)
+    return parts
 
 
 def l2_error(mesh, fld, coeffs, depth=None, cache=None):
-    """Global L2 interpolation error sqrt(sum_K int_K (v - Iv)^2)."""
-    if cache is not None:
-        cache.trim()
-
-    def one(el):
-        basis = build_basis(el.polygon, depth=depth, cache=cache)
-        return element_l2_error(basis, coeffs.values[el.vertex_loop], fld)
-
-    parts = pmap(one, mesh.elements)
-    return math.sqrt(max(sum(parts), 0.0))
+    """Global L2 interpolation error sqrt(sum_K int_K (v - Iv)^2), summed in element order."""
+    return math.sqrt(max(sum(l2_parts(mesh, fld, coeffs, depth, cache).tolist()), 0.0))

@@ -4,11 +4,10 @@ Rules are conical products of Gauss-Jacobi and Gauss-Legendre lines, so the
 weights are positive at every exactness degree.  Every element integral uses
 the one order-7 rule ``RULE``, and every edge integral the order-7 Gauss line.
 Polygons are integrated by fanning into triangles around an interior star
-point and subdividing each fan triangle uniformly; all sample points for an
-element are generated in one vectorized batch so the integrand is called
-once per element.  The batch is mapped one coordinate at a time, as (fan
-triangle, reference point) planes whose inner loops run over the reference
-points, and the results are bit-identical to a per-triangle affine map.
+point and subdividing each fan triangle uniformly.  Level-wide integrals call
+the integrand once per chunk of at most ``CHUNK`` points of many elements.
+Points are mapped as (fan triangle, reference point) planes, one coordinate
+at a time, bit-identical to a per-triangle affine map.
 """
 
 from __future__ import annotations
@@ -26,12 +25,15 @@ __all__ = [
     "QuadratureRule",
     "triangle_rule",
     "integrate_on_polygon",
+    "integrate_on_fan",
     "polygon_sample_points",
     "fan_triangles",
+    "polygon_fans",
     "edge_rule",
     "integrate_on_edge",
     "default_depth",
     "RULE",
+    "CHUNK",
 ]
 
 
@@ -72,6 +74,8 @@ def triangle_rule(order):
 
 
 RULE = triangle_rule(7)  # the rule every element integral uses
+
+CHUNK = 8192  # quadrature points per array pass of a level-wide integral
 
 
 @lru_cache(maxsize=64)
@@ -115,56 +119,56 @@ def default_depth(h):
 
 
 def fan_triangles(poly):
-    """Triangulate by fanning around an interior star point.
+    """Fan triangles of one polygon, (T, 3, 2): ``polygon_fans`` of ``[poly]``."""
+    return polygon_fans([poly])[0]
 
-    Uses the centroid when it sees the whole boundary (always true for convex
-    elements); otherwise the star-kernel center; ear clipping as a last
-    resort.
-    """
-    v = poly.vertices
-    n = len(v)
-    center = poly.centroid
-    if _sees_all_edges(v, center):
-        return _fan_from(v, center)
+
+def polygon_fans(polys):
+    """Fan triangles (T, 3, 2) of many polygons, and their counts (n,), without zero-area
+    ones: around the centroid when it sees every edge (always for convex elements), else
+    around the star-kernel center; ear clipping is the last resort."""
     from .regularity import star_kernel  # deferred: regularity depends on geometry
 
-    rho, z = star_kernel(poly)
-    if rho > 0.0:
-        return _fan_from(v, z)
-    return _ear_clip(v)
+    sizes = [len(p.vertices) for p in polys]
+    starts = np.cumsum(sizes) - sizes
+    owner = np.repeat(np.arange(len(polys)), sizes)
+    v = np.concatenate([p.vertices for p in polys])
+    w = np.roll(v, -1, axis=0)  # edge v -> w
+    w[starts + sizes - 1] = v[starts]
+    # The center must lie left of every edge, by a margin scaled to the polygon.
+    span = np.maximum.reduceat(v.max(axis=1), starts) - np.minimum.reduceat(v.min(axis=1), starts)
+    tol = (1e-12 * np.maximum(span, 1e-300))[owner]
+    centers = np.array([p.centroid for p in polys])
+    c = centers[owner]
+    ex, ey = (w - v).T
+    left = ex * (c[:, 1] - v[:, 1]) - ey * (c[:, 0] - v[:, 0]) > tol * np.hypot(ex, ey)
+    clipped = []
+    for k in np.flatnonzero(~np.logical_and.reduceat(left, starts)).tolist():
+        rho, centers[k] = star_kernel(polys[k])
+        if not rho > 0.0:
+            clipped.append(k)
+    c = centers[owner]
+    a, b = v - c, w - c
+    area = 0.5 * (a[:, 0] * b[:, 1] - a[:, 1] * b[:, 0])
+    keep = (area > 0.0) & ~np.isin(owner, clipped)
+    tris, owner = np.concatenate((c, v, w), axis=1).reshape(-1, 3, 2)[keep], owner[keep]
+    if clipped:
+        ears = [_ear_clip(polys[k].vertices) for k in clipped]
+        owner = np.concatenate([owner] + [np.full(len(e), k) for k, e in zip(clipped, ears)])
+        order = np.argsort(owner, kind="stable")
+        tris, owner = np.concatenate([tris] + ears)[order], owner[order]
+    return tris, np.bincount(owner, minlength=len(polys))
 
 
-def _sees_all_edges(v, c):
-    coords = v.tolist()
-    cx, cy = float(c[0]), float(c[1])
-    lo = min(min(q) for q in coords)
-    hi = max(max(q) for q in coords)
-    tol = 1e-12 * max(hi - lo, 1e-300)
-    x1, y1 = coords[-1]
-    for q in coords:
-        x0, y0 = x1, y1
-        x1, y1 = q
-        ex, ey = x1 - x0, y1 - y0
-        if ex * (cy - y0) - ey * (cx - x0) <= tol * math.hypot(ex, ey):
-            return False
-    return True
-
-
-def _fan_from(v, c):
-    n = len(v)
-    tris = np.empty((n, 3, 2))
-    tris[:, 0, :] = c
-    tris[:, 1, :] = v
-    tris[:-1, 2, :] = v[1:]
-    tris[-1, 2, :] = v[0]
-    areas = 0.5 * (
-        (tris[:, 1, 0] - tris[:, 0, 0]) * (tris[:, 2, 1] - tris[:, 0, 1])
-        - (tris[:, 1, 1] - tris[:, 0, 1]) * (tris[:, 2, 0] - tris[:, 0, 0])
-    )
-    keep = areas > 0.0
-    if keep.all():
-        return tris
-    return tris[keep]
+def chunks(sizes):
+    """(start, stop) runs of consecutive items of at most ``CHUNK`` points in all,
+    given the items' point counts; a larger item is a run of its own."""
+    ends, start = np.cumsum(sizes), 0
+    while start < len(ends):
+        limit = ends[start] - sizes[start] + CHUNK
+        stop = max(start + 1, int(np.searchsorted(ends, limit, side="right")))
+        yield start, stop
+        start = stop
 
 
 def _ear_clip(vertices):
@@ -205,34 +209,48 @@ def _any_point_in_triangle(pts, a, b, c):
     return bool(np.any((s1 >= 0) & (s2 >= 0) & (s3 >= 0)))
 
 
-def polygon_sample_points(poly, depth=2):
-    """Quadrature points and physical weights covering the polygon.
-
-    Returns (points (M, 2), weights (M,)); sum(weights) equals the polygon
-    area up to roundoff.  Each coordinate is mapped as one (T, R) plane,
-    fan triangles by reference points, so the inner loops run over R.
-    """
-    tris = fan_triangles(poly)
+def fan_slices(tris, depth):
+    """(offset, points (m, 2), weights (m,)) of fan triangles, in order, in slices
+    of at most ``CHUNK`` points: whole triangles, or parts of one that has more.
+    Coordinates are mapped as (triangle, reference point) planes."""
     xi, eta, ref_w = _subdivided_reference(depth)
-    origin = tris[:, 0, :]
-    e1 = tris[:, 1, :] - origin
-    e2 = tris[:, 2, :] - origin
-    pts = np.empty((len(tris), len(xi), 2))
-    for k in (0, 1):
-        np.add(origin[:, k, None] + xi * e1[:, k, None], eta * e2[:, k, None], out=pts[:, :, k])
-    jac = np.abs(e1[:, 0] * e2[:, 1] - e1[:, 1] * e2[:, 0])  # 2 * triangle area
-    w = (jac[:, None] * ref_w[None, :]).reshape(-1)
-    return pts.reshape(-1, 2), w
+    r = len(xi)
+    step = max(1, CHUNK // r)
+    for s in range(0, len(tris), step):
+        t = tris[s:s + step]
+        origin = t[:, 0, :]
+        e1 = t[:, 1, :] - origin
+        e2 = t[:, 2, :] - origin
+        jac = np.abs(e1[:, 0] * e2[:, 1] - e1[:, 1] * e2[:, 0])  # 2 * triangle area
+        for j in range(0, r, CHUNK):
+            ref = slice(j, j + CHUNK)
+            pts = np.empty((len(t), len(xi[ref]), 2))
+            for k in (0, 1):
+                np.add(origin[:, k, None] + xi[ref] * e1[:, k, None], eta[ref] * e2[:, k, None],
+                       out=pts[:, :, k])
+            yield s * r + j, pts.reshape(-1, 2), (jac[:, None] * ref_w[None, ref]).reshape(-1)
+
+
+def polygon_sample_points(poly, depth=2):
+    """Quadrature points (M, 2) and physical weights (M,) covering the polygon;
+    sum(weights) equals the polygon area up to roundoff."""
+    _, pts, w = zip(*fan_slices(fan_triangles(poly), depth))
+    return np.concatenate(pts), np.concatenate(w)
 
 
 def integrate_on_polygon(poly, f, depth=2):
-    """Integrate a scalar function over the polygon.
+    """Integrate a scalar function over the polygon: ``integrate_on_fan`` of its fan."""
+    return integrate_on_fan(fan_triangles(poly), f, depth)
 
-    ``f`` maps an (M, 2) array of points to an (M,) array of values.
-    Deterministic for a fixed depth.
-    """
-    pts, w = polygon_sample_points(poly, depth=depth)
-    vals = np.asarray(f(pts), dtype=float)
+
+def integrate_on_fan(tris, f, depth):
+    """Integrate ``f``, which maps (m, 2) points to (m,) values, over fan triangles:
+    ``f`` sees slices of at most ``CHUNK`` points, the weighted sum is one dot."""
+    w = np.empty(len(tris) * len(_subdivided_reference(depth)[0]))
+    vals = np.empty_like(w)
+    for at, pts, ws in fan_slices(tris, depth):
+        w[at:at + len(ws)] = ws
+        vals[at:at + len(ws)] = f(pts)
     return float(w @ vals)
 
 

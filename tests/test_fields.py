@@ -60,6 +60,27 @@ class TestTanhLayer:
         expected = -60.0 * (1.0 - np.tanh(t) ** 2)
         assert v.gradient(pts)[:, 0] == pytest.approx(expected, rel=1e-14)
 
+    def test_gradient_bits_match_column_expression(self, rng):
+        # The column-by-column expression the gradient was first written as;
+        # byte equality also pins the sign of the zeros where tanh saturates.
+        def reference(points):
+            p = np.asarray(points, dtype=float)
+            ts = np.tanh(60.0 * p[..., 1])
+            tt = np.tanh(60.0 * (p[..., 0] - p[..., 1]) - 30.0)
+            g = np.empty(ts.shape + (2,))
+            g[..., 0] = -60.0 * (1.0 - tt * tt)
+            g[..., 1] = 60.0 * (1.0 - ts * ts) + 60.0 * (1.0 - tt * tt)
+            return g
+
+        v = tanh_layer()
+        pts = rng.uniform(-0.5, 1.5, (3, 400, 2))
+        pts[0, :50, 0] = pts[0, :50, 1] + 0.5  # t = 0
+        pts[1, :50, 0] = pts[1, :50, 1] + 2.0  # tanh(t) == 1 exactly
+        for x in (pts[0, 0], pts[1, 0], np.array([0.5, 0.0]), pts[2], pts):
+            got = v.gradient(x)
+            assert got.shape == x.shape
+            assert got.tobytes() == reference(x).tobytes()
+
     def test_derivatives_match_finite_differences(self, rng):
         v = tanh_layer()
         pts = rng.uniform(0.0, 1.0, (100, 2))

@@ -1,0 +1,179 @@
+"""Level-wide element integrals against their one-element calls.
+
+The Gram, eta and fan kernels keep the arithmetic of the per-element code,
+so they must agree bit for bit whatever else shares a chunk; the L2 parts
+sum in another order and must agree to 1e-13 relative.
+"""
+
+import math
+
+import numpy as np
+from hypothesis import given, settings, strategies as st
+
+from anisomesh import interp
+from anisomesh.fields import tanh_layer
+from anisomesh.geometry import Polygon
+from anisomesh.indicator import eta_global, eta_local, gram_element, gram_elements
+from anisomesh.interp import POINTWISE, BasisCache, build_basis, coefficients, element_l2_error
+from anisomesh.mesh import generate_polygonal
+from anisomesh.quadrature import (
+    CHUNK,
+    _ear_clip,
+    default_depth,
+    fan_triangles,
+    integrate_on_polygon,
+    polygon_fans,
+    polygon_sample_points,
+)
+from anisomesh.refine import ANISOTROPIC, ISOTROPIC, UNIFORM, RefineConfig, adaptive_loop
+from anisomesh.regularity import star_kernel
+from conftest import random_convex_polygon, random_star_polygon
+
+U_SHAPE = Polygon([(0, 0), (3, 0), (3, 1), (2, 1), (2, 0.1), (1, 0.1), (1, 1), (0, 1)])
+
+
+def reference_fan(poly):
+    """One polygon's fan by scalar loops: around the centroid if it sees
+    every edge, else around the star-kernel center, else ear clipping."""
+    coords = poly.vertices.tolist()
+    lo = min(min(q) for q in coords)
+    hi = max(max(q) for q in coords)
+    tol = 1e-12 * max(hi - lo, 1e-300)
+
+    def sees(cx, cy):
+        x1, y1 = coords[-1]
+        for q in coords:
+            x0, y0 = x1, y1
+            x1, y1 = q
+            ex, ey = x1 - x0, y1 - y0
+            if ex * (cy - y0) - ey * (cx - x0) <= tol * math.hypot(ex, ey):
+                return False
+        return True
+
+    c = poly.centroid
+    if not sees(float(c[0]), float(c[1])):
+        rho, c = star_kernel(poly)
+        if rho == 0.0:
+            return _ear_clip(poly.vertices)
+    tris = []
+    for a, b in zip(coords, coords[1:] + coords[:1]):
+        area = 0.5 * ((a[0] - c[0]) * (b[1] - c[1]) - (a[1] - c[1]) * (b[0] - c[0]))
+        if area > 0.0:
+            tris.append((c, a, b))
+    return np.array(tris, dtype=float)
+
+
+def reference_eta(poly, gram):
+    """eta_K of one element as u @ G @ u per direction."""
+    s = poly.spectrum
+    alpha = poly.refmap.alpha
+    q1 = float(s.u1 @ gram @ s.u1)
+    q2 = float(s.u2 @ gram @ s.u2)
+    return max((s.lambda1 * q1 + s.lambda2 * q2) / (alpha * alpha), 0.0)
+
+
+class TestFans:
+    def test_fans_match_scalar_reference(self, rng):
+        polys = [random_convex_polygon(rng, ratio=r) for r in (1.0, 1e8) for _ in range(10)]
+        polys += [random_star_polygon(rng, ratio=r) for r in (1.0, 10.0, 1e3) for _ in range(20)]
+        polys += [el.polygon for el in generate_polygonal(6, 6, jitter=0.3, seed=4).elements]
+        for poly in polys:
+            assert np.array_equal(fan_triangles(poly), reference_fan(poly))
+
+    def test_many_polygons_concatenate_single_fans(self, rng):
+        polys = [random_star_polygon(rng), U_SHAPE, random_convex_polygon(rng), U_SHAPE,
+                 random_star_polygon(rng, ratio=1e3)]
+        tris, counts = polygon_fans(polys)
+        singles = [fan_triangles(p) for p in polys]
+        assert counts.tolist() == [len(t) for t in singles]
+        assert np.array_equal(tris, np.concatenate(singles))
+
+    def test_ear_clip_covers_polygon_without_kernel(self):
+        assert star_kernel(U_SHAPE)[0] == 0.0
+        tris = fan_triangles(U_SHAPE)
+        e1, e2 = tris[:, 1] - tris[:, 0], tris[:, 2] - tris[:, 0]
+        areas = 0.5 * (e1[:, 0] * e2[:, 1] - e1[:, 1] * e2[:, 0])
+        assert (areas > 0.0).all()
+        assert math.isclose(areas.sum(), U_SHAPE.area, rel_tol=1e-14)
+
+
+class TestGramChunks:
+    def test_sliver_larger_than_a_chunk(self, rng):
+        # Unit length: default depth 6, four fan triangles of 65,536 points.
+        sliver = Polygon([(0.0, 0.0), (1.0, 0.0), (1.0, 0.01), (0.0, 0.01)])
+        assert default_depth(sliver.diameter) == 6
+        pts, w = polygon_sample_points(sliver, depth=6)
+        assert len(w) > CHUNK
+        polys = [random_convex_polygon(rng) for _ in range(3)]
+        polys.insert(1, sliver)
+        fld = tanh_layer()
+        grams = gram_elements(polys, fld)
+        for poly, gram in zip(polys, grams):
+            assert np.array_equal(gram, gram_element(poly, fld))
+        gx, gy = fld.gradient(pts).T
+        g11, g12, g22 = np.add.reduceat([w * gx * gx, w * gx * gy, w * gy * gy], [0], axis=1)[:, 0]
+        assert np.array_equal(grams[1], np.array([[g11, g12], [g12, g22]]))
+
+    def test_fixed_depth_matches_single_calls(self, rng):
+        polys = [random_star_polygon(rng) for _ in range(12)] + [U_SHAPE]
+        fld = tanh_layer()
+        for depth in (2, 4):
+            grams = gram_elements(polys, fld, depth=depth)
+            for poly, gram in zip(polys, grams):
+                assert np.array_equal(gram, gram_element(poly, fld, depth=depth))
+
+
+class TestFanIntegrals:
+    def test_level_fans_match_one_dot_over_sample_points(self):
+        # CLEMENT's element integrals come from one polygon_fans call per
+        # level and a field sliced into chunks; the sum stays one dot.
+        fld = tanh_layer()
+        mesh = generate_polygonal(4, 4, jitter=0.3, seed=1)
+        sliver = Polygon([(0.0, 0.0), (1.0, 0.0), (1.0, 0.01), (0.0, 0.01)])
+        for depth in (None, 6):
+            got = interp._element_integrals(mesh, fld, depth)
+            for el, value in zip(mesh.elements, got):
+                d = default_depth(el.polygon.diameter) if depth is None else depth
+                pts, w = polygon_sample_points(el.polygon, depth=d)
+                assert value == float(w @ fld.value(pts))
+        pts, w = polygon_sample_points(sliver, depth=6)
+        assert integrate_on_polygon(sliver, fld.value, depth=6) == float(w @ fld.value(pts))
+
+
+@settings(max_examples=8, deadline=None)
+@given(
+    seed=st.integers(0, 2 ** 16),
+    jitter=st.floats(0.0, 0.3),
+    strategy=st.sampled_from([ANISOTROPIC, ISOTROPIC, UNIFORM]),
+    levels=st.integers(2, 3),
+)
+def test_level_kernels_match_one_element_calls(seed, jitter, strategy, levels):
+    fld = tanh_layer()
+    mesh0 = generate_polygonal(4, 4, jitter=jitter, seed=seed)
+    history = adaptive_loop(mesh0, fld, RefineConfig(strategy=strategy, max_levels=levels))
+    for mesh, _ in history:
+        polys = [el.polygon for el in mesh.elements]
+        report = eta_global(mesh, fld)
+        for k, poly in enumerate(polys):
+            gram = gram_element(poly, fld)
+            assert np.array_equal(report.gram[k], gram)
+            assert report.eta_local[k] == eta_local(poly, fld)
+            assert report.eta_local[k] == reference_eta(poly, gram)
+        coeffs = coefficients(mesh, fld, POINTWISE)
+        parts = interp.l2_parts(mesh, fld, coeffs, cache=BasisCache())
+        # Elements of one similarity key share the basis of the first one,
+        # through a cache, on both paths: on near-square lattices Delaunay
+        # ties make a basis built for each element differ far above roundoff.
+        cache = BasisCache()
+        single = [element_l2_error(build_basis(el.polygon, cache=cache),
+                                   coeffs.values[el.vertex_loop], fld)
+                  for el in mesh.elements]
+        # Relative 1e-13 on each element's part, or an absolute floor: a
+        # rounding change of 1e-14 in the pointwise difference v - Iv moves
+        # the element's L2 norm sqrt(part) by at most 1e-14 sqrt|K|.  Parts
+        # where v is nearly interpolated exactly (about 1e-33 where
+        # tanh_layer saturates) are all roundoff and only meet the floor.
+        parts, single = np.asarray(parts), np.asarray(single)
+        floor = 1e-14 * np.sqrt([p.area for p in polys])
+        assert np.all((np.abs(parts - single) <= 1e-13 * single)
+                      | (np.abs(np.sqrt(parts) - np.sqrt(single)) <= floor))

@@ -1,7 +1,9 @@
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from anisomesh.fields import constant_field, tanh_layer
 from anisomesh.indicator import IndicatorReport, eta_global, gram_element
@@ -293,3 +295,53 @@ class TestRefineConfig:
             RefineConfig(max_levels=0)
         with pytest.raises(ValueError):
             RefineConfig(strategy="SIDEWAYS")
+
+
+def neumann_on_two_sides(mesh):
+    """``mesh`` rebuilt with NEUMANN on the sides x = 0 and y = 1, DIRICHLET elsewhere."""
+    x, y = mesh.points.T
+    spec = {
+        (a, b): NEUMANN if (x[a] == x[b] == 0.0) or (y[a] == y[b] == 1.0) else DIRICHLET
+        for a, b in mesh.edges[mesh.edge_tags != INTERIOR].tolist()
+    }
+    return build_mesh(mesh.points, [el.vertex_loop for el in mesh.elements], spec)
+
+
+def boundary_segments(mesh):
+    tagged = np.flatnonzero(mesh.edge_tags != INTERIOR)
+    return mesh.points[mesh.edges[tagged]], mesh.edge_tags[tagged]
+
+
+@settings(max_examples=10, deadline=None)
+@given(
+    seed=st.integers(0, 2 ** 16),
+    cells=st.integers(3, 5),
+    jitter=st.floats(0.0, 0.3),
+    strategy=st.sampled_from([ANISOTROPIC, ISOTROPIC, UNIFORM]),
+    levels=st.integers(2, 3),
+)
+def test_refinement_invariants_on_polygonal_meshes(seed, cells, jitter, strategy, levels):
+    mesh0 = neumann_on_two_sides(generate_polygonal(cells, cells, jitter=jitter, seed=seed))
+    history = adaptive_loop(mesh0, tanh_layer(), RefineConfig(strategy=strategy, max_levels=levels))
+    for mesh, _ in history:
+        assert math.fsum(el.polygon.area for el in mesh.elements) == pytest.approx(1.0, rel=1e-12)
+        # Loop membership of every undirected edge: two loops inside, one on the boundary.
+        members = Counter(
+            (min(a, b), max(a, b))
+            for loop in (el.vertex_loop for el in mesh.elements)
+            for a, b in zip(loop, loop[1:] + loop[:1])
+        )
+        assert sorted(members) == [tuple(e) for e in mesh.edges.tolist()]
+        want = np.where(mesh.edge_tags == INTERIOR, 2, 1)
+        assert [members[tuple(e)] for e in mesh.edges.tolist()] == want.tolist()
+    for (parent, _), (child, _) in zip(history, history[1:]):
+        # Every child boundary edge lies on parent boundary edges, all of its tag.
+        segs, tags = boundary_segments(parent)
+        p0, d = segs[:, 0], segs[:, 1] - segs[:, 0]
+        for (a, b), tag in zip(*boundary_segments(child)):
+            on = np.ones(len(segs), dtype=bool)
+            for q in (a, b):
+                t = np.clip(((q - p0) * d).sum(axis=1) / (d * d).sum(axis=1), 0.0, 1.0)
+                on &= np.hypot(*(p0 + t[:, None] * d - q).T) <= 1e-12
+            assert on.any()
+            assert set(tags[on].tolist()) == {tag}
