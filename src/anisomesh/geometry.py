@@ -367,21 +367,6 @@ def map_polygon(poly, refmap):
     return Polygon(refmap.apply(poly.vertices))
 
 
-def _point_in_loop(x, y, coords):
-    """Scalar even-odd test against a vertex list."""
-    inside = False
-    n = len(coords)
-    x1, y1 = coords[-1]
-    for c in coords:
-        x0, y0 = x1, y1
-        x1, y1 = c
-        if (y0 > y) != (y1 > y):
-            xs = x0 + (y - y0) / (y1 - y0) * (x1 - x0)
-            if x < xs:
-                inside = not inside
-    return inside
-
-
 def _line_crossings(vertices, point, direction, t_tol):
     """All transversal boundary crossings of the line point + t*direction.
 
@@ -419,12 +404,14 @@ def _line_crossings(vertices, point, direction, t_tol):
 def split_polygon_detailed(poly, point, direction):
     """Split a polygon by the line through ``point`` along ``direction``.
 
-    Returns (piece_a, piece_b, cut_segment, prov_a, prov_b) where each prov
-    entry is ("v", original_vertex_index) or ("cut", edge_index, s) describing
-    where every piece vertex comes from; the pair (last, first) of each piece
-    is the cut chord.  For non-convex polygons crossed several times, the
-    interior interval containing the anchor point is used (longest interval if
-    the anchor is outside).
+    Returns (piece_a, piece_b, cut_segment, (lo_end, hi_end)).  Each end is
+    ("v", vertex_index) when it snapped to a vertex, or ("cut", edge_index, s)
+    at parameter s in (0, 1) along that edge.  The pieces are the two arcs of
+    the vertex ring with both ends inserted: piece_a runs forward from lo_end
+    to hi_end, piece_b from hi_end on to lo_end, and each closes along the
+    cut chord.  For non-convex polygons crossed several times, the interior
+    interval containing the anchor point is used (longest interval if the
+    anchor is outside).
     """
     v = poly.vertices
     n = len(v)
@@ -440,16 +427,12 @@ def split_polygon_detailed(poly, point, direction):
     if len(crossings) < 2:
         raise CutMissesPolygon("cut line crosses the boundary fewer than twice")
 
-    # Identify interior intervals between consecutive crossings by testing
-    # their midpoints; this is robust against tangential vertex touches.
-    coords = v.tolist()
-    intervals = []
-    for (t0, e0, s0), (t1, e1, s1) in zip(crossings[:-1], crossings[1:]):
-        if t1 - t0 <= SNAP_TOL * h:
-            continue
-        tm = 0.5 * (t0 + t1)
-        if _point_in_loop(p[0] + tm * d[0], p[1] + tm * d[1], coords):
-            intervals.append(((t0, e0, s0), (t1, e1, s1)))
+    # Interior intervals between consecutive crossings are those whose
+    # midpoints lie inside; this is robust against tangential vertex touches.
+    t = np.array([c[0] for c in crossings])
+    tm = 0.5 * (t[:-1] + t[1:])
+    inside = (t[1:] - t[:-1] > SNAP_TOL * h) & points_in_polygon(p + tm[:, None] * d, v)
+    intervals = [(crossings[k], crossings[k + 1]) for k in np.flatnonzero(inside)]
     if not intervals:
         raise CutMissesPolygon("no interior chord on the cut line")
 
@@ -465,7 +448,7 @@ def split_polygon_detailed(poly, point, direction):
         raise CutMissesPolygon("chord shorter than tolerance")
 
     def resolve(edge, s, t):
-        """Snap near-vertex hits; return (coords, provenance)."""
+        """Snap near-vertex hits; return (coords, end)."""
         a_pt, b_pt = v[edge], v[(edge + 1) % n]
         x = p + t * d
         if np.hypot(*(x - a_pt)) <= SNAP_TOL * h:
@@ -474,51 +457,25 @@ def split_polygon_detailed(poly, point, direction):
             return b_pt.copy(), ("v", (edge + 1) % n)
         return x, ("cut", edge, s)
 
-    lo_pt, lo_prov = resolve(e_lo, s_lo, t_lo)
-    hi_pt, hi_prov = resolve(e_hi, s_hi, t_hi)
-    if lo_prov == hi_prov:
+    lo_pt, lo_end = resolve(e_lo, s_lo, t_lo)
+    hi_pt, hi_end = resolve(e_hi, s_hi, t_hi)
+    if lo_end == hi_end:
         raise CutMissesPolygon("both cut endpoints snapped to the same vertex")
 
-    def position(pr):
-        # Boundary position as (edge index, parameter); a vertex j sits at
-        # the start of edge j.
-        if pr[0] == "v":
-            return (pr[1], 0.0)
-        return (pr[1], pr[2])
-
-    def collect(start_prov, start_pt, end_prov, end_pt):
-        """Walk the boundary forward from start to end, collecting vertices."""
-        pts = [start_pt]
-        prov = [start_prov]
-        ei, si = position(start_prov)
-        ej, sj = position(end_prov)
-        k = ei
-        while True:
-            if k == ej and (k != ei or sj > si):
-                break  # end point lies ahead on the current edge
-            nxt = (k + 1) % n
-            if nxt == ej and sj == 0.0:
-                k = nxt
-                break  # end point is the next vertex itself
-            pts.append(v[nxt].copy())
-            prov.append(("v", nxt))
-            k = nxt
-            if len(pts) > n + 2:
-                raise CutMissesPolygon("boundary walk failed to terminate")
-        pts.append(end_pt)
-        prov.append(end_prov)
-        return pts, prov
-
-    pts_a, prov_a = collect(lo_prov, lo_pt, hi_prov, hi_pt)
-    pts_b, prov_b = collect(hi_prov, hi_pt, lo_prov, lo_pt)
+    # Ring positions: vertex j at (j, 0), a cut end at (edge, s).
+    lo_at, hi_at = ((e[1], 0.0 if e[0] == "v" else e[2]) for e in (lo_end, hi_end))
+    ends = {lo_at: lo_pt, hi_at: hi_pt}
+    ring = sorted(ends.keys() | {(j, 0.0) for j in range(n)})
+    i = ring.index(lo_at)
+    ring = ring[i:] + ring[:i]
+    k = ring.index(hi_at)
 
     pieces = []
-    for pts, prov in ((pts_a, prov_a), (pts_b, prov_b)):
-        arr = np.asarray(pts, dtype=float)
-        if len(arr) < 3:
+    for arc in (ring[:k + 1], ring[k:] + ring[:1]):
+        if len(arc) < 3:
             raise CutMissesPolygon("degenerate piece from cut")
         try:
-            piece = Polygon(arr)
+            piece = Polygon([ends[q] if q in ends else v[q[0]] for q in arc])
         except ValueError as exc:
             raise NonSimpleResult(f"cut produced an invalid piece: {exc}") from exc
         if not polygon_is_simple(piece.vertices):
@@ -530,4 +487,4 @@ def split_polygon_detailed(poly, point, direction):
         raise NonSimpleResult(
             f"piece areas {total:.17g} do not sum to parent area {poly.area:.17g}"
         )
-    return pieces[0], pieces[1], (lo_pt, hi_pt), prov_a, prov_b
+    return pieces[0], pieces[1], (lo_pt, hi_pt), (lo_end, hi_end)

@@ -26,7 +26,7 @@ from scipy.linalg.lapack import dpbsv
 from scipy.spatial import Delaunay, QhullError
 
 from .errors import NoAdmissibleEdge, SolveFailed, TriangulationFailed
-from .geometry import points_in_polygon
+from .geometry import Polygon, points_in_polygon
 from .mesh import DIRICHLET
 from .parallel import pmap
 from .quadrature import (CHUNK, RULE, default_depth, integrate_on_edge, integrate_on_fan,
@@ -306,19 +306,10 @@ class BasisCache:
         if hit is None:
             self._missed_key = key
             return None
-        c = poly.centroid
-        s = math.sqrt(poly.area)
-        return LocalHarmonicBasis(
-            polygon=poly,
-            points=hit.points * s + c,
-            triangles=hit.triangles,
-            psi=hit.psi,
-            boundary_mask=hit.boundary_mask,
-            loop_vertex_index=hit.loop_vertex_index,
-        )
+        return _placed(hit, poly)
 
     def put(self, basis):
-        """Store ``basis``, built for the polygon of the last missed ``get``."""
+        """Store ``basis``, built for the key polygon of the last missed ``get``."""
         poly = basis.polygon
         self.store[self._missed_key] = LocalHarmonicBasis(
             polygon=None,
@@ -335,20 +326,41 @@ def _full_similarity_key(poly):
     return tuple(np.round(v, 12).ravel().tolist())
 
 
+def _placed(unit, poly):
+    """A stored basis of unit area about the origin, moved onto ``poly``."""
+    return LocalHarmonicBasis(
+        polygon=poly,
+        points=unit.points * math.sqrt(poly.area) + poly.centroid,
+        triangles=unit.triangles,
+        psi=unit.psi,
+        boundary_mask=unit.boundary_mask,
+        loop_vertex_index=unit.loop_vertex_index,
+    )
+
+
 def build_basis(poly, depth=None, cache=None):
     """Solve the local Laplace problems defining every nodal basis function.
 
     Boundary data of basis i is the hat: 1 at loop vertex i, 0 at the other
     loop vertices, linear along each boundary edge between consecutive loop
-    vertices (hanging nodes included).
+    vertices (hanging nodes included).  With a ``cache``, every polygon of
+    one similarity key gets the basis of the key's own polygon (the rounded
+    normalized vertices), so no result depends on which of them came first.
     """
     if depth is None:
         depth = BASIS_DEPTH
-    if cache is not None:
-        hit = cache.get(poly, depth)
-        if hit is not None:
-            return hit
+    if cache is None:
+        return _solve_basis(poly, depth)
+    hit = cache.get(poly, depth)
+    if hit is None:
+        key = cache._missed_key
+        cache.put(_solve_basis(Polygon(np.reshape(key[0], (-1, 2))), depth))
+        hit = _placed(cache.store[key], poly)
+    return hit
 
+
+def _solve_basis(poly, depth):
+    """The basis of ``poly`` at lattice ``depth``."""
     # Sub-nodes [0, n_chain) are the boundary chain, the rest are interior.
     pts, tris, edge, t = _delaunay_conforming(poly, depth)
     n_loop = len(poly.vertices)
@@ -362,7 +374,7 @@ def build_basis(poly, depth=None, cache=None):
     if len(pts) > n_chain:
         psi[:, n_chain:] = _harmonic_interior(pts, tris, psi[:, :n_chain])
 
-    basis = LocalHarmonicBasis(
+    return LocalHarmonicBasis(
         polygon=poly,
         points=pts,
         triangles=tris,
@@ -371,9 +383,6 @@ def build_basis(poly, depth=None, cache=None):
         # Each edge's first chain point, at t == 0, is its loop vertex.
         loop_vertex_index=np.flatnonzero(t == 0.0),
     )
-    if cache is not None:
-        cache.put(basis)
-    return basis
 
 
 # ---------------------------------------------------------------------------

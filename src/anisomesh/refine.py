@@ -4,8 +4,11 @@ Marked elements are bisected by a line through their centroid.  The cut-line
 direction is orthogonal to the largest-eigenvalue eigenvector of either the
 element covariance (ISOTROPIC) or the gradient Gram matrix (ANISOTROPIC);
 UNIFORM bisects every element with the isotropic direction.  Cut endpoints
-become ordinary nodes and are inserted eagerly into the loops of every
-element sharing the cut edge, so hanging nodes stay topologically visible.
+become ordinary nodes and are inserted into the loops of every element
+sharing the cut edge, so hanging nodes stay topologically visible.  Each
+loop is first extended by the nodes inserted on its edges; the two children
+of a split element are then the arcs of that ring from one cut end to the
+other.
 """
 
 from __future__ import annotations
@@ -109,37 +112,38 @@ def refine(mesh, marked, strategy=ISOTROPIC, report=None):
     if strategy == UNIFORM:
         marked = set(range(mesh.n_elements))
 
-    points = [mesh.points[i].copy() for i in range(mesh.n_nodes)]
+    new_points = []  # coordinates of nodes n_nodes, n_nodes + 1, ...
     inserted = {}  # canonical edge key -> list of (t, node id)
-    splits = {}  # parent id -> [(child ids, provenance), (child ids, provenance)]
+    cut_ends = {}  # split parent id -> node ids of its two cut ends
     directions = {}
     skipped = []
 
-    def edge_of(el, local_edge):
+    def register_cut_node(el, end):
+        """Node id of a cut end: its loop vertex, or the node at parameter s
+        along a parent edge, created or reused."""
         loop = el.vertex_loop
-        return loop[local_edge], loop[(local_edge + 1) % len(loop)]
-
-    def register_cut_node(el, local_edge, s):
-        """Create or reuse the node at parameter s along a parent edge."""
-        a, b = edge_of(el, local_edge)
+        if end[0] == "v":
+            return loop[end[1]]
+        _, i, s = end
+        a, b = loop[i], loop[(i + 1) % len(loop)]
         key = (a, b) if a < b else (b, a)
         t = s if a < b else 1.0 - s
-        length = float(np.hypot(*(points[b] - points[a])))
+        pa, pb = mesh.points[key[0]], mesh.points[key[1]]
+        length = float(np.hypot(*(pb - pa)))
         tol_t = SNAP_TOL * el.polygon.diameter / max(length, 1e-300)
         for t_old, nid in inserted.get(key, []):
             if abs(t_old - t) <= tol_t:
                 return nid
         # Coordinates from the canonical parameter so both elements sharing
         # the edge resolve to bitwise identical positions.
-        xy = points[key[0]] + t * (points[key[1]] - points[key[0]])
-        nid = len(points)
-        points.append(xy)
+        nid = mesh.n_nodes + len(new_points)
+        new_points.append(pa + t * (pb - pa))
         inserted.setdefault(key, []).append((t, nid))
         return nid
 
     for eid in sorted(marked):
         el = mesh.elements[eid]
-        d = split_direction(el, report, strategy if strategy != UNIFORM else ISOTROPIC)
+        d = split_direction(el, report, strategy)
         result = None
         failures = []
         for cand in (d, np.array([-d[1], d[0]])):
@@ -153,74 +157,42 @@ def refine(mesh, marked, strategy=ISOTROPIC, report=None):
             log.warning("element %d skipped: %s", eid, "; ".join(failures))
             skipped.append(eid)
             continue
-        _, _, _, prov_a, prov_b = result
-        pieces = []
-        degenerate = False
-        for prov in (prov_a, prov_b):
-            ids = []
-            for entry in prov:
-                if entry[0] == "v":
-                    ids.append(el.vertex_loop[entry[1]])
-                else:
-                    ids.append(register_cut_node(el, entry[1], entry[2]))
-            if len(set(ids)) != len(ids) or len(ids) < 3:
-                degenerate = True
-            pieces.append((ids, prov))
-        if degenerate:
-            log.warning("element %d skipped: snapping collapsed a piece", eid)
+        lo, hi = (register_cut_node(el, end) for end in result[3])
+        if lo == hi:
+            log.warning("element %d skipped: both ends resolve to one node", eid)
             skipped.append(eid)
             continue
-        splits[eid] = pieces
+        cut_ends[eid] = lo, hi
         directions[eid] = d / float(np.hypot(*d))
 
-    chains = {key: sorted(entries) for key, entries in inserted.items()}
+    chains = {key: [nid for _, nid in sorted(entries)] for key, entries in inserted.items()}
 
-    def expand_pair(parent_el, edge_local, s_u, s_v, skip_ids):
-        """Node ids inserted strictly between parameters s_u < s_v on an edge."""
-        a, b = edge_of(parent_el, edge_local)
-        key = (a, b) if a < b else (b, a)
-        if key not in chains:
-            return []
-        out = []
-        for t, nid in chains[key]:
-            s = t if a < b else 1.0 - t
-            if s_u < s < s_v and nid not in skip_ids:
-                out.append((s, nid))
-        out.sort()
-        return [nid for _, nid in out]
+    def with_hanging(loop):
+        """``loop`` with the nodes inserted on its edges this level, in order."""
+        ring = []
+        for a, b in zip(loop, loop[1:] + loop[:1]):
+            ring.append(a)
+            ring.extend(chains.get((a, b), ()) if a < b else reversed(chains.get((b, a), ())))
+        return ring
 
+    # A split element's children are the two arcs of its ring between the
+    # cut ends; each closes along the cut chord.
     new_loops = []
     parent_of_loop = []
-
+    parent_children = {}
     for el in mesh.elements:
-        loop = el.vertex_loop
-        n = len(loop)
-        if el.id not in splits:
-            out = []
-            for i in range(n):
-                out.append(loop[i])
-                out.extend(expand_pair(el, i, 0.0, 1.0, ()))
-            new_loops.append(out)
+        ring = with_hanging(el.vertex_loop)
+        if el.id not in cut_ends:
+            new_loops.append(ring)
             parent_of_loop.append(el.id)
             continue
-        for ids, prov in splits[el.id]:
-            m = len(ids)
-            skip = set(ids)
-            out = []
-            for i in range(m - 1):  # pair (m-1, 0) is the interior cut chord
-                out.append(ids[i])
-                e_u, s_u = (prov[i][1], prov[i][2]) if prov[i][0] == "cut" else (prov[i][1], 0.0)
-                if prov[i + 1][0] == "cut":
-                    e_v, s_v = prov[i + 1][1], prov[i + 1][2]
-                else:
-                    e_v, s_v = prov[i + 1][1], 0.0
-                    if (e_v - 1) % n == e_u:
-                        e_v, s_v = e_u, 1.0  # vertex j is the far end of edge j-1
-                if e_u == e_v and s_u < s_v:
-                    out.extend(expand_pair(el, e_u, s_u, s_v, skip))
-            out.append(ids[m - 1])
-            new_loops.append(out)
-            parent_of_loop.append(el.id)
+        lo, hi = cut_ends[el.id]
+        i = ring.index(lo)
+        ring = ring[i:] + ring[:i]
+        k = ring.index(hi)
+        parent_children[el.id] = (len(new_loops), len(new_loops) + 1)
+        new_loops += [ring[:k + 1], ring[k:] + ring[:1]]
+        parent_of_loop += [el.id, el.id]
 
     # Boundary tags: each boundary edge's chain of inserted nodes splits it
     # into consecutive pairs that inherit its tag.
@@ -228,18 +200,15 @@ def refine(mesh, marked, strategy=ISOTROPIC, report=None):
     for k in np.flatnonzero(mesh.edge_tags != INTERIOR):
         a, b = mesh.edges[k].tolist()
         tag = int(mesh.edge_tags[k])
-        chain = [a] + [nid for _, nid in chains.get((a, b), ())] + [b]
+        chain = [a, *chains.get((a, b), ()), b]
         boundary_spec.update((pair, tag) for pair in zip(chain, chain[1:]))
 
-    new_mesh = build_mesh(np.asarray(points), new_loops, boundary_spec, check_simple=False)
+    points = np.concatenate([mesh.points, np.reshape(new_points, (-1, 2))])
+    new_mesh = build_mesh(points, new_loops, boundary_spec, check_simple=False)
 
-    parent_children = {}
-    for child_id, parent in enumerate(parent_of_loop):
-        if parent in splits:
-            parent_children.setdefault(parent, []).append(child_id)
     step = RefinementStep(
         parent_of=parent_of_loop,
-        parent_children={k: tuple(v) for k, v in parent_children.items()},
+        parent_children=parent_children,
         new_nodes=list(range(mesh.n_nodes, len(points))),
         directions=directions,
         skipped=skipped,

@@ -201,7 +201,7 @@ class TestPolygonIntegration:
             poly = random_polygon(rng)
             theta = rng.uniform(0, math.pi)
             d = np.array([math.cos(theta), math.sin(theta)])
-            a, b, _, _, _ = split_polygon_detailed(poly, poly.centroid, d)
+            a, b, _, _ = split_polygon_detailed(poly, poly.centroid, d)
             whole = integrate_on_polygon(poly, v, depth=4)
             parts = integrate_on_polygon(a, v, depth=4) + integrate_on_polygon(b, v, depth=4)
             assert parts == pytest.approx(whole, rel=1e-4)
@@ -211,7 +211,7 @@ class TestPolygonIntegration:
         for _ in range(8):
             poly = random_polygon(rng)
             theta = rng.uniform(0, math.pi)
-            a, b, _, _, _ = split_polygon_detailed(
+            a, b, _, _ = split_polygon_detailed(
                 poly, poly.centroid, np.array([math.cos(theta), math.sin(theta)])
             )
             whole = integrate_on_polygon(poly, fld.value, depth=2)

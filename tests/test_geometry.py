@@ -176,7 +176,7 @@ class TestReferenceMap:
 class TestSplit:
     def test_square_symmetric_cut(self):
         poly = Polygon(UNIT_SQUARE)
-        a, b, seg, _, _ = split_polygon_detailed(poly, (0.5, 0.5), (0.0, 1.0))
+        a, b, seg, _ = split_polygon_detailed(poly, (0.5, 0.5), (0.0, 1.0))
         assert a.area == pytest.approx(0.5, abs=1e-15)
         assert b.area == pytest.approx(0.5, abs=1e-15)
         ends = sorted(map(tuple, seg))
@@ -184,7 +184,7 @@ class TestSplit:
 
     def test_rectangle_cut_into_unit_squares(self):
         poly = Polygon([(0, 0), (2, 0), (2, 1), (0, 1)])
-        a, b, _, _, _ = split_polygon_detailed(poly, poly.centroid, poly.spectrum.u2)
+        a, b, _, _ = split_polygon_detailed(poly, poly.centroid, poly.spectrum.u2)
         for piece in (a, b):
             assert piece.area == pytest.approx(1.0, rel=1e-13)
             w = piece.vertices
@@ -194,7 +194,7 @@ class TestSplit:
     def test_diagonal_cut_snaps_to_vertices(self):
         poly = Polygon(UNIT_SQUARE)
         d = np.array([1.0, 1.0]) / math.sqrt(2.0)
-        a, b, seg, _, _ = split_polygon_detailed(poly, (0.5, 0.5), d)
+        a, b, seg, _ = split_polygon_detailed(poly, (0.5, 0.5), d)
         assert len(a) == 3 and len(b) == 3
         assert a.area + b.area == pytest.approx(1.0, rel=1e-14)
         ends = sorted(map(tuple, seg))
@@ -206,7 +206,7 @@ class TestSplit:
         u_shape = Polygon(
             [(0, 0), (5, 0), (5, 3), (4, 3), (4, 1), (1, 1), (1, 3), (0, 3)]
         )
-        a, b, seg, _, _ = split_polygon_detailed(u_shape, (0.5, 2.0), (1.0, 0.0))
+        a, b, seg, _ = split_polygon_detailed(u_shape, (0.5, 2.0), (1.0, 0.0))
         assert a.area + b.area == pytest.approx(u_shape.area, rel=1e-12)
         xs = sorted(p[0] for p in seg)
         assert xs == pytest.approx([0.0, 1.0], abs=1e-12)
@@ -217,8 +217,33 @@ class TestSplit:
         )
         # Anchor in the notch (outside); both interior intervals have length
         # one, the first is chosen deterministically.
-        a, b, _, _, _ = split_polygon_detailed(u_shape, (2.5, 2.0), (1.0, 0.0))
+        a, b, _, _ = split_polygon_detailed(u_shape, (2.5, 2.0), (1.0, 0.0))
         assert a.area + b.area == pytest.approx(u_shape.area, rel=1e-12)
+
+    def test_pieces_are_arcs_with_vertex_snapped_end(self):
+        # Through vertex 0 of the unit square to the middle of edge 1: the
+        # low end snaps to the vertex, the high end is a cut point.
+        poly = Polygon(UNIT_SQUARE)
+        a, b, seg, ends = split_polygon_detailed(poly, (0.0, 0.0), (1.0, 0.5))
+        assert ends == (("v", 0), ("cut", 1, 0.5))
+        assert np.array_equal(seg[1], [1.0, 0.5])
+        assert np.array_equal(a.vertices, [(0, 0), (1, 0), (1, 0.5)])
+        assert np.array_equal(b.vertices, [(1, 0.5), (1, 1), (0, 1), (0, 0)])
+
+    def test_pieces_are_arcs_on_u_shape_crossed_four_times(self):
+        # y = 2 crosses edges 7, 5, 3 and 1; the anchor's interval runs from
+        # edge 7 to edge 5, so piece b is the left prong above the cut.
+        u_shape = Polygon(
+            [(0, 0), (5, 0), (5, 3), (4, 3), (4, 1), (1, 1), (1, 3), (0, 3)]
+        )
+        a, b, _, ends = split_polygon_detailed(u_shape, (0.5, 2.0), (1.0, 0.0))
+        assert [e[:2] for e in ends] == [("cut", 7), ("cut", 5)]
+        assert [e[2] for e in ends] == pytest.approx([1.0 / 3.0, 0.5], abs=1e-15)
+        np.testing.assert_allclose(
+            a.vertices, [(0, 2), (0, 0), (5, 0), (5, 3), (4, 3), (4, 1), (1, 1), (1, 2)],
+            rtol=0.0, atol=1e-15)
+        np.testing.assert_allclose(b.vertices, [(1, 2), (1, 3), (0, 3), (0, 2)],
+                                   rtol=0.0, atol=1e-15)
 
     def test_cut_misses_polygon(self):
         poly = Polygon(UNIT_SQUARE)
@@ -231,7 +256,7 @@ class TestSplit:
             theta = rng.uniform(0, math.pi)
             d = np.array([math.cos(theta), math.sin(theta)])
             try:
-                a, b, seg, _, _ = split_polygon_detailed(poly, poly.centroid, d)
+                a, b, seg, _ = split_polygon_detailed(poly, poly.centroid, d)
             except CutMissesPolygon:
                 continue
             assert a.area + b.area == pytest.approx(poly.area, rel=1e-12)
@@ -253,7 +278,7 @@ class TestSplit:
         gen = np.random.default_rng(seed)
         poly = random_convex_polygon(gen, ratio=float(gen.uniform(1, 50)))
         d = np.array([math.cos(theta), math.sin(theta)])
-        a, b, _, _, _ = split_polygon_detailed(poly, poly.centroid, d)
+        a, b, _, _ = split_polygon_detailed(poly, poly.centroid, d)
         assert a.area + b.area == pytest.approx(poly.area, rel=1e-12)
 
 

@@ -99,7 +99,7 @@ class TestGram:
         cell = Polygon([(0.50, 0.0), (0.54, 0.0), (0.54, 0.04), (0.50, 0.04)])
         for _ in range(6):
             theta = rng.uniform(0, math.pi)
-            a, b, _, _, _ = split_polygon_detailed(
+            a, b, _, _ = split_polygon_detailed(
                 cell, cell.centroid, np.array([math.cos(theta), math.sin(theta)])
             )
             whole = gram_element(cell, fld, depth=6)

@@ -15,7 +15,7 @@ from anisomesh.fields import tanh_layer
 from anisomesh.geometry import Polygon
 from anisomesh.indicator import eta_global, eta_local, gram_element, gram_elements
 from anisomesh.interp import POINTWISE, BasisCache, build_basis, coefficients, element_l2_error
-from anisomesh.mesh import generate_polygonal
+from anisomesh.mesh import build_mesh, generate_polygonal
 from anisomesh.quadrature import (
     CHUNK,
     _ear_clip,
@@ -123,6 +123,20 @@ class TestGramChunks:
                 assert np.array_equal(gram, gram_element(poly, fld, depth=depth))
 
 
+class TestSharedBases:
+    def test_l2_parts_do_not_depend_on_element_order(self):
+        # Keys round to 12 digits, far above the differences that break
+        # Delaunay ties on these near-square cells: a basis built for
+        # whichever element of a key comes first changed 7 of the 27 parts.
+        fld = tanh_layer()
+        mesh0 = generate_polygonal(4, 4, jitter=1e-15, seed=0)
+        mesh = adaptive_loop(mesh0, fld, RefineConfig(strategy=ANISOTROPIC, max_levels=2))[-1][0]
+        reversed_mesh = build_mesh(mesh.points, [el.vertex_loop for el in mesh.elements[::-1]])
+        parts = [interp.l2_parts(m, fld, coefficients(m, fld, POINTWISE), cache=BasisCache())
+                 for m in (mesh, reversed_mesh)]
+        assert np.array_equal(parts[0], parts[1][::-1])
+
+
 class TestFanIntegrals:
     def test_level_fans_match_one_dot_over_sample_points(self):
         # CLEMENT's element integrals come from one polygon_fans call per
@@ -161,9 +175,10 @@ def test_level_kernels_match_one_element_calls(seed, jitter, strategy, levels):
             assert report.eta_local[k] == reference_eta(poly, gram)
         coeffs = coefficients(mesh, fld, POINTWISE)
         parts = interp.l2_parts(mesh, fld, coeffs, cache=BasisCache())
-        # Elements of one similarity key share the basis of the first one,
-        # through a cache, on both paths: on near-square lattices Delaunay
-        # ties make a basis built for each element differ far above roundoff.
+        # Elements of one similarity key share the basis of the key's own
+        # polygon, through a cache, on both paths: on near-square lattices
+        # Delaunay ties make a basis built for each element differ far above
+        # roundoff.
         cache = BasisCache()
         single = [element_l2_error(build_basis(el.polygon, cache=cache),
                                    coeffs.values[el.vertex_loop], fld)

@@ -345,3 +345,50 @@ def test_refinement_invariants_on_polygonal_meshes(seed, cells, jitter, strategy
                 on &= np.hypot(*(p0 + t[:, None] * d - q).T) <= 1e-12
             assert on.any()
             assert set(tags[on].tolist()) == {tag}
+
+
+def edge_ring(parent, child, loop):
+    """``loop`` of ``parent`` with every node new in ``child`` that lies inside
+    one of its edges, in order along the edge: the ring children are arcs of."""
+    new = np.arange(parent.n_nodes, child.n_nodes)
+    q = child.points[new]
+    ring = []
+    for a, b in zip(loop, loop[1:] + loop[:1]):
+        ring.append(a)
+        p0, d = parent.points[a], parent.points[b] - parent.points[a]
+        t = (q - p0) @ d / (d @ d)
+        on = (t > 0.0) & (t < 1.0) & (np.hypot(*(p0 + t[:, None] * d - q).T) <= 1e-12)
+        ring.extend(new[on][np.argsort(t[on])].tolist())
+    return ring
+
+
+@settings(max_examples=10, deadline=None)
+@given(
+    seed=st.integers(0, 2 ** 16),
+    cells=st.integers(3, 5),
+    jitter=st.floats(0.0, 0.3),
+    strategy=st.sampled_from([ANISOTROPIC, ISOTROPIC, UNIFORM]),
+    levels=st.integers(1, 3),
+)
+def test_children_are_arcs_of_the_parent_ring(seed, cells, jitter, strategy, levels):
+    # The two children of a split element run from one cut end to the other
+    # around the parent loop extended by this level's hanging nodes; they
+    # share exactly the cut ends.  An element not split keeps that ring.
+    fld = tanh_layer()
+    mesh = generate_polygonal(cells, cells, jitter=jitter, seed=seed)
+    for _ in range(levels):
+        report = eta_global(mesh, fld)
+        child, step = refine(mesh, mark(report, mesh.n_elements), strategy, report)
+        loops = [el.vertex_loop for el in child.elements]
+        for el in mesh.elements:
+            ring = edge_ring(mesh, child, el.vertex_loop)
+            if el.id not in step.parent_children:
+                assert loops[step.parent_of.index(el.id)] == ring
+                continue
+            a, b = (loops[c] for c in step.parent_children[el.id])
+            lo, hi = a[0], a[-1]
+            assert (b[0], b[-1]) == (hi, lo)
+            assert set(a) & set(b) == {lo, hi}
+            k = ring.index(lo)
+            assert ring[k:] + ring[:k] == a + b[1:-1]
+        mesh = child

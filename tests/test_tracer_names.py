@@ -5,6 +5,7 @@ the package, so a refactor that drops one would only fail the traced
 benchmark; this test makes it fail the test suite instead.
 """
 
+import dataclasses
 import importlib
 import importlib.util
 import inspect
@@ -12,6 +13,8 @@ import os
 
 import anisomesh.geometry
 import anisomesh.interp
+from anisomesh.mesh import generate_grid
+from anisomesh.refine import UNIFORM, RefinementStep, refine
 
 TRACING = os.path.join(os.path.dirname(__file__), os.pardir, "bench", "tracing.py")
 
@@ -46,3 +49,21 @@ def test_wrapped_signatures():
     assert list(params) == ["self", "poly", "depth"]
     params = inspect.signature(importlib.import_module("anisomesh.parallel").pmap).parameters
     assert list(params) == ["fn", "items"]
+
+
+def test_return_attributes_read_by_tracer():
+    # The tracer's _after_* hooks count from what refine and build_mesh
+    # return: RefinementStep.parent_children, .skipped and .new_nodes, and
+    # PolyMesh.n_elements.
+    fields = {f.name for f in dataclasses.fields(RefinementStep)}
+    assert {"parent_children", "skipped", "new_nodes"} <= fields
+    tracer = load_tracing().Tracer()
+    out = refine(generate_grid(2, 1), set(), strategy=UNIFORM)
+    tracer._after_refine_refine((), out, 0)
+    tracer._after_mesh_build_mesh((), out[0], 0)
+    assert dict(tracer.counts) == {
+        "refine.elements_split": 2,
+        "refine.elements_skipped": 0,
+        "refine.nodes_added": 3,
+        "mesh.elements_built": 4,
+    }
