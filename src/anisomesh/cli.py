@@ -273,6 +273,8 @@ def cmd_audit(args):
 
 
 def cmd_render(args):
+    if args.zoom and not (args.zoom[2] > args.zoom[0] and args.zoom[3] > args.zoom[1]):
+        raise ParseError(f"--zoom box needs X1 > X0 and Y1 > Y0, got {args.zoom}")
     mesh = load_mesh(args.mesh)
     values = None
     if args.field_csv:

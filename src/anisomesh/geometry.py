@@ -111,23 +111,18 @@ class ReferenceMap:
 
 
 class Polygon:
-    """Simple CCW polygon with cached exact moments and spectral data.
+    """Simple CCW polygon with exact moments and cached spectral data.
 
     Vertices are an (n, 2) float array without repeated consecutive points.
-    Construction enforces positive signed area; simplicity is checked on
-    demand (``validate_simple``) because the O(n^2) test is not needed on the
-    hot refinement path.
+    Construction enforces positive signed area and computes the area,
+    centroid, covariance (``second_moment``) and diameter; the spectrum and
+    reference map are computed on first use.  Simplicity is checked on
+    demand (``validate_simple``) because the O(n^2) test is not needed on
+    the hot refinement path.
     """
 
-    __slots__ = (
-        "vertices",
-        "_area",
-        "_centroid",
-        "_second_moment",
-        "_spectrum",
-        "_refmap",
-        "_diameter",
-    )
+    __slots__ = ("vertices", "area", "centroid", "second_moment", "diameter",
+                 "_spectrum", "_refmap")
 
     def __init__(self, vertices):
         v = np.asarray(vertices, dtype=float)
@@ -142,52 +137,24 @@ class Polygon:
             raise ValueError("vertex coordinates must be finite")
         # Scalar loops beat numpy by an order of magnitude at these sizes.
         coords = v.tolist()
-        lo_x = min(c[0] for c in coords)
-        hi_x = max(c[0] for c in coords)
-        lo_y = min(c[1] for c in coords)
-        hi_y = max(c[1] for c in coords)
-        scale = max(hi_x - lo_x, hi_y - lo_y) or 1.0
-        twice_area = 0.0
-        tol = 1e-15 * scale
-        for i in range(n):
-            x0, y0 = coords[i]
-            x1, y1 = coords[(i + 1) % n]
-            if abs(x1 - x0) <= tol and abs(y1 - y0) <= tol:
-                raise ValueError("repeated consecutive vertices")
-            twice_area += x0 * y1 - x1 * y0
-        if twice_area <= 0.0:
-            raise ValueError("vertex loop must be counter-clockwise with positive area")
-        self.vertices = v
-        self.vertices.setflags(write=False)
-        self._area = None
-        self._centroid = None
-        self._second_moment = None
-        self._spectrum = None
-        self._refmap = None
-        self._diameter = None
-
-    def __len__(self):
-        return len(self.vertices)
-
-    def __repr__(self):
-        return f"Polygon({len(self.vertices)} vertices, area={self.area:.6g})"
-
-    def _compute_moments(self):
+        xs = [c[0] for c in coords]
+        ys = [c[1] for c in coords]
+        tol = 1e-15 * (max(max(xs) - min(xs), max(ys) - min(ys)) or 1.0)
         # Shift to the vertex mean first: the quadratic boundary formulas
         # cancel catastrophically when evaluated far from the origin.
-        coords = self.vertices.tolist()
-        n = len(coords)
-        px = sum(c[0] for c in coords) / n
-        py = sum(c[1] for c in coords) / n
+        px = sum(xs) / n
+        py = sum(ys) / n
         twice_area = 0.0
         sx = sy = 0.0
         sxx = syy = sxy = 0.0
-        x1 = coords[-1][0] - px
-        y1 = coords[-1][1] - py
-        for c in coords:
+        x1 = xs[-1] - px
+        y1 = ys[-1] - py
+        for x, y in coords:
             x0, y0 = x1, y1
-            x1 = c[0] - px
-            y1 = c[1] - py
+            x1 = x - px
+            y1 = y - py
+            if abs(x1 - x0) <= tol and abs(y1 - y0) <= tol:
+                raise ValueError("repeated consecutive vertices")
             cross = x0 * y1 - x1 * y0
             twice_area += cross
             sx += (x0 + x1) * cross
@@ -195,8 +162,10 @@ class Polygon:
             sxx += (x0 * x0 + x0 * x1 + x1 * x1) * cross
             syy += (y0 * y0 + y0 * y1 + y1 * y1) * cross
             sxy += (x0 * y1 + 2.0 * x0 * y0 + 2.0 * x1 * y1 + x1 * y0) * cross
+        if twice_area <= 0.0:
+            raise ValueError("vertex loop must be counter-clockwise with positive area")
         area = 0.5 * twice_area
-        h = self.diameter
+        h = point_set_diameter(v)
         if area <= 1e-14 * h * h:
             raise DegenerateElement(f"polygon area {area:.3e} below tolerance")
         cx = sx / (6.0 * area)
@@ -204,41 +173,27 @@ class Polygon:
         ixx = sxx / 12.0
         iyy = syy / 12.0
         ixy = sxy / 24.0
-        # Covariance about the true centroid (parallel-axis correction).
-        m = np.array(
+        v.setflags(write=False)
+        self.vertices = v
+        self.area = area
+        self.centroid = np.array([cx + px, cy + py])
+        # Covariance (1/|K|) int (x - c)(x - c)^T dx about the true centroid
+        # (parallel-axis correction).
+        self.second_moment = np.array(
             [
                 [ixx / area - cx * cx, ixy / area - cx * cy],
                 [ixy / area - cx * cy, iyy / area - cy * cy],
             ]
         )
-        self._area = area
-        self._centroid = np.array([cx + px, cy + py])
-        self._second_moment = m
+        self.diameter = h
+        self._spectrum = None
+        self._refmap = None
 
-    @property
-    def area(self):
-        if self._area is None:
-            self._compute_moments()
-        return self._area
+    def __len__(self):
+        return len(self.vertices)
 
-    @property
-    def centroid(self):
-        if self._centroid is None:
-            self._compute_moments()
-        return self._centroid
-
-    @property
-    def second_moment(self):
-        """Covariance matrix (1/|K|) int (x - c)(x - c)^T dx."""
-        if self._second_moment is None:
-            self._compute_moments()
-        return self._second_moment
-
-    @property
-    def diameter(self):
-        if self._diameter is None:
-            self._diameter = point_set_diameter(self.vertices)
-        return self._diameter
+    def __repr__(self):
+        return f"Polygon({len(self.vertices)} vertices, area={self.area:.6g})"
 
     @property
     def spectrum(self):

@@ -46,9 +46,10 @@ class IndicatorReport:
         for el in mesh.elements:
             g = self.gram[el.id]
             s = el.polygon.spectrum
+            alpha = reference_alpha(el.polygon)
             fh.write(
                 f"{el.id},{self.eta_local[el.id]:.12g},{g[0, 0]:.12g},{g[0, 1]:.12g},"
-                f"{g[1, 1]:.12g},{s.lambda1:.12g},{s.lambda2:.12g},{el.polygon.refmap.alpha:.12g}\n"
+                f"{g[1, 1]:.12g},{s.lambda1:.12g},{s.lambda2:.12g},{alpha:.12g}\n"
             )
 
 

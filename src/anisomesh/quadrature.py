@@ -29,10 +29,10 @@ __all__ = [
     "polygon_sample_points",
     "fan_triangles",
     "polygon_fans",
-    "edge_rule",
     "integrate_on_edge",
     "default_depth",
     "RULE",
+    "EDGE_RULE",
     "CHUNK",
 ]
 
@@ -74,6 +74,11 @@ def triangle_rule(order):
 
 
 RULE = triangle_rule(7)  # the rule every element integral uses
+
+_t, _w = np.polynomial.legendre.leggauss(4)
+EDGE_RULE = (0.5 * (_t + 1.0), 0.5 * _w)  # order-7 Gauss line on [0, 1]: (nodes, weights)
+EDGE_RULE[0].setflags(write=False)
+EDGE_RULE[1].setflags(write=False)
 
 CHUNK = 8192  # quadrature points per array pass of a level-wide integral
 
@@ -254,23 +259,11 @@ def integrate_on_fan(tris, f, depth):
     return float(w @ vals)
 
 
-@lru_cache(maxsize=16)
-def edge_rule(order):
-    """Gauss-Legendre nodes/weights on [0, 1]."""
-    n = (order + 2) // 2
-    t, w = np.polynomial.legendre.leggauss(n)
-    x = 0.5 * (t + 1.0)
-    w = 0.5 * w
-    x.setflags(write=False)
-    w.setflags(write=False)
-    return x, w
-
-
 def integrate_on_edge(a, b, f, n_seg=8):
     """Composite order-7 Gauss integration of f along the segment a-b."""
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
-    x, w = edge_rule(7)
+    x, w = EDGE_RULE
     breaks = np.linspace(0.0, 1.0, n_seg + 1)
     t = (breaks[:-1, None] + np.diff(breaks)[:, None] * x[None, :]).reshape(-1)
     pts = a[None, :] + t[:, None] * (b - a)[None, :]

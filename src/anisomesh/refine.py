@@ -106,11 +106,15 @@ def refine(mesh, marked, strategy=ISOTROPIC, report=None):
     UNIFORM ignores ``marked`` and bisects everything.  Elements whose cut
     degenerates in both the chosen and the orthogonal direction are skipped
     and logged.  Split order is ascending element id for determinism.
+    Raises ValueError for a marked id outside [0, n_elements).
     """
     if strategy not in (UNIFORM, ISOTROPIC, ANISOTROPIC):
         raise ValueError(f"unknown strategy {strategy!r}")
     if strategy == UNIFORM:
         marked = set(range(mesh.n_elements))
+    bad = sorted(eid for eid in marked if not 0 <= eid < mesh.n_elements)
+    if bad:
+        raise ValueError(f"marked element ids {bad} outside [0, {mesh.n_elements})")
 
     new_points = []  # coordinates of nodes n_nodes, n_nodes + 1, ...
     inserted = {}  # canonical edge key -> list of (t, node id)

@@ -235,6 +235,15 @@ class TestOtherCommands:
         ]) == 0
         assert "#" in out.read_text()
 
+    @pytest.mark.parametrize("box", [("0", "0", "0", "1"), ("0", "1", "1", "0.5")])
+    def test_render_rejects_empty_zoom_box(self, tmp_path, capsys, box):
+        path = tmp_path / "m.mesh"
+        save_mesh(generate_grid(2, 2), path)
+        out = tmp_path / "z.svg"
+        assert main(["render", str(path), "--out", str(out), "--zoom", *box]) == 1
+        assert capsys.readouterr().err.startswith("error: --zoom")
+        assert not out.exists()
+
     def test_verify_command(self, tmp_path, capsys):
         assert main(["verify", "--sweep", "trace", "--out", str(tmp_path / "t.csv")]) == 0
         assert (tmp_path / "t.csv").exists()

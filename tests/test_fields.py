@@ -17,7 +17,7 @@ from anisomesh.fields import (
 from anisomesh.geometry import Polygon, split_polygon_detailed
 from anisomesh.quadrature import (
     _subdivided_reference,
-    edge_rule,
+    EDGE_RULE,
     fan_triangles,
     integrate_on_edge,
     integrate_on_polygon,
@@ -223,7 +223,7 @@ class TestPolygonIntegration:
 
 class TestEdgeQuadrature:
     def test_edge_rule_exactness(self):
-        x, w = edge_rule(7)
+        x, w = EDGE_RULE
         for k in range(8):
             assert float(w @ x ** k) == pytest.approx(1.0 / (k + 1), rel=1e-14)
 

@@ -45,7 +45,83 @@ def mc_moments(poly, n_samples, rng):
     return (area, area_se), (centroid, centroid_se), (cov, cov_se)
 
 
+def two_pass_moments(vertices):
+    """Scalar reference for Polygon's checks and moments, in two passes.
+
+    The first pass checks orientation and repeated vertices on the raw
+    coordinates; the second shifts to the vertex mean and sums the closed-form
+    boundary terms.  Returns (area, centroid, second_moment, diameter).
+    """
+    coords = np.asarray(vertices, dtype=float).tolist()
+    n = len(coords)
+    scale = max(max(c[0] for c in coords) - min(c[0] for c in coords),
+                max(c[1] for c in coords) - min(c[1] for c in coords)) or 1.0
+    twice_area = 0.0
+    for i in range(n):
+        x0, y0 = coords[i]
+        x1, y1 = coords[(i + 1) % n]
+        if abs(x1 - x0) <= 1e-15 * scale and abs(y1 - y0) <= 1e-15 * scale:
+            raise ValueError("repeated consecutive vertices")
+        twice_area += x0 * y1 - x1 * y0
+    if twice_area <= 0.0:
+        raise ValueError("clockwise")
+    diameter = math.sqrt(max((a[0] - b[0]) * (a[0] - b[0]) + (a[1] - b[1]) * (a[1] - b[1])
+                             for a in coords for b in coords))
+    px = sum(c[0] for c in coords) / n
+    py = sum(c[1] for c in coords) / n
+    twice_area = sx = sy = sxx = syy = sxy = 0.0
+    x1, y1 = coords[-1][0] - px, coords[-1][1] - py
+    for c in coords:
+        x0, y0 = x1, y1
+        x1, y1 = c[0] - px, c[1] - py
+        cross = x0 * y1 - x1 * y0
+        twice_area += cross
+        sx += (x0 + x1) * cross
+        sy += (y0 + y1) * cross
+        sxx += (x0 * x0 + x0 * x1 + x1 * x1) * cross
+        syy += (y0 * y0 + y0 * y1 + y1 * y1) * cross
+        sxy += (x0 * y1 + 2.0 * x0 * y0 + 2.0 * x1 * y1 + x1 * y0) * cross
+    area = 0.5 * twice_area
+    if area <= 1e-14 * diameter * diameter:
+        raise DegenerateElement("degenerate")
+    cx, cy = sx / (6.0 * area), sy / (6.0 * area)
+    ixx, iyy, ixy = sxx / 12.0, syy / 12.0, sxy / 24.0
+    cov = np.array([[ixx / area - cx * cx, ixy / area - cx * cy],
+                    [ixy / area - cx * cy, iyy / area - cy * cy]])
+    return area, np.array([cx + px, cy + py]), cov, diameter
+
+
+def with_hanging_nodes(vertices, count, rng):
+    """Insert ``count`` nodes inside random edges (interior angle pi)."""
+    v = list(vertices)
+    for _ in range(count):
+        i = int(rng.integers(len(v)))
+        a, b = v[i], v[(i + 1) % len(v)]
+        v.insert(i + 1, a + rng.uniform(0.2, 0.8) * (b - a))
+    return np.array(v)
+
+
 class TestMoments:
+    @settings(max_examples=150, deadline=None)
+    @given(
+        seed=st.integers(0, 2 ** 31),
+        convex=st.booleans(),
+        log_ratio=st.floats(0.0, 8.0),
+        shift=st.tuples(st.floats(-1e6, 1e6), st.floats(-1e6, 1e6)),
+        hanging=st.integers(0, 4),
+    )
+    def test_matches_two_pass_reference_bit_for_bit(self, seed, convex, log_ratio, shift, hanging):
+        rng = np.random.default_rng(seed)
+        make = random_convex_polygon if convex else random_star_polygon
+        base = make(rng, ratio=10.0 ** log_ratio).vertices + np.asarray(shift)
+        v = with_hanging_nodes(base, hanging, rng)
+        area, centroid, cov, diameter = two_pass_moments(v)
+        poly = Polygon(v)
+        assert poly.area == area
+        assert poly.centroid.tobytes() == centroid.tobytes()
+        assert poly.second_moment.tobytes() == cov.tobytes()
+        assert poly.diameter == diameter
+
     def test_unit_square(self):
         poly = Polygon(UNIT_SQUARE)
         assert poly.area == pytest.approx(1.0, abs=1e-15)
@@ -82,13 +158,31 @@ class TestMoments:
         assert far.second_moment == pytest.approx(near.second_moment, abs=1e-9)
 
     def test_degenerate_raises(self):
-        poly = Polygon([(0, 0), (1, 0), (2, 1e-17), (1, 1e-17)])
         with pytest.raises(DegenerateElement):
-            _ = poly.area
+            Polygon([(0, 0), (1, 0), (2, 1e-17), (1, 1e-17)])
+
+    def test_thin_sliver_raises_at_construction(self):
+        # The tolerance is area <= 1e-14 * h^2, here h = 1 to rounding.
+        with pytest.raises(DegenerateElement):
+            Polygon([(0, 0), (1, 0), (1, 5e-15), (0, 5e-15)])
+        assert Polygon([(0, 0), (1, 0), (1, 2e-14), (0, 2e-14)]).area == pytest.approx(2e-14)
 
     def test_orientation_rejected(self):
         with pytest.raises(ValueError):
             Polygon(list(reversed(UNIT_SQUARE)))
+
+    @pytest.mark.parametrize(
+        "vertices",
+        [
+            [(0, 0), (1, 0), (1, 0), (1, 1), (0, 1)],  # repeated consecutive vertex
+            [(0, 0), (1, 0)],  # fewer than 3 vertices
+            [(0, 0), (1, 0), (1, math.inf), (0, 1)],
+            [(0, 0), (1, 0), (math.nan, 1), (0, 1)],
+        ],
+    )
+    def test_invalid_loops_raise_value_error(self, vertices):
+        with pytest.raises(ValueError):
+            Polygon(vertices)
 
 
 class TestSpectrum:

@@ -158,6 +158,11 @@ class TestRefine:
         assert np.array_equal(mesh.edge_tags[tagged] == NEUMANN, right)
         assert right.sum() > 4  # the right side was split
 
+    @pytest.mark.parametrize("eid", [-1, 4])
+    def test_out_of_range_marked_id_rejected(self, eid):
+        with pytest.raises(ValueError, match=rf"\[{eid}\]"):
+            refine(generate_grid(2, 2), {0, eid}, strategy=ISOTROPIC)
+
     def test_conservation_over_uniform_levels(self):
         mesh = generate_grid(1, 1)
         for _ in range(6):
