@@ -10,6 +10,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
+from typing import NamedTuple
 
 import numpy as np
 
@@ -23,6 +25,11 @@ __all__ = [
     "reference_map",
     "map_polygon",
     "split_polygon_detailed",
+    "split_polygons",
+    "loop_moments",
+    "loops_simple",
+    "polygons",
+    "polygons_of",
     "symmetric_eig_2x2",
     "point_set_diameter",
 ]
@@ -33,6 +40,9 @@ _ZERO_COMPONENT_TOL = 1e-14
 # are dropped, and a cut endpoint this close to a vertex (in refine, also to
 # an earlier cut node on the same edge) snaps to it.
 SNAP_TOL = 1e-9
+
+# Vertex pairs per block of rows in ``loop_moments``.
+_PAIR_BLOCK = 1 << 14
 
 
 def symmetric_eig_2x2(a, b, c):
@@ -113,12 +123,14 @@ class ReferenceMap:
 class Polygon:
     """Simple CCW polygon with exact moments and cached spectral data.
 
-    Vertices are an (n, 2) float array without repeated consecutive points.
-    Construction enforces positive signed area and computes the area,
-    centroid, covariance (``second_moment``) and diameter; the spectrum and
-    reference map are computed on first use.  Simplicity is checked on
-    demand (``validate_simple``) because the O(n^2) test is not needed on
-    the hot refinement path.
+    Vertices are an (n, 2) read-only float array without repeated
+    consecutive points, a copy of the input: the caller's array stays
+    writable.  Construction enforces positive signed area and takes
+    the area, centroid, covariance (``second_moment``) and diameter from
+    ``loop_moments`` (a batch of one); ``polygons`` builds many at once as
+    views on one batch.  The spectrum and reference map are computed on
+    first use.  Simplicity is checked on demand (``validate_simple``)
+    because the O(n^2) test is not needed on the hot refinement path.
     """
 
     __slots__ = ("vertices", "area", "centroid", "second_moment", "diameter",
@@ -135,57 +147,18 @@ class Polygon:
             raise ValueError("polygon needs at least 3 vertices")
         if not np.all(np.isfinite(v)):
             raise ValueError("vertex coordinates must be finite")
-        # Scalar loops beat numpy by an order of magnitude at these sizes.
-        coords = v.tolist()
-        xs = [c[0] for c in coords]
-        ys = [c[1] for c in coords]
-        tol = 1e-15 * (max(max(xs) - min(xs), max(ys) - min(ys)) or 1.0)
-        # Shift to the vertex mean first: the quadratic boundary formulas
-        # cancel catastrophically when evaluated far from the origin.
-        px = sum(xs) / n
-        py = sum(ys) / n
-        twice_area = 0.0
-        sx = sy = 0.0
-        sxx = syy = sxy = 0.0
-        x1 = xs[-1] - px
-        y1 = ys[-1] - py
-        for x, y in coords:
-            x0, y0 = x1, y1
-            x1 = x - px
-            y1 = y - py
-            if abs(x1 - x0) <= tol and abs(y1 - y0) <= tol:
-                raise ValueError("repeated consecutive vertices")
-            cross = x0 * y1 - x1 * y0
-            twice_area += cross
-            sx += (x0 + x1) * cross
-            sy += (y0 + y1) * cross
-            sxx += (x0 * x0 + x0 * x1 + x1 * x1) * cross
-            syy += (y0 * y0 + y0 * y1 + y1 * y1) * cross
-            sxy += (x0 * y1 + 2.0 * x0 * y0 + 2.0 * x1 * y1 + x1 * y0) * cross
-        if twice_area <= 0.0:
-            raise ValueError("vertex loop must be counter-clockwise with positive area")
-        area = 0.5 * twice_area
-        h = point_set_diameter(v)
-        if area <= 1e-14 * h * h:
-            raise DegenerateElement(f"polygon area {area:.3e} below tolerance")
-        cx = sx / (6.0 * area)
-        cy = sy / (6.0 * area)
-        ixx = sxx / 12.0
-        iyy = syy / 12.0
-        ixy = sxy / 24.0
-        v.setflags(write=False)
-        self.vertices = v
+        loops = loop_moments(np.concatenate((v[-1:], v))[None], np.array([n]))
+        error = loop_error(loops, 0)
+        if error is not None:
+            raise error
+        self._set(*next(_rows(loops)))
+
+    def _set(self, vertices, area, centroid, second_moment, diameter):
+        self.vertices = vertices
         self.area = area
-        self.centroid = np.array([cx + px, cy + py])
-        # Covariance (1/|K|) int (x - c)(x - c)^T dx about the true centroid
-        # (parallel-axis correction).
-        self.second_moment = np.array(
-            [
-                [ixx / area - cx * cx, ixy / area - cx * cy],
-                [ixy / area - cx * cy, iyy / area - cy * cy],
-            ]
-        )
-        self.diameter = h
+        self.centroid = centroid
+        self.second_moment = second_moment
+        self.diameter = diameter
         self._spectrum = None
         self._refmap = None
 
@@ -209,14 +182,161 @@ class Polygon:
 
     def validate_simple(self):
         """Raise NonSimpleResult if any two non-adjacent edges intersect."""
-        if not polygon_is_simple(self.vertices):
+        if not loops_simple(*stack_loops([self.vertices]))[0]:
             raise NonSimpleResult("polygon boundary self-intersects")
+
+
+class Loops(NamedTuple):
+    """Many loops in ``loop_moments``' layout, with their checks and moments.
+
+    ``vertices`` is (E, m + 1, 2): row k holds loop k's last vertex, its
+    ``sizes[k]`` vertices in order, then its last vertex again up to column
+    m.  ``error`` is 0 for a valid loop, else a key of ``_LOOP_ERRORS``.
+    """
+
+    vertices: np.ndarray
+    sizes: np.ndarray
+    area: np.ndarray
+    centroid: np.ndarray
+    second_moment: np.ndarray
+    diameter: np.ndarray
+    error: np.ndarray
+
+
+_LOOP_ERRORS = {
+    1: "repeated consecutive vertices",
+    2: "vertex loop must be counter-clockwise with positive area",
+    3: "polygon area {:.3e} below tolerance",
+}
+
+
+def closed_index(sizes):
+    """(E, m + 1) indices into a concatenation of loops of these sizes (each
+    >= 1) that gather them in ``loop_moments``' layout."""
+    sizes = np.asarray(sizes)
+    last = np.cumsum(sizes) - 1
+    q = np.arange(-1, int(sizes.max(initial=0)))  # column c holds entry c - 1
+    return np.where((q >= 0) & (q < sizes[:, None]), last[:, None] - sizes[:, None] + 1 + q,
+                    last[:, None])
+
+
+def stack_loops(vertex_arrays):
+    """(vertices, sizes) of (n_k, 2) vertex arrays in ``loop_moments``' layout."""
+    sizes = np.array([len(v) for v in vertex_arrays], dtype=int)
+    flat = np.concatenate(vertex_arrays) if len(sizes) else np.empty((0, 2))
+    return flat[closed_index(sizes)], sizes
+
+
+def loop_moments(vertices, sizes):
+    """Checks and exact moments of many loops at once; returns ``Loops``.
+
+    ``vertices`` is in the layout ``Loops`` describes, so column pairs
+    (c, c + 1) are a loop's edges from the closing one on, and the padding
+    edges have zero length.  Each sum runs column by column from 0.0 over
+    coordinates shifted to the loop's vertex mean, the order of a scalar
+    loop over the vertices: a row's bits do not depend on the other rows.
+    The rows go in blocks of at most ``_PAIR_BLOCK`` vertex pairs, so the
+    temporaries stay small; the diameter is the largest pairwise distance.
+    """
+    sizes = np.asarray(sizes)
+    count = len(sizes)
+    area, diameter, error = np.empty(count), np.empty(count), np.empty(count, dtype=int)
+    centroid, second = np.empty((count, 2)), np.empty((count, 2, 2))
+    step = max(1, _PAIR_BLOCK // vertices.shape[1] ** 2)
+    for a in range(0, count, step):
+        rows = slice(a, a + step)
+        (area[rows], centroid[rows], second[rows], diameter[rows],
+         error[rows]) = _moments_block(vertices[rows], sizes[rows])
+    return Loops(vertices, sizes, area, centroid, second, diameter, error)
+
+
+def _moments_block(vertices, sizes):
+    column = np.arange(vertices.shape[1])
+    real = (column > 0) & (column <= sizes[:, None])  # a loop's own vertices
+    span = (vertices.max(axis=1) - vertices.min(axis=1)).max(axis=1)
+    tol = 1e-15 * np.where(span > 0.0, span, 1.0)
+    # Shift to the vertex mean first: the quadratic boundary formulas
+    # cancel catastrophically when evaluated far from the origin.  Column 0
+    # is masked to 0.0, so the cumulative sums start from 0.0.
+    mean = np.where(real[:, :, None], vertices, 0.0).cumsum(axis=1)[:, -1] / sizes[:, None]
+    shifted = vertices - mean[:, None, :]
+    p0, p1 = shifted[:, :-1], shifted[:, 1:]
+    x0, y0, x1, y1 = p0[..., 0], p0[..., 1], p1[..., 0], p1[..., 1]
+    repeated = ((np.abs(p1 - p0) <= tol[:, None, None]).all(axis=2) & real[:, 1:]).any(axis=1)
+    x0y1, x1y0 = x0 * y1, x1 * y0
+    cross = x0y1 - x1y0
+    terms = np.empty(x0.shape + (6,))
+    terms[..., 0] = cross
+    np.multiply(p0 + p1, cross[..., None], out=terms[..., 1:3])
+    np.multiply(p0 * p0 + p0 * p1 + p1 * p1, cross[..., None], out=terms[..., 3:5])
+    np.multiply(x0y1 + 2.0 * x0 * y0 + 2.0 * x1 * y1 + x1y0, cross, out=terms[..., 5])
+    terms[:, 0] += 0.0  # 0.0 + t: a -0.0 first term sums to 0.0
+    sums = terms.cumsum(axis=1)[:, -1]
+    area = 0.5 * sums[:, 0]
+    diameter = np.sqrt(_max_square_distance(vertices[:, 1:]))
+    error = np.where(repeated, 1, np.where(sums[:, 0] <= 0.0, 2,
+                                           np.where(area <= 1e-14 * diameter * diameter, 3, 0)))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        c = sums[:, 1:3] / (6.0 * area)[:, None]
+        # Covariance (1/|K|) int (x - c)(x - c)^T dx about the true centroid
+        # (parallel-axis correction); sums[3:5] / 12 and sums[5] / 24 are the
+        # second moments about the vertex mean.
+        second = np.empty((len(sizes), 4))
+        second[:, [0, 3]] = sums[:, 3:5] / 12.0 / area[:, None] - c * c
+        second[:, 1] = second[:, 2] = sums[:, 5] / 24.0 / area - c[:, 0] * c[:, 1]
+    return area, c + mean, second.reshape(-1, 2, 2), diameter, error
+
+
+def loop_error(loops, k):
+    """The exception ``Polygon`` raises for row k of ``loops``, or None."""
+    code = int(loops.error[k])
+    if code == 0:
+        return None
+    message = _LOOP_ERRORS[code]
+    if code == 3:
+        return DegenerateElement(message.format(loops.area[k]))
+    return ValueError(message)
+
+
+def _rows(loops):
+    """Per row: (vertices, area, centroid, second moment, diameter), arrays
+    read-only.  The vertices are views on one unpadded copy of all loops."""
+    column = np.arange(loops.vertices.shape[1])
+    flat = loops.vertices[(column > 0) & (column <= loops.sizes[:, None])]
+    for a in (flat, loops.centroid, loops.second_moment):
+        a.setflags(write=False)
+    ends = np.cumsum(loops.sizes).tolist()
+    return zip([flat[b - n:b] for b, n in zip(ends, loops.sizes.tolist())],
+               loops.area.tolist(), loops.centroid, loops.second_moment,
+               loops.diameter.tolist())
+
+
+def polygons(loops):
+    """Yield ``Polygon`` views on the rows of ``loops``, which must all be valid."""
+    for row in _rows(loops):
+        poly = object.__new__(Polygon)
+        poly._set(*row)
+        yield poly
+
+
+def _max_square_distance(points):
+    """Per row of (E, n, 2) ``points``: the largest squared pairwise distance."""
+    d = points[:, :, None, :] - points[:, None, :, :]
+    return (d * d).sum(axis=3).max(axis=(1, 2))
 
 
 def point_set_diameter(points):
     """Largest distance between two of the points: the exact pairwise maximum."""
-    d = points[:, None, :] - points[None, :, :]
-    return float(np.sqrt((d * d).sum(axis=2).max()))
+    return float(np.sqrt(_max_square_distance(points[None])[0]))
+
+
+def _ray_crossings(x, y, x0, y0, x1, y1):
+    """Whether the ray from (x, y) to +x crosses edge (x0, y0) -> (x1, y1): the
+    terms of the even-odd rule."""
+    cond = (y0 > y) != (y1 > y)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        xs = x0 + (y - y0) / (y1 - y0) * (x1 - x0)
+    return cond & (x < xs)
 
 
 def points_in_polygon(points, vertices, boundary_tol=0.0):
@@ -232,10 +352,7 @@ def points_in_polygon(points, vertices, boundary_tol=0.0):
     # (E, P) arrays: edge (x0, y0) -> (x1, y1) against every point.
     x0, y0 = v[:, 0, None], v[:, 1, None]
     x1, y1 = np.concatenate((x0[1:], x0[:1])), np.concatenate((y0[1:], y0[:1]))
-    cond = (y0 > y) != (y1 > y)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        xs = x0 + (y - y0) / (y1 - y0) * (x1 - x0)
-    inside = np.logical_xor.reduce(cond & (x < xs), axis=0)
+    inside = np.logical_xor.reduce(_ray_crossings(x, y, x0, y0, x1, y1), axis=0)
     if boundary_tol > 0.0:
         ex, ey = x1 - x0, y1 - y0
         t = np.clip(((x - x0) * ex + (y - y0) * ey) / (ex * ex + ey * ey), 0.0, 1.0)
@@ -245,41 +362,57 @@ def points_in_polygon(points, vertices, boundary_tol=0.0):
     return inside
 
 
+def _hypot(x, y):
+    """``math.hypot`` over arrays.  Its last bit can differ from ``np.hypot``'s,
+    and the cut tolerances and direction norms are defined with it."""
+    x = np.asarray(x)
+    out = np.fromiter(map(math.hypot, x.ravel().tolist(), np.ravel(y).tolist()),
+                      dtype=float, count=x.size)
+    return out.reshape(x.shape)
+
+
 def _sign(value, eps):
-    if value > eps:
-        return 1
-    if value < -eps:
-        return -1
-    return 0
+    return (value > eps).astype(np.int8) - (value < -eps)
 
 
-def _segments_intersect(p1, p2, q1, q2):
-    # Orientation signs below fp noise count as collinear, so nearly
-    # collinear chains (hanging nodes on a former cut line) do not read as
-    # crossings.
-    ex, ey = q2[0] - q1[0], q2[1] - q1[1]
-    fx, fy = p2[0] - p1[0], p2[1] - p1[1]
-    eps = 1e-12 * math.hypot(ex, ey) * math.hypot(fx, fy)
-    d1 = _sign(ex * (p1[1] - q1[1]) - ey * (p1[0] - q1[0]), eps)
-    d2 = _sign(ex * (p2[1] - q1[1]) - ey * (p2[0] - q1[0]), eps)
-    if d1 * d2 >= 0:
-        return False
-    d3 = _sign(fx * (q1[1] - p1[1]) - fy * (q1[0] - p1[0]), eps)
-    d4 = _sign(fx * (q2[1] - p1[1]) - fy * (q2[0] - p1[0]), eps)
-    return d3 * d4 < 0
+@lru_cache(maxsize=None)
+def _edge_pairs(m):
+    """Layout edge numbers (i, j) of the non-adjacent edge pairs of an m-gon."""
+    i, j = np.triu_indices(m, 2)
+    keep = ~((i == 0) & (j == m - 1))
+    # Edge i runs from vertex i to i + 1, which is column pair (i + 1, i + 2)
+    # of the layout, or (0, 1) for the closing edge.
+    return (i[keep] + 1) % m, (j[keep] + 1) % m
 
 
-def polygon_is_simple(vertices):
-    v = np.asarray(vertices, dtype=float).tolist()
-    n = len(v)
-    for i in range(n):
-        p1, p2 = v[i], v[(i + 1) % n]
-        for j in range(i + 1, n):
-            if j == i or (j + 1) % n == i or (i + 1) % n == j:
-                continue
-            if _segments_intersect(p1, p2, v[j], v[(j + 1) % n]):
-                return False
-    return True
+def loops_simple(vertices, sizes):
+    """Per loop in ``loop_moments``' layout: True unless two non-adjacent edges cross.
+
+    Orientation signs within 1e-12 |e| |f| of zero count as collinear, so
+    nearly collinear chains (hanging nodes on a former cut line) do not read
+    as crossings.  Loops of one size are tested together, every pair at once.
+    """
+    sizes = np.asarray(sizes)
+    simple = np.ones(len(sizes), dtype=bool)
+    for m in np.unique(sizes).tolist():
+        rows = np.flatnonzero(sizes == m)
+        v = vertices[rows, :m + 1]
+        start, end = v[:, :-1], v[:, 1:]  # edge k: column k -> k + 1
+        ex, ey = (end - start).transpose(2, 0, 1)
+        length = _hypot(ex, ey)
+        i, j = _edge_pairs(m)
+        # Edge i is (p1, p2), edge j is (q1, q2).
+        p1, q1 = start[:, i], start[:, j]
+        fx, fy, gx, gy = ex[:, i], ey[:, i], ex[:, j], ey[:, j]
+        eps = 1e-12 * length[:, j] * length[:, i]
+        d1 = _sign(gx * (p1[..., 1] - q1[..., 1]) - gy * (p1[..., 0] - q1[..., 0]), eps)
+        p2 = end[:, i]
+        d2 = _sign(gx * (p2[..., 1] - q1[..., 1]) - gy * (p2[..., 0] - q1[..., 0]), eps)
+        d3 = _sign(fx * (q1[..., 1] - p1[..., 1]) - fy * (q1[..., 0] - p1[..., 0]), eps)
+        q2 = end[:, j]
+        d4 = _sign(fx * (q2[..., 1] - p1[..., 1]) - fy * (q2[..., 0] - p1[..., 0]), eps)
+        simple[rows] = ~((d1 * d2 < 0) & (d3 * d4 < 0)).any(axis=1)
+    return simple
 
 
 def covariance_spectrum(poly):
@@ -322,42 +455,179 @@ def map_polygon(poly, refmap):
     return Polygon(refmap.apply(poly.vertices))
 
 
-def _line_crossings(vertices, point, direction, t_tol):
-    """All transversal boundary crossings of the line point + t*direction.
+def polygons_of(vertex_arrays):
+    """Yield a ``Polygon`` of each (n, 2) vertex array.  The moments of all of
+    them come from one ``loop_moments`` batch, and the first invalid one's
+    error is raised before any polygon is yielded."""
+    loops = loop_moments(*stack_loops(vertex_arrays))
+    for k in np.flatnonzero(loops.error)[:1].tolist():
+        raise loop_error(loops, k)
+    return polygons(loops)
 
-    Returns a list of (t, edge_index, s) sorted by t, deduplicated within
-    ``t_tol`` in t; s is the parameter along edge_index in [0, 1).  Edges
-    parallel to the line are skipped; their endpoint hits are picked up by
-    the adjacent edges.
+
+def split_polygons(polys, points, directions):
+    """Split every polygon by the line through its point along its direction.
+
+    One array pass over all polygons' edges, with an owner index.  Returns
+    (outcomes, pieces).  ``outcomes[k]`` is the exception polygon k's split
+    raises (``CutMissesPolygon``, ``NonSimpleResult``, or the
+    ``DegenerateElement`` of a piece), or its (cut_segment, (lo_end,
+    hi_end)) as ``split_polygon_detailed`` returns them.  Rows 2k and 2k + 1
+    of the ``Loops`` ``pieces`` (None for no polygons) are its two pieces
+    when it splits.
     """
-    v = np.asarray(vertices, dtype=float)
-    n = len(v)
-    d = np.asarray(direction, dtype=float)
-    p = np.asarray(point, dtype=float)
-    hits = []
-    for i in range(n):
-        a = v[i]
-        e = v[(i + 1) % n] - a
-        det = d[0] * e[1] - d[1] * e[0]
-        elen = math.hypot(e[0], e[1])
-        if abs(det) <= 1e-14 * elen:
+    count = len(polys)
+    if not count:
+        return [], None
+    sizes = np.array([len(p.vertices) for p in polys])
+    starts = np.cumsum(sizes) - sizes
+    owner = np.repeat(np.arange(count), sizes)
+    v = np.concatenate([p.vertices for p in polys])
+    w = np.roll(v, -1, axis=0)  # edge g runs from v[g] to w[g]
+    w[starts + sizes - 1] = v[starts]
+    h = np.array([p.diameter for p in polys])
+    anchor = np.asarray(points, dtype=float).reshape(count, 2)
+    d = np.asarray(directions, dtype=float).reshape(count, 2)
+    norm = _hypot(d[:, 0], d[:, 1])
+    d = d / np.where(norm == 0.0, 1.0, norm)[:, None]
+    outcomes = [None] * count
+
+    def miss(ks, message):
+        """A CutMissesPolygon for those of polygons ``ks`` without an outcome yet."""
+        for k in ks.tolist():
+            outcomes[k] = outcomes[k] or CutMissesPolygon(message)
+
+    miss(np.flatnonzero(norm == 0.0), "zero cut direction")
+
+    # Transversal crossings of each line with its polygon's edges, sorted by
+    # the line parameter t (ties in edge order).  Edges parallel to the line
+    # are skipped; their endpoint hits come from the adjacent edges.
+    e = w - v
+    r = v - anchor[owner]
+    do = d[owner]
+    det = do[:, 0] * e[:, 1] - do[:, 1] * e[:, 0]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        t = (r[:, 0] * e[:, 1] - r[:, 1] * e[:, 0]) / det
+        s = (do[:, 1] * r[:, 0] - do[:, 0] * r[:, 1]) / det
+    hit = np.flatnonzero((np.abs(det) > 1e-14 * _hypot(e[:, 0], e[:, 1]))
+                         & (-1e-12 <= s) & (s < 1.0) & (norm != 0.0)[owner])
+    hit = hit[np.lexsort((t[hit], owner[hit]))]
+    # Crossings within 1e-12 h in t of the last one kept are dropped.
+    ho, ht = owner[hit], t[hit]
+    close = np.zeros(len(hit), dtype=bool)
+    close[1:] = (ho[1:] == ho[:-1]) & (ht[1:] - ht[:-1] <= 1e-12 * h[ho[1:]])
+    keep = ~close
+    for k in np.flatnonzero(close[1:] & close[:-1]).tolist():
+        # A run of three or more close crossings: compare with the last kept.
+        last = k
+        while not keep[last]:
+            last -= 1
+        keep[k + 1] = ht[k + 1] - ht[last] > 1e-12 * h[ho[k + 1]]
+    hit, ho, ht = hit[keep], ho[keep], ht[keep]
+    miss(np.flatnonzero(np.bincount(ho, minlength=count) < 2),
+         "cut line crosses the boundary fewer than twice")
+
+    # Interior intervals between consecutive crossings are those whose
+    # midpoints lie inside; this is robust against tangential vertex touches.
+    lo = np.flatnonzero(ho[1:] == ho[:-1])
+    io, t_lo, t_hi = ho[lo], ht[lo], ht[lo + 1]
+    tm = 0.5 * (t_lo + t_hi)
+    mx, my = (anchor[io] + tm[:, None] * d[io]).T
+    # Every interval midpoint against every edge of its polygon.
+    pair = np.repeat(np.arange(len(lo)), sizes[io])
+    edge = np.arange(len(pair)) - np.repeat(np.cumsum(sizes[io]) - sizes[io] - starts[io],
+                                            sizes[io])
+    odd = np.bincount(pair, _ray_crossings(mx[pair], my[pair], v[edge, 0], v[edge, 1],
+                                           w[edge, 0], w[edge, 1]), len(lo)) % 2 == 1
+    inside = np.flatnonzero((t_hi - t_lo > SNAP_TOL * h[io]) & odd)
+    miss(np.setdiff1d(np.arange(count), io[inside]), "no interior chord on the cut line")
+
+    # The interval containing the anchor, else the longest (the first of
+    # equals): sort each polygon's intervals by that preference.
+    contains = (t_lo[inside] <= 0.0) & (0.0 <= t_hi[inside])
+    length = np.where(contains, 0.0, t_lo[inside] - t_hi[inside])
+    ranked = inside[np.lexsort((inside, length, ~contains, io[inside]))]
+    chosen = ranked[np.r_[True, io[ranked[1:]] != io[ranked[:-1]]]] if len(ranked) else ranked
+    co = io[chosen]
+
+    # Cut ends: snapped to an edge end within SNAP_TOL h.  Ring position 2j
+    # is vertex j, 2j + 1 a cut point on edge j.
+    resolved = []
+    for crossing in (lo[chosen], lo[chosen] + 1):
+        g = hit[crossing]
+        x = anchor[co] + ht[crossing][:, None] * d[co]
+        tol = SNAP_TOL * h[co]
+        snap_a = np.hypot(*(x - v[g]).T) <= tol
+        snap_b = ~snap_a & (np.hypot(*(x - w[g]).T) <= tol)
+        j = g - starts[co]
+        at = np.where(snap_a, 2 * j, np.where(snap_b, 2 * ((j + 1) % sizes[co]), 2 * j + 1))
+        x[snap_a], x[snap_b] = v[g[snap_a]], w[g[snap_b]]
+        resolved.append((at, x, np.maximum(s[g], 0.0)))
+    (lo_at, lo_pt, lo_s), (hi_at, hi_pt, hi_s) = resolved
+    miss(co[lo_at == hi_at], "both cut endpoints snapped to the same vertex")
+
+    # Pieces: piece a runs from the low end forward through the vertices
+    # strictly between the ends to the high end, piece b from the high end
+    # on to the low end.  Rows 2k and 2k + 1 hold (start point, first ring
+    # vertex, inner vertex count, end point); a polygon without a cut keeps
+    # two copies of its own loop there.
+    n = sizes[co]
+    span = (hi_at - lo_at) % (2 * n)
+    inner = np.stack([(span + lo_at % 2 - 1) // 2, (2 * n - span + hi_at % 2 - 1) // 2], axis=1)
+    start, last = np.repeat(starts, 2), np.repeat(starts + sizes - 1, 2)
+    ring_from, count_of = np.ones(2 * count, dtype=int), np.repeat(sizes - 2, 2)
+    lo_id = len(v) + np.arange(len(co))
+    hi_id = lo_id + len(co)
+    for row, (a, b, from_at) in enumerate(((lo_id, hi_id, lo_at), (hi_id, lo_id, hi_at))):
+        rows = 2 * co + row
+        start[rows], last[rows], ring_from[rows] = a, b, from_at // 2 + 1
+        count_of[rows] = np.maximum(inner[:, row], 1)
+    own = np.repeat(np.arange(count), 2)
+    q = np.arange(-1, int(count_of.max(initial=1)) + 2)  # column c holds entry c - 1
+    ring = starts[own, None] + (ring_from[:, None] + q - 1) % sizes[own, None]
+    index = np.where(q == 0, start[:, None],
+                     np.where((q >= 1) & (q <= count_of[:, None]), ring, last[:, None]))
+    pieces = loop_moments(np.concatenate([v, lo_pt, hi_pt])[index], count_of + 2)
+    simple = loops_simple(pieces.vertices, pieces.sizes)
+
+    # Piece checks in order: a's arc length, moments and simplicity, then
+    # b's, then the area sum.  Check 4 is the arc length, 5 simplicity, and
+    # 1 to 3 are the ``loop_moments`` errors.
+    rows = 2 * co[:, None] + np.arange(2)
+    check = np.where(inner < 1, 4, np.where(pieces.error[rows] > 0, pieces.error[rows],
+                                            np.where(simple[rows], 0, 5)))
+    failed = check.any(axis=1)
+    row = rows[np.arange(len(co)), (check[:, 0] == 0).astype(int)]
+    total = pieces.area[rows[:, 0]] + pieces.area[rows[:, 1]]
+    parent = np.array([p.area for p in polys])[co]
+    short = np.abs(total - parent) > 1e-9 * parent
+    ends = [("v", at >> 1) if at % 2 == 0 else ("cut", at >> 1, s_)
+            for at, s_ in zip(np.stack([lo_at, hi_at], 1).ravel().tolist(),
+                              np.stack([lo_s, hi_s], 1).ravel().tolist())]
+    for i, k in enumerate(co.tolist()):
+        if outcomes[k] is not None:
             continue
-        r = a - p
-        t = (r[0] * e[1] - r[1] * e[0]) / det
-        s = (d[1] * r[0] - d[0] * r[1]) / det
-        if -1e-12 <= s < 1.0:
-            hits.append((t, i, max(s, 0.0)))
-    hits.sort(key=lambda h: h[0])
-    merged = []
-    for h in hits:
-        if merged and abs(h[0] - merged[-1][0]) <= t_tol:
-            continue
-        merged.append(h)
-    return merged
+        if failed[i]:
+            code = check[i][check[i] > 0][0]
+            if code == 4:
+                outcomes[k] = CutMissesPolygon("degenerate piece from cut")
+            elif code == 5:
+                outcomes[k] = NonSimpleResult("cut produced a self-intersecting piece")
+            else:
+                error = loop_error(pieces, row[i])
+                outcomes[k] = (NonSimpleResult(f"cut produced an invalid piece: {error}")
+                               if isinstance(error, ValueError) else error)
+        elif short[i]:
+            outcomes[k] = NonSimpleResult(
+                f"piece areas {total[i]:.17g} do not sum to parent area {parent[i]:.17g}")
+        else:
+            outcomes[k] = ((lo_pt[i], hi_pt[i]), (ends[2 * i], ends[2 * i + 1]))
+    return outcomes, pieces
 
 
 def split_polygon_detailed(poly, point, direction):
-    """Split a polygon by the line through ``point`` along ``direction``.
+    """Split a polygon by the line through ``point`` along ``direction``:
+    the one-polygon call of ``split_polygons``.
 
     Returns (piece_a, piece_b, cut_segment, (lo_end, hi_end)).  Each end is
     ("v", vertex_index) when it snapped to a vertex, or ("cut", edge_index, s)
@@ -368,78 +638,7 @@ def split_polygon_detailed(poly, point, direction):
     interval containing the anchor point is used (longest interval if the
     anchor is outside).
     """
-    v = poly.vertices
-    n = len(v)
-    h = poly.diameter
-    d = np.asarray(direction, dtype=float)
-    norm = math.hypot(d[0], d[1])
-    if norm == 0.0:
-        raise CutMissesPolygon("zero cut direction")
-    d = d / norm
-    p = np.asarray(point, dtype=float)
-
-    crossings = _line_crossings(v, p, d, t_tol=1e-12 * h)
-    if len(crossings) < 2:
-        raise CutMissesPolygon("cut line crosses the boundary fewer than twice")
-
-    # Interior intervals between consecutive crossings are those whose
-    # midpoints lie inside; this is robust against tangential vertex touches.
-    t = np.array([c[0] for c in crossings])
-    tm = 0.5 * (t[:-1] + t[1:])
-    inside = (t[1:] - t[:-1] > SNAP_TOL * h) & points_in_polygon(p + tm[:, None] * d, v)
-    intervals = [(crossings[k], crossings[k + 1]) for k in np.flatnonzero(inside)]
-    if not intervals:
-        raise CutMissesPolygon("no interior chord on the cut line")
-
-    chosen = None
-    for iv in intervals:
-        if iv[0][0] <= 0.0 <= iv[1][0]:
-            chosen = iv
-            break
-    if chosen is None:
-        chosen = max(intervals, key=lambda iv: iv[1][0] - iv[0][0])
-    (t_lo, e_lo, s_lo), (t_hi, e_hi, s_hi) = chosen
-    if t_hi - t_lo <= 1e-9 * h:
-        raise CutMissesPolygon("chord shorter than tolerance")
-
-    def resolve(edge, s, t):
-        """Snap near-vertex hits; return (coords, end)."""
-        a_pt, b_pt = v[edge], v[(edge + 1) % n]
-        x = p + t * d
-        if np.hypot(*(x - a_pt)) <= SNAP_TOL * h:
-            return a_pt.copy(), ("v", edge)
-        if np.hypot(*(x - b_pt)) <= SNAP_TOL * h:
-            return b_pt.copy(), ("v", (edge + 1) % n)
-        return x, ("cut", edge, s)
-
-    lo_pt, lo_end = resolve(e_lo, s_lo, t_lo)
-    hi_pt, hi_end = resolve(e_hi, s_hi, t_hi)
-    if lo_end == hi_end:
-        raise CutMissesPolygon("both cut endpoints snapped to the same vertex")
-
-    # Ring positions: vertex j at (j, 0), a cut end at (edge, s).
-    lo_at, hi_at = ((e[1], 0.0 if e[0] == "v" else e[2]) for e in (lo_end, hi_end))
-    ends = {lo_at: lo_pt, hi_at: hi_pt}
-    ring = sorted(ends.keys() | {(j, 0.0) for j in range(n)})
-    i = ring.index(lo_at)
-    ring = ring[i:] + ring[:i]
-    k = ring.index(hi_at)
-
-    pieces = []
-    for arc in (ring[:k + 1], ring[k:] + ring[:1]):
-        if len(arc) < 3:
-            raise CutMissesPolygon("degenerate piece from cut")
-        try:
-            piece = Polygon([ends[q] if q in ends else v[q[0]] for q in arc])
-        except ValueError as exc:
-            raise NonSimpleResult(f"cut produced an invalid piece: {exc}") from exc
-        if not polygon_is_simple(piece.vertices):
-            raise NonSimpleResult("cut produced a self-intersecting piece")
-        pieces.append(piece)
-
-    total = pieces[0].area + pieces[1].area
-    if abs(total - poly.area) > 1e-9 * poly.area:
-        raise NonSimpleResult(
-            f"piece areas {total:.17g} do not sum to parent area {poly.area:.17g}"
-        )
-    return pieces[0], pieces[1], (lo_pt, hi_pt), (lo_end, hi_end)
+    (outcome,), pieces = split_polygons([poly], [point], [direction])
+    if isinstance(outcome, Exception):
+        raise outcome
+    return (*polygons(pieces), *outcome)

@@ -26,7 +26,7 @@ from scipy.linalg.lapack import dpbsv
 from scipy.spatial import Delaunay, QhullError
 
 from .errors import NoAdmissibleEdge, SolveFailed, TriangulationFailed
-from .geometry import Polygon, points_in_polygon
+from .geometry import Polygon, points_in_polygon, polygons_of
 from .mesh import DIRICHLET
 from .parallel import pmap
 from .quadrature import (CHUNK, RULE, default_depth, integrate_on_edge, integrate_on_fan,
@@ -285,9 +285,8 @@ class BasisCache:
     """Similarity-keyed cache: harmonic bases survive translation/scaling.
 
     The store is emptied once it holds ``MAXSIZE`` entries, when an
-    ``l2_error`` call starts, never halfway through one.  ``put`` stores
-    under the key of the last ``get`` that missed, so a miss computes its
-    key once.
+    ``l2_error`` call starts, never halfway through one.  A ``get`` that
+    misses keeps its key in ``_missed_key``, so a miss computes its key once.
     """
 
     MAXSIZE = 20000
@@ -308,10 +307,10 @@ class BasisCache:
             return None
         return _placed(hit, poly)
 
-    def put(self, basis):
-        """Store ``basis``, built for the key polygon of the last missed ``get``."""
+    def put(self, key, basis):
+        """Store ``basis``, built for the polygon of ``key``, at unit area about the origin."""
         poly = basis.polygon
-        self.store[self._missed_key] = LocalHarmonicBasis(
+        self.store[key] = LocalHarmonicBasis(
             polygon=None,
             points=(basis.points - poly.centroid) / math.sqrt(poly.area),
             triangles=basis.triangles,
@@ -354,7 +353,7 @@ def build_basis(poly, depth=None, cache=None):
     hit = cache.get(poly, depth)
     if hit is None:
         key = cache._missed_key
-        cache.put(_solve_basis(Polygon(np.reshape(key[0], (-1, 2))), depth))
+        cache.put(key, _solve_basis(Polygon(np.reshape(key[0], (-1, 2))), depth))
         hit = _placed(cache.store[key], poly)
     return hit
 
@@ -494,9 +493,11 @@ def l2_parts(mesh, fld, coeffs, depth=None, cache=None):
     for k, poly in enumerate(polys):
         groups.setdefault(_full_similarity_key(poly), []).append(k)
     parts = np.empty(len(polys))
+    # The polygons of all missed keys are built in one batch.
+    missed = [key for key in groups if (key, depth) not in cache.store]
+    for key, poly in zip(missed, polygons_of([np.reshape(key, (-1, 2)) for key in missed])):
+        cache.put((key, depth), build_basis(poly, depth))
     for key, members in groups.items():
-        if (key, depth) not in cache.store:
-            build_basis(polys[members[0]], depth=depth, cache=cache)
         shared = cache.store[(key, depth)]
         # Physical sub-nodes as a cache hit maps them: unit points * sqrt|K| + c.
         scale = np.sqrt([polys[k].area for k in members])

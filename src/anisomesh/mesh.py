@@ -12,8 +12,8 @@ from itertools import chain
 
 import numpy as np
 
-from .errors import InvalidTopology, ParseError
-from .geometry import Polygon
+from .errors import InvalidTopology, NonSimpleResult, ParseError
+from .geometry import closed_index, loop_error, loop_moments, loops_simple, polygons, stack_loops
 
 __all__ = [
     "INTERIOR",
@@ -42,7 +42,7 @@ class MeshElement:
 
     def __init__(self, eid, vertex_loop, polygon):
         self.id = eid
-        self.vertex_loop = list(vertex_loop)
+        self.vertex_loop = vertex_loop
         self.polygon = polygon
 
 
@@ -125,8 +125,8 @@ class PolyMesh:
         if _node_patches(loops, self.n_nodes) != self._node_elems:
             raise InvalidTopology("node patches do not match the element loops")
         if check_simple:
-            for el in self.elements:
-                el.polygon.validate_simple()
+            if not loops_simple(*stack_loops([el.polygon.vertices for el in self.elements])).all():
+                raise NonSimpleResult("polygon boundary self-intersects")
         total = self.total_area()
         if abs(total - self.domain_area) > 1e-10 * self.domain_area:
             raise InvalidTopology(
@@ -192,20 +192,26 @@ def build_mesh(points, element_loops, boundary_spec=DIRICHLET, check_simple=True
         raise InvalidTopology("node coordinates must be finite")
     n_nodes = len(pts)
 
-    elements = []
-    for eid, loop in enumerate(element_loops):
-        loop = list(loop)
-        if len(set(loop)) != len(loop):
-            raise InvalidTopology(f"element {eid} repeats a node in its loop")
-        if any(i < 0 or i >= n_nodes for i in loop):
-            raise InvalidTopology(f"element {eid} references a missing node")
-        try:
-            poly = Polygon(pts[loop])
-        except ValueError as exc:
-            raise InvalidTopology(f"element {eid}: {exc}") from exc
-        elements.append(MeshElement(eid, loop, poly))
+    loops = [list(loop) for loop in element_loops]
+    sizes = np.array([len(loop) for loop in loops], dtype=np.int64)
+    flat = np.fromiter(chain.from_iterable(loops), dtype=np.int64, count=int(sizes.sum()))
+    owner = np.repeat(np.arange(len(loops)), sizes)
+    for eid in owner[(flat < 0) | (flat >= n_nodes)][:1].tolist():
+        raise InvalidTopology(f"element {eid} references a missing node")
+    codes = np.sort(owner * n_nodes + flat)
+    for eid in (codes[1:][codes[1:] == codes[:-1]] // max(n_nodes, 1))[:1].tolist():
+        raise InvalidTopology(f"element {eid} repeats a node in its loop")
+    for eid in np.flatnonzero(sizes < 3)[:1].tolist():
+        raise InvalidTopology(f"element {eid}: polygon needs at least 3 vertices")
+    geometry = loop_moments(pts[flat[closed_index(sizes)]], sizes)
+    for eid in np.flatnonzero(geometry.error)[:1].tolist():
+        error = loop_error(geometry, eid)
+        if isinstance(error, ValueError):
+            raise InvalidTopology(f"element {eid}: {error}") from error
+        raise error
+    elements = [MeshElement(eid, loop, poly)
+                for eid, (loop, poly) in enumerate(zip(loops, polygons(geometry)))]
 
-    loops = [el.vertex_loop for el in elements]
     edges, counts, walk = _edge_table(loops, n_nodes)
     # Domain area from the oriented boundary: domain on the left of the walk.
     pa, pb = pts[walk[:, 0]], pts[walk[:, 1]]

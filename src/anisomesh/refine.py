@@ -20,11 +20,13 @@ from itertools import islice
 import numpy as np
 
 from .errors import CutMissesPolygon, NonSimpleResult, ZeroGram
-from .geometry import SNAP_TOL, split_polygon_detailed, symmetric_eig_2x2
+from .geometry import SNAP_TOL, split_polygons, symmetric_eig_2x2
 from .indicator import eta_global
 from .mesh import INTERIOR, build_mesh
 
 log = logging.getLogger(__name__)
+
+_CUT_FAILURES = (CutMissesPolygon, NonSimpleResult)
 
 UNIFORM = "UNIFORM"
 ISOTROPIC = "ISOTROPIC"
@@ -100,6 +102,35 @@ def split_direction(element, report=None, strategy=ISOTROPIC):
     return s.u2.copy()
 
 
+def _bisections(elements, report, strategy):
+    """Per element, in order: (direction, cut ends) of its bisection, or
+    (None, the failures of both directions).
+
+    All elements are split in one pass; those whose cut fails are tried
+    once more, together, in the orthogonal direction.  Failures other than
+    a missed cut or a non-simple piece propagate.
+    """
+    polys = [el.polygon for el in elements]
+    first = [np.asarray(split_direction(el, report, strategy), dtype=float) for el in elements]
+    outcomes, _ = split_polygons(polys, [poly.centroid for poly in polys], first)
+    retry = [k for k, out in enumerate(outcomes) if isinstance(out, _CUT_FAILURES)]
+    second = [np.array([-first[k][1], first[k][0]]) for k in retry]
+    retried, _ = split_polygons([polys[k] for k in retry], [polys[k].centroid for k in retry],
+                                second)
+    fallback = dict(zip(retry, zip(second, retried)))
+    for k, out in enumerate(outcomes):
+        d = first[k]
+        if k in fallback:
+            d, again = fallback[k]
+            if isinstance(again, _CUT_FAILURES):
+                yield None, f"{out}; {again}"
+                continue
+            out = again
+        if isinstance(out, Exception):
+            raise out
+        yield d, out[1]
+
+
 def refine(mesh, marked, strategy=ISOTROPIC, report=None):
     """Bisect the marked elements; returns (new mesh, RefinementStep).
 
@@ -132,36 +163,29 @@ def refine(mesh, marked, strategy=ISOTROPIC, report=None):
         a, b = loop[i], loop[(i + 1) % len(loop)]
         key = (a, b) if a < b else (b, a)
         t = s if a < b else 1.0 - s
-        pa, pb = mesh.points[key[0]], mesh.points[key[1]]
-        length = float(np.hypot(*(pb - pa)))
-        tol_t = SNAP_TOL * el.polygon.diameter / max(length, 1e-300)
-        for t_old, nid in inserted.get(key, []):
-            if abs(t_old - t) <= tol_t:
-                return nid
+        (xa, ya), (xb, yb) = mesh.points[key[0]].tolist(), mesh.points[key[1]].tolist()
+        entries = inserted.setdefault(key, [])
+        if entries:
+            length = float(np.hypot(xb - xa, yb - ya))
+            tol_t = SNAP_TOL * el.polygon.diameter / max(length, 1e-300)
+            for t_old, nid in entries:
+                if abs(t_old - t) <= tol_t:
+                    return nid
         # Coordinates from the canonical parameter so both elements sharing
         # the edge resolve to bitwise identical positions.
         nid = mesh.n_nodes + len(new_points)
-        new_points.append(pa + t * (pb - pa))
-        inserted.setdefault(key, []).append((t, nid))
+        new_points.append((xa + t * (xb - xa), ya + t * (yb - ya)))
+        entries.append((t, nid))
         return nid
 
-    for eid in sorted(marked):
-        el = mesh.elements[eid]
-        d = split_direction(el, report, strategy)
-        result = None
-        failures = []
-        for cand in (d, np.array([-d[1], d[0]])):
-            try:
-                result = split_polygon_detailed(el.polygon, el.polygon.centroid, cand)
-                d = cand
-                break
-            except (CutMissesPolygon, NonSimpleResult) as exc:
-                failures.append(str(exc))
-        if result is None:
-            log.warning("element %d skipped: %s", eid, "; ".join(failures))
+    order = sorted(marked)
+    elements = [mesh.elements[eid] for eid in order]
+    for eid, el, (d, cut) in zip(order, elements, _bisections(elements, report, strategy)):
+        if d is None:
+            log.warning("element %d skipped: %s", eid, cut)
             skipped.append(eid)
             continue
-        lo, hi = (register_cut_node(el, end) for end in result[3])
+        lo, hi = (register_cut_node(el, end) for end in cut)
         if lo == hi:
             log.warning("element %d skipped: both ends resolve to one node", eid)
             skipped.append(eid)

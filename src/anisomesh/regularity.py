@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .geometry import map_polygon, point_set_diameter
+from .geometry import map_polygon, point_set_diameter, polygons_of
 
 __all__ = [
     "ElementRegularity",
@@ -203,12 +203,14 @@ def audit_element(poly, eid=0):
     Returns (record of K, record of F_K(K)); anisotropy-aware checks use the
     mapped record, whose element should look isotropic and unit-sized.
     """
-    s = poly.spectrum
-    rm = poly.refmap
-    rec = _element_record(eid, poly, s.ratio, rm.alpha)
-    mapped = map_polygon(poly, rm)
-    rec_mapped = _element_record(eid, mapped, mapped.spectrum.ratio, rm.alpha)
-    return rec, rec_mapped
+    return _audit_pair(eid, poly, map_polygon(poly, poly.refmap))
+
+
+def _audit_pair(eid, poly, mapped):
+    """``audit_element`` of ``poly``, given its image under its reference map."""
+    alpha = poly.refmap.alpha
+    return (_element_record(eid, poly, poly.spectrum.ratio, alpha),
+            _element_record(eid, mapped, mapped.spectrum.ratio, alpha))
 
 
 def relative_rotation_angle(u1_a, u1_b):
@@ -264,9 +266,9 @@ def audit_mapped_patch(mesh, eid):
     records = []
     all_pts = []
     max_ratio = 0.0
-    for other in patch:
-        poly = mesh.elements[other].polygon
-        mapped = map_polygon(poly, rm)
+    polys = [mesh.elements[other].polygon for other in patch]
+    images = polygons_of([rm.apply(poly.vertices) for poly in polys])
+    for other, poly, mapped in zip(patch, polys, images):
         records.append(_element_record(other, mapped, mapped.spectrum.ratio, rm.alpha))
         all_pts.append(mapped.vertices)
         max_ratio = max(max_ratio, poly.area / el.polygon.area)
@@ -275,10 +277,12 @@ def audit_mapped_patch(mesh, eid):
 
 def audit_mesh(mesh):
     """Full regularity audit: per-element (original and mapped) and per-pair."""
+    polys = [el.polygon for el in mesh.elements]
+    mapped = polygons_of([poly.refmap.apply(poly.vertices) for poly in polys])
     recs = []
     mapped_recs = []
-    for el in mesh.elements:
-        rec, rec_mapped = audit_element(el.polygon, el.id)
+    for el, poly, image in zip(mesh.elements, polys, mapped):
+        rec, rec_mapped = _audit_pair(el.id, poly, image)
         recs.append(rec)
         mapped_recs.append(rec_mapped)
     pairs = audit_neighbours(mesh)

@@ -10,8 +10,10 @@ from anisomesh.geometry import (
     ReferenceMap,
     map_polygon,
     points_in_polygon,
+    polygons_of,
     split_polygon_detailed,
 )
+from anisomesh.mesh import build_mesh
 from conftest import random_convex_polygon, random_polygon, random_star_polygon
 
 UNIT_SQUARE = [(0.0, 0.0), (1.0, 0.0), (1.0, 1.0), (0.0, 1.0)]
@@ -111,16 +113,22 @@ class TestMoments:
         hanging=st.integers(0, 4),
     )
     def test_matches_two_pass_reference_bit_for_bit(self, seed, convex, log_ratio, shift, hanging):
+        # One polygon alone, and in a batch with others of 3 to 16 vertices
+        # at a random place, so that padding never leaks into a sum.
         rng = np.random.default_rng(seed)
         make = random_convex_polygon if convex else random_star_polygon
         base = make(rng, ratio=10.0 ** log_ratio).vertices + np.asarray(shift)
         v = with_hanging_nodes(base, hanging, rng)
-        area, centroid, cov, diameter = two_pass_moments(v)
-        poly = Polygon(v)
-        assert poly.area == area
-        assert poly.centroid.tobytes() == centroid.tobytes()
-        assert poly.second_moment.tobytes() == cov.tobytes()
-        assert poly.diameter == diameter
+        batch = [with_hanging_nodes(random_polygon(rng, n_vertices=int(rng.integers(3, 13)),
+                                                   ratio=10.0 ** log_ratio).vertices,
+                                    int(rng.integers(0, 5)), rng) for _ in range(4)]
+        batch.insert(int(rng.integers(0, 5)), v)
+        for vertices, poly in [(v, Polygon(v))] + list(zip(batch, polygons_of(batch))):
+            area, centroid, cov, diameter = two_pass_moments(vertices)
+            assert poly.area == area
+            assert poly.centroid.tobytes() == centroid.tobytes()
+            assert poly.second_moment.tobytes() == cov.tobytes()
+            assert poly.diameter == diameter
 
     def test_unit_square(self):
         poly = Polygon(UNIT_SQUARE)
@@ -166,6 +174,19 @@ class TestMoments:
         with pytest.raises(DegenerateElement):
             Polygon([(0, 0), (1, 0), (1, 5e-15), (0, 5e-15)])
         assert Polygon([(0, 0), (1, 0), (1, 2e-14), (0, 2e-14)]).area == pytest.approx(2e-14)
+
+    def test_caller_array_stays_writable(self):
+        a = np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]])
+        poly = Polygon(a)
+        a[0, 0] = 5.0
+        assert poly.vertices[0, 0] == 0.0
+        with pytest.raises(ValueError):
+            poly.vertices[0, 0] = 1.0
+        # A mesh's polygons are views on one batch, not on its points.
+        points = np.array([(0.0, 0.0), (1.0, 0.0), (1.0, 1.0), (0.0, 1.0)])
+        mesh = build_mesh(points, [[0, 1, 2, 3]])
+        points[0, 0] = mesh.points[0, 0] = 0.0
+        assert not mesh.elements[0].polygon.vertices.flags.writeable
 
     def test_orientation_rejected(self):
         with pytest.raises(ValueError):

@@ -1,21 +1,23 @@
-"""Level-wide element integrals against their one-element calls.
+"""Level-wide element kernels against their one-element calls.
 
-The Gram, eta and fan kernels keep the arithmetic of the per-element code,
-so they must agree bit for bit whatever else shares a chunk; the L2 parts
-sum in another order and must agree to 1e-13 relative.
+The Gram, eta, fan and split kernels keep the arithmetic of the per-element
+code, so they must agree bit for bit whatever else shares a chunk or a
+level; the L2 parts sum in another order and must agree to 1e-13 relative.
 """
 
 import math
 
 import numpy as np
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from anisomesh import interp
+from anisomesh.errors import CutMissesPolygon
 from anisomesh.fields import tanh_layer
-from anisomesh.geometry import Polygon
+from anisomesh.geometry import Polygon, split_polygon_detailed, split_polygons
 from anisomesh.indicator import eta_global, eta_local, gram_element, gram_elements
 from anisomesh.interp import POINTWISE, BasisCache, build_basis, coefficients, element_l2_error
-from anisomesh.mesh import build_mesh, generate_polygonal
+from anisomesh.mesh import build_mesh, generate_grid, generate_polygonal
 from anisomesh.quadrature import (
     CHUNK,
     _ear_clip,
@@ -95,6 +97,100 @@ class TestFans:
         areas = 0.5 * (e1[:, 0] * e2[:, 1] - e1[:, 1] * e2[:, 0])
         assert (areas > 0.0).all()
         assert math.isclose(areas.sum(), U_SHAPE.area, rel_tol=1e-14)
+
+
+def assert_level_split_matches_single_calls(polys, anchors, directions):
+    """Each polygon's outcome in one ``split_polygons`` pass equals its
+    ``split_polygon_detailed`` call alone: the same cut ends and points bit
+    for bit and bit-identical piece moments, or the same exception class."""
+    outcomes, pieces = split_polygons(polys, anchors, directions)
+    for k, (poly, anchor, d) in enumerate(zip(polys, anchors, directions)):
+        try:
+            a, b, cut, ends = split_polygon_detailed(poly, anchor, d)
+        except Exception as exc:  # noqa: BLE001 - the class is what is compared
+            assert type(outcomes[k]) is type(exc)
+            continue
+        assert not isinstance(outcomes[k], Exception)
+        level_cut, level_ends = outcomes[k]
+        assert level_ends == ends
+        assert all(p.tobytes() == q.tobytes() for p, q in zip(level_cut, cut))
+        for row, piece in zip((2 * k, 2 * k + 1), (a, b)):
+            assert pieces.area[row] == piece.area
+            assert pieces.centroid[row].tobytes() == piece.centroid.tobytes()
+            assert pieces.second_moment[row].tobytes() == piece.second_moment.tobytes()
+            assert pieces.diameter[row] == piece.diameter
+    return outcomes
+
+
+class TestLevelSplit:
+    U_WIDE = Polygon([(0, 0), (6, 0), (6, 3), (4, 3), (4, 1), (1, 1), (1, 3), (0, 3)])
+    SQUARE = Polygon([(0, 0), (1, 0), (1, 1), (0, 1)])
+
+    @settings(max_examples=25, deadline=None)
+    @given(
+        seed=st.integers(0, 2 ** 16),
+        cells=st.integers(2, 6),
+        jitter=st.floats(0.0, 0.3),
+        through_vertex=st.floats(0.0, 1.0),
+        off_centroid=st.floats(0.0, 1.0),
+    )
+    def test_matches_one_element_calls_on_polygonal_meshes(self, seed, cells, jitter,
+                                                           through_vertex, off_centroid):
+        # Jittered meshes with merged (often non-convex) cells, and star
+        # polygons, whose lines cross many times.  Anchors are centroids or
+        # points anywhere in the bounding box (outside the polygon, or
+        # between several chords); directions are random or run from the
+        # anchor through a vertex.
+        rng = np.random.default_rng(seed)
+        polys = [el.polygon for el in
+                 generate_polygonal(cells, cells, jitter=jitter, seed=seed).elements]
+        polys += [random_star_polygon(rng, ratio=10.0 ** rng.uniform(0, 3)) for _ in range(8)]
+        anchors, directions = [], []
+        for poly in polys:
+            v = poly.vertices
+            anchor = poly.centroid
+            if rng.random() < off_centroid:
+                anchor = rng.uniform(v.min(axis=0), v.max(axis=0))
+            anchors.append(anchor)
+            if rng.random() < through_vertex:
+                directions.append(v[rng.integers(len(v))] - anchor)
+            else:
+                theta = rng.uniform(0.0, math.pi)
+                directions.append(np.array([math.cos(theta), math.sin(theta)]))
+        assert_level_split_matches_single_calls(polys, anchors, directions)
+
+    def test_fixed_cases(self):
+        a = math.sqrt(3.0) - 1.0
+        notched = Polygon([(0, 0), (2, 0), (2, 2), (1, a), (0, 2)])
+        along = np.array([-1.0, 2.0 - a])
+        cases = [
+            # The U shape crossed four times; the anchor's interval is used.
+            (U_SHAPE, (0.5, 0.5), (1.0, 0.0), (("cut", 7, 0.5), ("cut", 5, 0.4 / 0.9))),
+            # An end snapped to vertex 0.
+            (self.SQUARE, (0.0, 0.0), (1.0, 0.5), (("v", 0), ("cut", 1, 0.5))),
+            # The anchor in the notch, outside every interval: the longest
+            # interval, the right prong, is used.
+            (self.U_WIDE, (2.5, 2.0), (1.0, 0.0), (("cut", 3, 0.5), ("cut", 1, 2.0 / 3.0))),
+            # The cut along the notch edge misses; its orthogonal splits.
+            (notched, notched.centroid, along, CutMissesPolygon),
+            (notched, notched.centroid, np.array([-along[1], along[0]]), None),
+        ]
+        polys, anchors, directions, _ = zip(*cases)
+        # Every case shares the pass with every other, and with a grid.
+        grid = [el.polygon for el in generate_grid(3, 3).elements]
+        outcomes = assert_level_split_matches_single_calls(
+            list(polys) + grid, list(anchors) + [p.centroid for p in grid],
+            list(directions) + [np.array([0.3, 1.0])] * len(grid))
+        for (*_, want), got in zip(cases, outcomes):
+            if want is CutMissesPolygon:
+                assert isinstance(got, CutMissesPolygon)
+            elif want is not None:
+                ends = got[1]
+                assert [e[:2] for e in ends] == [e[:2] for e in want]
+                assert [e[2] for e in ends if e[0] == "cut"] == pytest.approx(
+                    [e[2] for e in want if e[0] == "cut"], abs=1e-15)
+            else:
+                assert not isinstance(got, Exception)
 
 
 class TestGramChunks:

@@ -135,6 +135,45 @@ class TestRefine:
         assert len(right[0].vertex_loop) == 5  # gained the hanging node
         out.validate()
 
+    def test_skips_logged_once_in_ascending_order(self, monkeypatch, caplog):
+        # Two elements get a zero cut direction, so both candidates miss; the
+        # benchmark's marking check reads the skips in this log order.
+        from anisomesh import refine as refine_mod
+
+        chosen = {11, 3}
+        original = refine_mod.split_direction
+
+        def zero_for_chosen(el, report=None, strategy=ISOTROPIC):
+            return np.zeros(2) if el.id in chosen else original(el, report, strategy)
+
+        monkeypatch.setattr(refine_mod, "split_direction", zero_for_chosen)
+        mesh = generate_grid(4, 4)
+        with caplog.at_level("WARNING", logger="anisomesh.refine"):
+            out, step = refine(mesh, set(), strategy=UNIFORM)
+        assert step.skipped == [3, 11]
+        assert [r.getMessage() for r in caplog.records] == [
+            f"element {eid} skipped: zero cut direction; zero cut direction" for eid in (3, 11)]
+        assert sorted(step.parent_children) == [k for k in range(16) if k not in chosen]
+        assert out.n_elements == 16 + 14
+        out.validate()
+
+    def test_orthogonal_fallback(self, monkeypatch):
+        # The centroid of this notched square is its reflex vertex (1, a), so a
+        # cut along the edge from (1, a) to (0, 2) has no interior chord; the
+        # orthogonal cut is used instead.
+        from anisomesh import refine as refine_mod
+
+        a = math.sqrt(3.0) - 1.0
+        mesh = build_mesh([(0, 0), (2, 0), (2, 2), (1, a), (0, 2)], [[0, 1, 2, 3, 4]])
+        along = np.array([-1.0, 2.0 - a])
+        monkeypatch.setattr(refine_mod, "split_direction", lambda el, report, strategy: along)
+        out, step = refine(mesh, {0}, strategy=ISOTROPIC)
+        assert step.skipped == []
+        assert step.parent_children == {0: (0, 1)}
+        assert np.array_equal(step.directions[0],
+                              np.array([-along[1], along[0]]) / np.hypot(*along))
+        out.validate()
+
     def test_boundary_tags_inherited(self):
         mesh = generate_grid(1, 1)
         out, _ = refine(mesh, {0}, strategy=UNIFORM)
