@@ -339,22 +339,57 @@ def _ray_crossings(x, y, x0, y0, x1, y1):
     return cond & (x < xs)
 
 
-def points_in_polygon(points, vertices, boundary_tol=0.0):
-    """Even-odd rule for many query points against one loop, all edges at once.
+def block_pairs(owner, starts, sizes):
+    """(item, index) pairs that meet item i with every index of its owner's block
+    ``starts[owner[i]]`` ... ``starts[owner[i]] + sizes[owner[i]] - 1``, item by item."""
+    count = sizes[owner]
+    shift = starts[owner] - (np.cumsum(count) - count)
+    return np.repeat(np.arange(len(owner)), count), np.arange(count.sum()) + np.repeat(shift, count)
 
-    A point is inside when a ray to +x crosses the loop an odd number of
-    times.  With ``boundary_tol`` > 0, points within that distance of an
-    edge count as inside too.
+
+def loop_successors(starts, sizes):
+    """Index of each vertex's successor in a concatenation of loops."""
+    succ = np.arange(1, int(np.sum(sizes)) + 1)
+    loops = sizes > 0
+    succ[(starts + sizes - 1)[loops]] = starts[loops]
+    return succ
+
+
+def points_in_loops(points, owner, vertices, starts, sizes):
+    """Even-odd rule for many query points, each against the loop of its owner.
+
+    ``vertices`` concatenates the loops, loop k being ``sizes[k]`` vertices
+    from ``starts[k]``.  A point is inside when a ray to +x crosses its loop
+    an odd number of times; every (point, edge) pair is one array entry.
+    """
+    pts = np.asarray(points, dtype=float)
+    item, edge = block_pairs(owner, starts, sizes)
+    succ = loop_successors(starts, sizes)[edge]
+    # Only pairs whose edge spans the point's y can cross.
+    y = pts[item, 1]
+    spans = (vertices[edge, 1] > y) != (vertices[succ, 1] > y)
+    item, edge, succ = item[spans], edge[spans], succ[spans]
+    (x0, y0), (x1, y1) = vertices[edge].T, vertices[succ].T
+    crossed = item[_ray_crossings(pts[item, 0], pts[item, 1], x0, y0, x1, y1)]
+    return np.bincount(crossed, minlength=len(pts)) % 2 == 1
+
+
+def points_in_polygon(points, vertices, boundary_tol=0.0):
+    """``points_in_loops`` for many query points against one loop.
+
+    With ``boundary_tol`` > 0, points within that distance of an edge count
+    as inside too.
     """
     pts = np.asarray(points, dtype=float)
     v = np.asarray(vertices, dtype=float)
-    x, y = pts[:, 0], pts[:, 1]
-    # (E, P) arrays: edge (x0, y0) -> (x1, y1) against every point.
-    x0, y0 = v[:, 0, None], v[:, 1, None]
-    x1, y1 = np.concatenate((x0[1:], x0[:1])), np.concatenate((y0[1:], y0[:1]))
-    inside = np.logical_xor.reduce(_ray_crossings(x, y, x0, y0, x1, y1), axis=0)
+    inside = points_in_loops(pts, np.zeros(len(pts), dtype=int), v, np.array([0]),
+                             np.array([len(v)]))
     if boundary_tol > 0.0:
-        ex, ey = x1 - x0, y1 - y0
+        x, y = pts[:, 0], pts[:, 1]
+        # (E, P) arrays: edge (x0, y0) -> (x1, y1) against every point.
+        x0, y0 = v[:, 0, None], v[:, 1, None]
+        ex = np.concatenate((x0[1:], x0[:1])) - x0
+        ey = np.concatenate((y0[1:], y0[:1])) - y0
         t = np.clip(((x - x0) * ex + (y - y0) * ey) / (ex * ex + ey * ey), 0.0, 1.0)
         dx = x - (x0 + t * ex)
         dy = y - (y0 + t * ey)
@@ -483,8 +518,7 @@ def split_polygons(polys, points, directions):
     starts = np.cumsum(sizes) - sizes
     owner = np.repeat(np.arange(count), sizes)
     v = np.concatenate([p.vertices for p in polys])
-    w = np.roll(v, -1, axis=0)  # edge g runs from v[g] to w[g]
-    w[starts + sizes - 1] = v[starts]
+    w = v[loop_successors(starts, sizes)]  # edge g runs from v[g] to w[g]
     h = np.array([p.diameter for p in polys])
     anchor = np.asarray(points, dtype=float).reshape(count, 2)
     d = np.asarray(directions, dtype=float).reshape(count, 2)
@@ -533,12 +567,7 @@ def split_polygons(polys, points, directions):
     io, t_lo, t_hi = ho[lo], ht[lo], ht[lo + 1]
     tm = 0.5 * (t_lo + t_hi)
     mx, my = (anchor[io] + tm[:, None] * d[io]).T
-    # Every interval midpoint against every edge of its polygon.
-    pair = np.repeat(np.arange(len(lo)), sizes[io])
-    edge = np.arange(len(pair)) - np.repeat(np.cumsum(sizes[io]) - sizes[io] - starts[io],
-                                            sizes[io])
-    odd = np.bincount(pair, _ray_crossings(mx[pair], my[pair], v[edge, 0], v[edge, 1],
-                                           w[edge, 0], w[edge, 1]), len(lo)) % 2 == 1
+    odd = points_in_loops(np.column_stack((mx, my)), io, v, starts, sizes)
     inside = np.flatnonzero((t_hi - t_lo > SNAP_TOL * h[io]) & odd)
     miss(np.setdiff1d(np.arange(count), io[inside]), "no interior chord on the cut line")
 

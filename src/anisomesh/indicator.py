@@ -19,8 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .geometry import reference_alpha
-from .quadrature import (_subdivided_reference, chunks, default_depth, fan_slices,
-                         integrate_on_polygon, polygon_fans, polygon_sample_points)
+from .quadrature import default_depth, fan_chunks, integrate_on_polygon, polygon_sample_points
 
 __all__ = [
     "IndicatorReport",
@@ -68,28 +67,21 @@ def gram_element(poly, fld, depth=None):
 
 
 def gram_elements(polys, fld, depth=None):
-    """Gram matrices of many polygons, (n, 2, 2): per quadrature depth, one ``fld.gradient``
-    call per chunk of whole elements; a larger element fills its own products row."""
-    depths = np.array([default_depth(p.diameter) if depth is None else depth for p in polys])
+    """Gram matrices of many polygons, (n, 2, 2): one ``fld.gradient`` call per
+    ``fan_chunks`` slice; a larger element fills its own products row."""
     out = np.empty((len(polys), 3))  # g11, g12, g22
-    for d in np.unique(depths).tolist():
-        members = np.flatnonzero(depths == d)
-        tris, counts = polygon_fans([polys[k] for k in members])
-        first = np.cumsum(counts) - counts  # first fan triangle of each element
-        r = len(_subdivided_reference(d)[0])  # points per fan triangle
-        for a, b in chunks(counts * r):
-            t0, t1 = first[a], first[b - 1] + counts[b - 1]
-            products = np.empty((3, (t1 - t0) * r))  # w gx gx, w gx gy, w gy gy
-            for at, pts, w in fan_slices(tris[t0:t1], d):
-                gx, gy = fld.gradient(pts).T
-                row = products[:, at:at + len(w)]
-                wgx = w * gx
-                np.multiply(wgx, gx, out=row[0])
-                np.multiply(wgx, gy, out=row[1])
-                np.multiply(w * gy, gy, out=row[2])
-            # One reduceat segment per element fixes each sum's order whatever
-            # shares the chunk; w @ x or x.sum() would round differently.
-            out[members[a:b]] = np.add.reduceat(products, (first[a:b] - t0) * r, axis=1).T
+    for ids, first, size, slices in fan_chunks(polys, depth):
+        products = np.empty((3, size))  # w gx gx, w gx gy, w gy gy
+        for at, pts, w in slices:
+            gx, gy = fld.gradient(pts).T
+            row = products[:, at:at + len(w)]
+            wgx = w * gx
+            np.multiply(wgx, gx, out=row[0])
+            np.multiply(wgx, gy, out=row[1])
+            np.multiply(w * gy, gy, out=row[2])
+        # One reduceat segment per element fixes each sum's order whatever
+        # shares the chunk; w @ x or x.sum() would round differently.
+        out[ids] = np.add.reduceat(products, first, axis=1).T
     return out[:, [[0, 1], [1, 2]]]
 
 

@@ -10,9 +10,17 @@ stretched elements get stretched, aligned sub-cells.  Only the interior block
 of the P1 stiffness becomes a matrix, in band storage: interior nodes keep
 the lattice order, so its band is about one lattice row wide.  The boundary
 columns go into the right-hand sides (one per basis function), and one
-banded Cholesky solve handles them all.  Every step works on whole arrays:
-chain, lattice, inside tests and assembly make no per-point Python loop.
-``l2_error`` integrates a level in chunks of elements sharing a cached basis.
+banded Cholesky solve handles them all.
+
+``build_bases`` builds many bases in one pass per chunk of elements, with an
+owner index over their concatenated vertices, chains, lattices and
+triangles: frames, chains, lattices, even-odd tests, triangle filters,
+conformity and assembly are array operations over the whole chunk, and
+only the Delaunay call, the right-hand side and the banded solve run per
+element.  Elements whose triangulation misses a chain segment go through
+recovery rounds together.  ``build_basis`` is a batch of one, so each basis
+is bit-identical whatever else shares its pass.  ``l2_error`` integrates a
+level in chunks of elements sharing a cached basis.
 """
 
 from __future__ import annotations
@@ -20,17 +28,17 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
+from typing import NamedTuple
 
 import numpy as np
 from scipy.linalg.lapack import dpbsv
 from scipy.spatial import Delaunay, QhullError
 
 from .errors import NoAdmissibleEdge, SolveFailed, TriangulationFailed
-from .geometry import Polygon, points_in_polygon, polygons_of
+from .geometry import (Polygon, _hypot, block_pairs, loop_successors, points_in_loops,
+                       polygons_of)
 from .mesh import DIRICHLET
-from .parallel import pmap
-from .quadrature import (CHUNK, RULE, default_depth, integrate_on_edge, integrate_on_fan,
-                         polygon_fans)
+from .quadrature import CHUNK, RULE, chunks, fan_chunks, integrate_on_edge
 
 __all__ = [
     "POINTWISE",
@@ -39,6 +47,7 @@ __all__ = [
     "LocalHarmonicBasis",
     "InterpolantCoefficients",
     "build_basis",
+    "build_bases",
     "BASIS_DEPTH",
     "coefficients",
     "l2_error",
@@ -105,31 +114,87 @@ def _barycentric(tri_pts, p):
     return np.column_stack([1.0 - x1 - x2, x1, x2])
 
 
-def _eigenframe(poly, depth):
-    """Frame of the element's lattice: (U, vertices in U, their low corner, spacing)."""
-    u = poly.spectrum.basis
-    local = (poly.vertices - poly.centroid) @ u
-    lo = local.min(axis=0)
-    delta = np.maximum((local.max(axis=0) - lo) / 2 ** depth, 1e-300)
-    return u, local, lo, delta
+class _Elements(NamedTuple):
+    """Polygons of one pass, concatenated, each with its lattice eigenframe.
 
-
-def _boundary_chain(poly, frame, depth):
-    """Boundary sample points with their polygon edge and edge parameter.
-
-    Returns (points, edge, t): point k lies on polygon edge ``edge[k]`` at
-    parameter ``t[k]`` in [0, 1).  Edge subdivision counts follow the
-    eigenframe lattice spacing so chain density matches the interior lattice.
+    Element k owns vertices ``starts[k]`` ... ``starts[k] + sizes[k] - 1``;
+    ``succ`` is each vertex's successor in its loop.  ``u`` (E, 2, 2) holds the
+    frames, ``local`` the vertices in their frame about the centroid, ``lo``
+    the lattice's low corners and ``delta`` its spacings.
     """
-    u, _, _, delta = frame
-    v = poly.vertices
-    d = np.concatenate((v[1:], v[:1])) - v
-    cap = 4 * 2 ** depth
-    n_seg = np.array([max(1, min(cap, math.ceil(math.hypot(a, b))))
-                      for a, b in ((d @ u) / delta).tolist()])
+
+    vertices: np.ndarray
+    starts: np.ndarray
+    sizes: np.ndarray
+    owner: np.ndarray
+    succ: np.ndarray
+    centroid: np.ndarray
+    scale: np.ndarray  # sqrt of the area
+    u: np.ndarray
+    local: np.ndarray
+    lo: np.ndarray
+    delta: np.ndarray
+
+
+def _elements(polys, depth):
+    sizes = np.array([len(p.vertices) for p in polys])
+    starts = np.cumsum(sizes) - sizes
+    owner = np.repeat(np.arange(len(polys)), sizes)
+    v = np.concatenate([p.vertices for p in polys])
+    centroid = np.array([p.centroid for p in polys])
+    u = np.array([p.spectrum.basis for p in polys])
+    # One (1, 2) @ (2, 2) product per vertex rounds as one element's (n, 2) @
+    # (2, 2) does; a scalar formula would not.
+    local = ((v - centroid[owner])[:, None, :] @ u[owner])[:, 0]
+    lo = np.minimum.reduceat(local, starts)
+    delta = np.maximum((np.maximum.reduceat(local, starts) - lo) / 2 ** depth, 1e-300)
+    return _Elements(v, starts, sizes, owner, loop_successors(starts, sizes), centroid,
+                     np.sqrt([p.area for p in polys]), u, local, lo, delta)
+
+
+class _Nodes(NamedTuple):
+    """Sub-triangulation nodes of many elements, each array in element order.
+
+    The boundary chain: ``chain`` points, their owner, and the polygon edge
+    ``edge`` (numbered within the owner) and parameter ``t`` in [0, 1) they lie
+    at.  Then the ``interior`` lattice points and their owner.
+    """
+
+    chain: np.ndarray
+    edge: np.ndarray
+    t: np.ndarray
+    chain_owner: np.ndarray
+    interior: np.ndarray
+    interior_owner: np.ndarray
+
+    def of(self, elements):
+        """The nodes of the elements where the (E,) bool ``elements`` is set."""
+        c, i = elements[self.chain_owner], elements[self.interior_owner]
+        return _Nodes(self.chain[c], self.edge[c], self.t[c], self.chain_owner[c],
+                      self.interior[i], self.interior_owner[i])
+
+    def layout(self):
+        """(points, owner, chain flag) of all nodes, each element's chain first."""
+        owner = np.concatenate((self.chain_owner, self.interior_owner))
+        order = np.argsort(owner, kind="stable")
+        points = np.concatenate((self.chain, self.interior))[order]
+        return points, owner[order], order < len(self.chain)
+
+
+def _boundary_chains(el, depth):
+    """Boundary sample points of every element: the chain fields of ``_Nodes``.
+
+    Edge subdivision counts follow the eigenframe lattice spacing, so chain
+    density matches the interior lattice; ``math.hypot`` measures the edges.
+    """
+    v = el.vertices
+    d = v[el.succ] - v
+    scaled = (d[:, None, :] @ el.u[el.owner])[:, 0] / el.delta[el.owner]
+    n_seg = np.clip(np.ceil(_hypot(scaled[:, 0], scaled[:, 1])), 1, 4 * 2 ** depth).astype(int)
     edge = np.repeat(np.arange(len(v)), n_seg)
     t = (np.arange(len(edge)) - (np.cumsum(n_seg) - n_seg)[edge]) / n_seg[edge]
-    return v[edge] + t[:, None] * d[edge], edge, t
+    owner = el.owner[edge]
+    return v[edge] + t[:, None] * d[edge], edge - el.starts[owner], t, owner
 
 
 @lru_cache(maxsize=8)
@@ -141,91 +206,168 @@ def _lattice_steps(depth):
     return ij
 
 
-def _interior_lattice(poly, frame, depth):
-    """Eigenframe lattice points inside the polygon, in lattice order.
+def _interior_lattices(el, depth):
+    """Eigenframe lattice points inside each polygon, in lattice order, and their owner.
 
     Points closer than 0.45 lattice spacings to the boundary are dropped.
     """
-    u, local, lo, delta = frame
-    cand_local = lo + delta * _lattice_steps(depth)
-    cand = cand_local @ u.T + poly.centroid
-    keep = points_in_polygon(cand, poly.vertices)
-    # Distance to every polygon edge at once, (E, P), in the scaled frame
-    # where the lattice spacing is 1.
-    sx, sy = (cand_local[keep] / delta).T
-    a = local / delta
-    e = np.concatenate((a[1:], a[:1])) - a
-    ax, ay, ex, ey = a[:, :1], a[:, 1:], e[:, :1], e[:, 1:]
+    steps = _lattice_steps(depth)
+    cand_local = el.lo[:, None, :] + el.delta[:, None, :] * steps  # (E, L, 2)
+    cand = (cand_local @ el.u.transpose(0, 2, 1) + el.centroid[:, None, :]).reshape(-1, 2)
+    owner = np.repeat(np.arange(len(el.starts)), len(steps))
+    keep = points_in_loops(cand, owner, el.vertices, el.starts, el.sizes)
+    cand, owner = cand[keep], owner[keep]
+    # Distance of each point to every edge of its polygon, one (point, edge)
+    # pair per entry, in the scaled frame where the lattice spacing is 1.
+    s = cand_local.reshape(-1, 2)[keep] / el.delta[owner]
+    a = el.local / el.delta[el.owner]
+    e = a[el.succ] - a
+    item, edge = block_pairs(owner, el.starts, el.sizes)
+    (sx, sy), (ax, ay), (ex, ey) = s[item].T, a[edge].T, e[edge].T
     t = np.clip(((sx - ax) * ex + (sy - ay) * ey) / (ex * ex + ey * ey), 0.0, 1.0)
     dx = sx - (ax + t * ex)
     dy = sy - (ay + t * ey)
-    return cand[keep][(dx * dx + dy * dy).min(axis=0, initial=np.inf) >= 0.45 ** 2]
+    near = np.minimum.reduceat(dx * dx + dy * dy, np.flatnonzero(np.diff(item, prepend=-1)))
+    far = near >= 0.45 ** 2
+    return cand[far], owner[far]
 
 
-def _delaunay_conforming(poly, depth):
-    """Delaunay sub-triangulation whose edges contain the boundary chain.
-
-    Returns (points, triangles, edge, t): the first ``len(edge)`` points are
-    the boundary chain as from ``_boundary_chain``, the rest the interior
-    lattice in lattice order.  Missing chain segments (possible on non-convex
-    elements) are fixed by inserting their midpoints into the chain and
-    retriangulating.
-    """
-    frame = _eigenframe(poly, depth)
-    chain_pts, edge, t = _boundary_chain(poly, frame, depth)
-    interior = _interior_lattice(poly, frame, depth)
-    # Work in translation/scale-normalized coordinates: similarity maps keep
-    # both the Delaunay property and harmonicity.
-    c = poly.centroid
-    scale = math.sqrt(poly.area)
-    for _ in range(6):
-        pts = np.concatenate((chain_pts, interior))
-        norm = (pts - c) / scale
+def _delaunay(points):
+    try:
+        return Delaunay(points).simplices
+    except QhullError:
         try:
-            tri = Delaunay(norm)
-        except QhullError:
-            try:
-                tri = Delaunay(norm, qhull_options="QJ Pp")
-            except QhullError as exc:
-                raise TriangulationFailed(f"Delaunay failed: {exc}") from exc
-        simplices = tri.simplices
-        # Orient CCW and drop degenerate or exterior triangles; areas are
-        # judged in physical coordinates because the stiffness uses them.
-        p0, p1, p2 = pts[simplices.T]
-        cross = (p1[:, 0] - p0[:, 0]) * (p2[:, 1] - p0[:, 1]) - (
-            p1[:, 1] - p0[:, 1]
-        ) * (p2[:, 0] - p0[:, 0])
-        flip = cross < 0
-        simplices[flip, 1:] = simplices[flip, :0:-1]
-        keep = np.abs(cross) > 1e-12 * np.abs(cross).max()
-        keep &= points_in_polygon((p0 + p1 + p2) / 3, poly.vertices)
-        simplices = simplices[keep]
-        # Conformity: every consecutive chain pair must be a triangle edge.
-        adjacent = np.zeros((len(pts), len(pts)), dtype=bool)
-        adjacent[simplices, simplices[:, [1, 2, 0]]] = True
-        ii = np.arange(len(chain_pts))
-        jj = np.concatenate((ii[1:], ii[:1]))
-        missing = np.flatnonzero(~(adjacent[ii, jj] | adjacent[jj, ii]))
-        if not len(missing):
-            return pts, simplices, edge, t
-        chain_pts, edge, t = _rebuild_chain(poly, chain_pts, edge, t, missing)
-    raise TriangulationFailed("boundary chain not recovered by Delaunay refinement")
+            return Delaunay(points, qhull_options="QJ Pp").simplices
+        except QhullError as exc:
+            raise TriangulationFailed(f"Delaunay failed: {exc}") from exc
 
 
-def _rebuild_chain(poly, chain_pts, edge, t, missing):
-    """Insert the midpoint of every chain segment (i, i + 1), i in ``missing``."""
-    nxt = (missing + 1) % len(chain_pts)
-    mid = 0.5 * (chain_pts[missing] + chain_pts[nxt])
-    # Chains never skip a polygon vertex, so segment i lies on edge[i].
-    j = edge[missing]
-    v = poly.vertices
-    a = v[j]
-    d = v[(j + 1) % len(v)] - a
+def _triangulate(el, nodes):
+    """One Delaunay triangulation per element of ``nodes``, filtered level-wide.
+
+    Returns (triangles, owner, missing): each element's triangles in its own
+    node numbering (``_Nodes.layout`` order), CCW, without degenerate or
+    exterior ones, and a flag per chain node: the chain segment from it to the
+    next chain node is no edge.  Triangles of three chain nodes that the
+    degeneracy filter drops still count as carrying their edges; they add
+    nothing to the interior rows the solve uses.  A chain node in no triangle
+    is no segment's end: the edge that bridges it carries its segments.
+    """
+    pts, node_owner, chained = nodes.layout()
+    count = np.bincount(node_owner, minlength=len(el.starts))
+    first = np.cumsum(count) - count
+    ids = np.flatnonzero(count)
+    # Translation/scale-normalized coordinates: similarity maps keep both the
+    # Delaunay property and harmonicity.
+    norm = (pts - el.centroid[node_owner]) / el.scale[node_owner, None]
+    simplices = [_delaunay(norm[a:a + n]) for a, n in zip(first[ids].tolist(), count[ids].tolist())]
+    n_tri = np.array([len(s) for s in simplices])
+    owner = np.repeat(ids, n_tri)
+    tri = np.concatenate(simplices) + first[owner][:, None]
+    # Orient CCW and drop degenerate or exterior triangles; areas are judged
+    # in physical coordinates because the stiffness uses them.
+    p0, p1, p2 = pts[tri.T]
+    cross = (p1[:, 0] - p0[:, 0]) * (p2[:, 1] - p0[:, 1]) - (
+        p1[:, 1] - p0[:, 1]
+    ) * (p2[:, 0] - p0[:, 0])
+    flip = cross < 0
+    tri[flip, 1:] = tri[flip, :0:-1]
+    size = np.abs(cross)
+    sound = size > 1e-12 * np.repeat(np.maximum.reduceat(size, np.cumsum(n_tri) - n_tri), n_tri)
+    keep = sound.copy()
+    keep[sound] = points_in_loops(((p0 + p1 + p2) / 3)[sound], owner[sound], el.vertices,
+                                  el.starts, el.sizes)
+    # Conformity: every consecutive chain pair must be an edge.  Edges and
+    # segments are integer keys; a sentinel ends the sorted edge keys.
+    carried = tri[keep | (~sound & chained[tri].all(axis=1))]
+    a, b = carried.ravel(), carried[:, [1, 2, 0]].ravel()
+    on_chain = chained[a] & chained[b]
+    a, b, n = a[on_chain], b[on_chain], len(pts)
+    edges = np.append(np.sort(np.minimum(a, b) * n + np.maximum(a, b)), n * n)
+    # A chain node that qhull leaves out as coplanar lies on the edge between
+    # the chain nodes around it that qhull keeps; that edge carries its segments.
+    used = np.zeros(n, dtype=bool)
+    used[tri] = True
+    in_tri = used[chained]
+    at = np.flatnonzero(chained)[in_tri]  # chain nodes in triangles, in chain order
+    n_chain = np.bincount(node_owner[at], minlength=len(count))
+    nxt = at[loop_successors(np.cumsum(n_chain) - n_chain, n_chain)]
+    seg = np.minimum(at, nxt) * n + np.maximum(at, nxt)
+    missing = np.zeros(len(in_tri), dtype=bool)
+    missing[in_tri] = edges[np.searchsorted(edges, seg)] != seg
+    return tri[keep] - first[owner[keep]][:, None], owner[keep], missing
+
+
+def _recover(el, nodes, missing):
+    """One recovery round for the elements with ``missing`` chain segments.
+
+    A missing segment's diametral circle loses the interior lattice points
+    strictly inside it; a segment with none there gets its midpoint inserted
+    into the chain, on the segment's polygon edge.
+    """
+    chain, owner = nodes.chain, nodes.chain_owner
+    n_chain = np.bincount(owner, minlength=len(el.starts))
+    j = np.flatnonzero(missing)
+    nxt = loop_successors(np.cumsum(n_chain) - n_chain, n_chain)[j]
+    n_int = np.bincount(nodes.interior_owner, minlength=len(el.starts))
+    seg, idx = block_pairs(owner[j], np.cumsum(n_int) - n_int, n_int)
+    p = nodes.interior[idx]
+    inside = ((p - chain[j][seg]) * (p - chain[nxt][seg])).sum(axis=1) < 0.0
+    crowded = np.zeros(len(j), dtype=bool)
+    crowded[seg[inside]] = True
+    kept = np.ones(len(nodes.interior), dtype=bool)
+    kept[idx[inside]] = False
+    j, nxt = j[~crowded], nxt[~crowded]
+    mid = 0.5 * (chain[j] + chain[nxt])
+    # Chains never skip a polygon vertex, so segment j lies on edge[j].
+    edge = nodes.edge[j]
+    a = el.starts[owner[j]] + edge
+    start = el.vertices[a]
+    d = el.vertices[el.succ[a]] - start
     k = np.arange(len(j))
     axis = np.argmax(np.abs(d), axis=1)
-    t_mid = (mid[k, axis] - a[k, axis]) / d[k, axis]
-    at = missing + 1
-    return np.insert(chain_pts, at, mid, axis=0), np.insert(edge, at, j), np.insert(t, at, t_mid)
+    t_mid = (mid[k, axis] - start[k, axis]) / d[k, axis]
+    return _Nodes(np.insert(chain, j + 1, mid, axis=0), np.insert(nodes.edge, j + 1, edge),
+                  np.insert(nodes.t, j + 1, t_mid), np.insert(owner, j + 1, owner[j]),
+                  nodes.interior[kept], nodes.interior_owner[kept])
+
+
+def _conforming(polys, depth):
+    """Delaunay sub-triangulations whose edges contain the boundary chains.
+
+    Returns (el, nodes, triangles, owner): each element's triangles in its
+    own node numbering, the boundary chain first, then the interior lattice
+    in lattice order.  Elements that miss chain segments (possible on
+    non-convex ones) go through recovery rounds of ``_recover`` and
+    ``_triangulate`` together, 12 triangulations in all.
+    """
+    el = _elements(polys, depth)
+    chain = _boundary_chains(el, depth)
+    nodes = _Nodes(*chain, *_interior_lattices(el, depth))
+    parts = []
+    for _ in range(12):
+        tri, owner, missing = _triangulate(el, nodes)
+        failed = np.zeros(len(polys), dtype=bool)
+        failed[nodes.chain_owner[missing]] = True
+        if not failed.any():
+            break
+        ok = ~failed[owner]
+        parts.append((nodes.of(~failed), tri[ok], owner[ok]))
+        nodes = _recover(el, nodes.of(failed), missing[failed[nodes.chain_owner]])
+    else:
+        raise TriangulationFailed("boundary chain not recovered by Delaunay refinement")
+    if not parts:
+        return el, nodes, tri, owner
+    parts.append((nodes, tri, owner))
+    # Put the rounds' elements back in element order.
+    nodes = _Nodes(*map(np.concatenate, zip(*(p[0] for p in parts))))
+    c = np.argsort(nodes.chain_owner, kind="stable")
+    i = np.argsort(nodes.interior_owner, kind="stable")
+    nodes = _Nodes(nodes.chain[c], nodes.edge[c], nodes.t[c], nodes.chain_owner[c],
+                   nodes.interior[i], nodes.interior_owner[i])
+    tri, owner = (np.concatenate(a) for a in zip(*(p[1:] for p in parts)))
+    order = np.argsort(owner, kind="stable")
+    return el, nodes, tri[order], owner[order]
 
 
 def _p1_stiffness(points, triangles):
@@ -246,39 +388,85 @@ def _p1_stiffness(points, triangles):
     return rows.ravel(), cols.ravel(), vals.ravel()
 
 
-def _harmonic_interior(points, triangles, boundary_values):
-    """Interior values of the discrete harmonic extensions of boundary data.
+def _solve_bases(polys, depth):
+    """The bases of ``polys`` at lattice ``depth``, from one pass over all of them.
 
-    ``boundary_values`` is (k, n_chain): k data sets at the chain nodes
-    [0, n_chain); the result is (k, n_interior).  One bincount assembles the
-    interior rows of the P1 stiffness: the interior block into LAPACK lower
-    band storage, the boundary columns into a dense block that moves to the
-    right-hand side.  Interior nodes keep their lattice order, so the band is
-    about one lattice row wide, and one banded Cholesky solve (LAPACK
-    ``pbsv``, called without the ``solveh_banded`` wrapper, whose checks cost
-    more than the solve at these sizes) handles all k data sets.
+    Hat boundary data: the chain point on edge j at parameter t gets 1 - t
+    from loop vertex j and t from loop vertex j + 1.  Interior values are the
+    discrete harmonic extensions.  One ``_p1_stiffness`` call over all
+    triangles and one bincount assemble the interior rows of every element:
+    the interior block into LAPACK lower band storage, the boundary columns
+    into a dense block that moves to the right-hand side.  Interior nodes keep
+    their lattice order, so a band is about one lattice row wide, and one
+    banded Cholesky solve per element (LAPACK ``pbsv``, called without the
+    ``solveh_banded`` wrapper, whose checks cost more than the solve at these
+    sizes) handles all of its basis functions.
     """
-    n_chain = boundary_values.shape[1]
-    rows, cols, vals = _p1_stiffness(points, triangles)
-    # Interior rows, and of their interior columns only the lower triangle.
-    keep = (rows >= n_chain) & (cols <= rows)
-    rows, cols, vals = rows[keep] - n_chain, cols[keep], vals[keep]
-    n_int = len(points) - n_chain
-    interior = cols >= n_chain
-    cols = cols - n_chain
+    el, nodes, tri, tri_owner = _conforming(polys, depth)
+    pts, node_owner, chained = nodes.layout()
+    n_loop = el.sizes
+    n_node = np.bincount(node_owner, minlength=len(polys))
+    n_chain = np.bincount(nodes.chain_owner, minlength=len(polys))
+    n_int = n_node - n_chain
+    first = np.cumsum(n_node) - n_node
+    rows, cols, vals = _p1_stiffness(pts, tri + first[tri_owner][:, None])
+    # Interior rows, and of their interior columns only the lower triangle,
+    # numbered from each element's first interior node.
+    base = (first + n_chain)[tri_owner]
+    keep = np.flatnonzero((rows.reshape(9, -1) >= base) & (cols <= rows).reshape(9, -1))
+    tri_of = keep % len(tri_owner)  # entries are (pair, triangle), triangles fastest
+    owner, base = tri_owner[tri_of], base[tri_of]
+    rows, cols, vals = rows[keep] - base, cols[keep] - base, vals[keep]
+    interior = cols >= 0
     band = rows - cols
-    width = int(band.max(where=interior, initial=0)) + 1
+    width = np.zeros(len(polys), dtype=int)
+    np.maximum.at(width, owner[interior], band[interior])
+    width += 1
     n_band = width * n_int
-    # Both blocks column-major, as LAPACK takes them: band entry (r - c, c)
-    # at c * width + r - c, boundary entry (r, c) at n_band + c * n_int + r.
-    flat = np.where(interior, cols * width + band, n_band + (cols + n_chain) * n_int + rows)
-    a = np.bincount(flat, vals, minlength=n_band + n_chain * n_int)
-    rhs = -(boundary_values @ a[n_band:].reshape(n_chain, n_int))
-    _, x, info = dpbsv(a[:n_band].reshape(n_int, width).T, rhs.T, lower=1,
-                       overwrite_ab=1, overwrite_b=1)
-    if info:
-        raise SolveFailed(f"sub-triangulation Laplacian not positive definite (pbsv info {info})")
-    return x.T
+    size = n_band + n_chain * n_int
+    start = np.cumsum(size) - size
+    # Per element, both blocks column-major, as LAPACK takes them: band entry
+    # (r - c, c) at c * width + r - c, boundary entry (r, c) at n_band +
+    # c * n_int + r.
+    flat = start[owner] + np.where(interior, cols * width[owner] + band,
+                                   n_band[owner] + (cols + n_chain[owner]) * n_int[owner] + rows)
+    a = np.bincount(flat, vals, minlength=int(size.sum()))
+    # psi[i] of element k, the i-th loop vertex's function at its sub-nodes,
+    # is row i of block k of one buffer.
+    n_psi = n_loop * n_node
+    at = np.cumsum(n_psi) - n_psi
+    co = nodes.chain_owner
+    node = np.arange(len(co)) - (np.cumsum(n_chain) - n_chain)[co]
+    psi_all = np.zeros(int(n_psi.sum()))
+    psi_all[at[co] + nodes.edge * n_node[co] + node] = 1.0 - nodes.t
+    psi_all[at[co] + (nodes.edge + 1) % n_loop[co] * n_node[co] + node] = nodes.t
+    # Each edge's first chain point, at t == 0, is its loop vertex.
+    loop_vertex = np.split(node[nodes.t == 0.0], np.cumsum(n_loop)[:-1])
+    n_tri = np.bincount(tri_owner, minlength=len(polys))
+    triangles = np.split(tri.astype(np.intc), np.cumsum(n_tri)[:-1])
+    bases = []
+    for k, poly in enumerate(polys):
+        m, nc, ni, f, s = n_node[k], n_chain[k], n_int[k], first[k], start[k]
+        psi = psi_all[at[k]:at[k] + n_psi[k]].reshape(-1, m)
+        if ni:
+            rhs = -(psi[:, :nc] @ a[s + n_band[k]:s + size[k]].reshape(nc, ni))
+            _, x, info = dpbsv(a[s:s + n_band[k]].reshape(ni, width[k]).T, rhs.T, lower=1,
+                               overwrite_ab=1, overwrite_b=1)
+            if info:
+                raise SolveFailed("sub-triangulation Laplacian not positive definite "
+                                  f"(pbsv info {info})")
+            psi[:, nc:] = x.T
+        bases.append(LocalHarmonicBasis(polygon=poly, points=pts[f:f + m], triangles=triangles[k],
+                                        psi=psi, boundary_mask=chained[f:f + m],
+                                        loop_vertex_index=loop_vertex[k]))
+    return bases
+
+
+def _delaunay_conforming(poly, depth):
+    """``_conforming`` of one polygon: (points, triangles, edge, t), the first
+    ``len(edge)`` points being the boundary chain."""
+    _, nodes, tri, _ = _conforming([poly], depth)
+    return nodes.layout()[0], tri, nodes.edge, nodes.t
 
 
 class BasisCache:
@@ -320,9 +508,20 @@ class BasisCache:
         )
 
 
+def _similarity_keys(polys):
+    """Each polygon's vertices moved to unit area about the origin, rounded to 12
+    digits, as one flat tuple: one array pass over the concatenated loops."""
+    sizes = np.array([len(p.vertices) for p in polys])
+    v = np.concatenate([p.vertices for p in polys]) if len(polys) else np.empty((0, 2))
+    c = np.repeat(np.array([p.centroid for p in polys]).reshape(-1, 2), sizes, axis=0)
+    scale = np.repeat(np.sqrt([p.area for p in polys]), sizes)
+    flat = np.round((v - c) / scale[:, None], 12).ravel().tolist()
+    ends = np.cumsum(2 * sizes).tolist()
+    return [tuple(flat[e - 2 * n:e]) for e, n in zip(ends, sizes.tolist())]
+
+
 def _full_similarity_key(poly):
-    v = (poly.vertices - poly.centroid) / math.sqrt(poly.area)
-    return tuple(np.round(v, 12).ravel().tolist())
+    return _similarity_keys([poly])[0]
 
 
 def _placed(unit, poly):
@@ -345,43 +544,30 @@ def build_basis(poly, depth=None, cache=None):
     vertices (hanging nodes included).  With a ``cache``, every polygon of
     one similarity key gets the basis of the key's own polygon (the rounded
     normalized vertices), so no result depends on which of them came first.
+    ``build_bases`` of one polygon.
     """
     if depth is None:
         depth = BASIS_DEPTH
     if cache is None:
-        return _solve_basis(poly, depth)
+        return build_bases([poly], depth)[0]
     hit = cache.get(poly, depth)
     if hit is None:
         key = cache._missed_key
-        cache.put(key, _solve_basis(Polygon(np.reshape(key[0], (-1, 2))), depth))
+        cache.put(key, build_bases([Polygon(np.reshape(key[0], (-1, 2)))], depth)[0])
         hit = _placed(cache.store[key], poly)
     return hit
 
 
-def _solve_basis(poly, depth):
-    """The basis of ``poly`` at lattice ``depth``."""
-    # Sub-nodes [0, n_chain) are the boundary chain, the rest are interior.
-    pts, tris, edge, t = _delaunay_conforming(poly, depth)
-    n_loop = len(poly.vertices)
-    n_chain = len(edge)
-    chain = np.arange(n_chain)
-    # Hat boundary data: chain point on edge j at parameter t gets
-    # (1 - t) from loop vertex j and t from loop vertex j + 1.
-    psi = np.zeros((n_loop, len(pts)))
-    psi[edge, chain] = 1.0 - t
-    psi[(edge + 1) % n_loop, chain] = t
-    if len(pts) > n_chain:
-        psi[:, n_chain:] = _harmonic_interior(pts, tris, psi[:, :n_chain])
-
-    return LocalHarmonicBasis(
-        polygon=poly,
-        points=pts,
-        triangles=tris,
-        psi=psi,
-        boundary_mask=np.arange(len(pts)) < n_chain,
-        # Each edge's first chain point, at t == 0, is its loop vertex.
-        loop_vertex_index=np.flatnonzero(t == 0.0),
-    )
+def build_bases(polys, depth=None):
+    """``build_basis`` of each polygon, one pass per chunk of them: per chunk, every
+    step but the Delaunay call and the banded solve runs over all its elements."""
+    if depth is None:
+        depth = BASIS_DEPTH
+    sizes = np.array([len(p.vertices) for p in polys]) * len(_lattice_steps(depth))
+    bases = []
+    for a, b in chunks(sizes):
+        bases += _solve_bases(polys[a:b], depth)
+    return bases
 
 
 # ---------------------------------------------------------------------------
@@ -395,15 +581,17 @@ class InterpolantCoefficients:
 
 
 def _element_integrals(mesh, fld, depth):
-    """``integrate_on_polygon`` of each element, from one ``polygon_fans`` call."""
-    tris, counts = polygon_fans([el.polygon for el in mesh.elements])
-    first = np.cumsum(counts) - counts
-
-    def one(el):
-        d = depth if depth is not None else default_depth(el.polygon.diameter)
-        return integrate_on_fan(tris[first[el.id]:first[el.id] + counts[el.id]], fld.value, d)
-
-    return pmap(one, mesh.elements)
+    """``integrate_on_polygon`` of each element: one ``fld.value`` call per
+    ``fan_chunks`` slice, and each integral one dot."""
+    out = np.empty(mesh.n_elements)
+    for ids, first, size, slices in fan_chunks([el.polygon for el in mesh.elements], depth):
+        w, vals = np.empty(size), np.empty(size)
+        for at, pts, ws in slices:
+            w[at:at + len(ws)] = ws
+            vals[at:at + len(ws)] = fld.value(pts)
+        ends = np.append(first[1:], size).tolist()
+        out[ids] = [w[a:b] @ vals[a:b] for a, b in zip(first.tolist(), ends)]
+    return out.tolist()
 
 
 def coefficients(mesh, fld, scheme, depth=None):
@@ -490,13 +678,14 @@ def l2_parts(mesh, fld, coeffs, depth=None, cache=None):
     cache.trim()
     polys = [el.polygon for el in mesh.elements]
     groups = {}
-    for k, poly in enumerate(polys):
-        groups.setdefault(_full_similarity_key(poly), []).append(k)
+    for k, key in enumerate(_similarity_keys(polys)):
+        groups.setdefault(key, []).append(k)
     parts = np.empty(len(polys))
-    # The polygons of all missed keys are built in one batch.
+    # The polygons and bases of all missed keys are built in one batch.
     missed = [key for key in groups if (key, depth) not in cache.store]
-    for key, poly in zip(missed, polygons_of([np.reshape(key, (-1, 2)) for key in missed])):
-        cache.put((key, depth), build_basis(poly, depth))
+    key_polys = list(polygons_of([np.reshape(key, (-1, 2)) for key in missed]))
+    for key, basis in zip(missed, build_bases(key_polys, depth)):
+        cache.put((key, depth), basis)
     for key, members in groups.items():
         shared = cache.store[(key, depth)]
         # Physical sub-nodes as a cache hit maps them: unit points * sqrt|K| + c.

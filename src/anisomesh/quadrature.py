@@ -29,6 +29,7 @@ __all__ = [
     "polygon_sample_points",
     "fan_triangles",
     "polygon_fans",
+    "fan_chunks",
     "integrate_on_edge",
     "default_depth",
     "RULE",
@@ -174,6 +175,26 @@ def chunks(sizes):
         stop = max(start + 1, int(np.searchsorted(ends, limit, side="right")))
         yield start, stop
         start = stop
+
+
+def fan_chunks(polys, depth=None):
+    """Chunks of whole polygons for level-wide integrals over their fans.
+
+    Per quadrature depth (``depth``, else each polygon's ``default_depth``),
+    yields (ids, first, size, slices): the chunk's polygon indices, the
+    offset of each one's first point among the chunk's ``size`` points, and
+    ``fan_slices`` of their fan triangles, all from one ``polygon_fans`` call
+    per depth.
+    """
+    depths = np.array([default_depth(p.diameter) if depth is None else depth for p in polys])
+    for d in np.unique(depths).tolist():
+        members = np.flatnonzero(depths == d)
+        tris, counts = polygon_fans([polys[k] for k in members])
+        first = np.cumsum(counts) - counts  # first fan triangle of each polygon
+        r = len(_subdivided_reference(d)[0])  # points per fan triangle
+        for a, b in chunks(counts * r):
+            t0, t1 = first[a], first[b - 1] + counts[b - 1]
+            yield members[a:b], (first[a:b] - t0) * r, (t1 - t0) * r, fan_slices(tris[t0:t1], d)
 
 
 def _ear_clip(vertices):

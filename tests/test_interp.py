@@ -185,8 +185,8 @@ class TestChainRecovery:
             rounds.append(1)
             return rebuild(*args)
 
-        rebuild = interp._rebuild_chain
-        monkeypatch.setattr(interp, "_rebuild_chain", spy)
+        rebuild = interp._recover
+        monkeypatch.setattr(interp, "_recover", spy)
         pts, tris, edge, t = interp._delaunay_conforming(poly, interp.BASIS_DEPTH)
         monkeypatch.undo()
         return pts, tris, edge, t, len(rounds)
@@ -225,6 +225,43 @@ class TestChainRecovery:
         assert rounds >= 1
         self.check_chain(poly, pts, tris, edge, t)
         self.check_basis(poly)
+
+    def test_tiny_jitter_history_builds(self):
+        # Level 3 holds the quad (0.5, 0.5)-(0.75, 0.75), whose corner at
+        # (0.75, 0.5) is three nodes 4.2e-9 and 2.9e-9 apart.  Delaunay joins
+        # them in a triangle that the degeneracy filter drops, and that
+        # triangle's two chain segments are no other triangle's edges.
+        fld = tanh_layer()
+        mesh0 = generate_polygonal(4, 4, jitter=1e-8, seed=0)
+        history = adaptive_loop(mesh0, fld, RefineConfig(strategy=ANISOTROPIC, max_levels=3))
+        mesh = history[3][0]
+        assert math.isfinite(l2_error(mesh, fld, coefficients(mesh, fld, POINTWISE)))
+        for basis in interp.build_bases([el.polygon for el in mesh.elements]):
+            assert basis.partition_residual() <= 1e-10
+            assert basis.range_violation() <= 1e-10
+
+    def test_coplanar_chain_node_is_bridged(self):
+        # Three loop vertices on one vertical line, 1.6e-9 and 1.3e-9 apart
+        # (element 3 of ISOTROPIC level 1 on generate_polygonal(4, 4, jitter
+        # 4.29e-8, seed 65535)).  Qhull keeps the middle one out of every
+        # triangle as coplanar; the edge between the other two carries it.
+        poly = Polygon([(0.25000000714651405, 0.2500000030231513),
+                        (0.25000000714651416, 0.2499999970511457), (0.25, 0.0), (0.5, 0.0),
+                        (0.5000000043093643, 0.24999999798860398),
+                        (0.5000000043093643, 0.24999999957828703),
+                        (0.5000000043093643, 0.2500000008456034)])
+        basis = build_basis(poly)
+        assert basis.partition_residual() <= 1e-10
+        assert basis.range_violation() <= 1e-10
+        a, middle, b = basis.loop_vertex_index[4:]
+        assert middle not in basis.triangles
+        assert any({a, b} <= set(tri) for tri in basis.triangles.tolist())
+
+    def test_stretched_stars_build(self):
+        polys = [random_star_polygon(np.random.default_rng(s), ratio=1e3) for s in range(500)]
+        for basis in interp.build_bases(polys):
+            assert basis.partition_residual() <= 1e-10
+            assert basis.range_violation() <= 1e-10
 
 
 class TestCoefficients:

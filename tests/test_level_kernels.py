@@ -1,11 +1,13 @@
 """Level-wide element kernels against their one-element calls.
 
-The Gram, eta, fan and split kernels keep the arithmetic of the per-element
-code, so they must agree bit for bit whatever else shares a chunk or a
-level; the L2 parts sum in another order and must agree to 1e-13 relative.
+The Gram, eta, fan, split and harmonic-basis kernels keep the arithmetic of
+the per-element code, so they must agree bit for bit whatever else shares a
+chunk or a level; the L2 parts sum in another order and must agree to 1e-13
+relative.
 """
 
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -191,6 +193,42 @@ class TestLevelSplit:
                     [e[2] for e in want if e[0] == "cut"], abs=1e-15)
             else:
                 assert not isinstance(got, Exception)
+
+
+def assert_same_basis(got, want):
+    for name in ("points", "triangles", "psi", "boundary_mask", "loop_vertex_index"):
+        a, b = getattr(got, name), getattr(want, name)
+        assert (a.dtype, a.shape) == (b.dtype, b.shape) and a.tobytes() == b.tobytes(), name
+
+
+class TestLevelBases:
+    @settings(max_examples=10, deadline=None)
+    @given(
+        seed=st.integers(0, 2 ** 16),
+        jitter=st.one_of(st.floats(0.0, 0.3), st.floats(1e-9, 1e-7)),
+        strategy=st.sampled_from([ANISOTROPIC, ISOTROPIC]),
+        levels=st.integers(1, 3),
+    )
+    def test_level_pass_matches_batch_of_one(self, seed, jitter, strategy, levels):
+        # A level's elements, star polygons and the U shape, whose first
+        # triangulation misses chain segments, at scales 1e7 apart and in a
+        # random order: recovery rounds run on a subset of a pass that spans
+        # several chunks.  Tiny jitters put nearly coincident nodes on
+        # element boundaries.
+        rng = np.random.default_rng(seed)
+        mesh0 = generate_polygonal(4, 4, jitter=jitter, seed=seed)
+        history = adaptive_loop(mesh0, tanh_layer(), RefineConfig(strategy=strategy,
+                                                                 max_levels=levels))
+        polys = [el.polygon for el in history[-1][0].elements]
+        polys += [random_star_polygon(rng, ratio=10.0 ** rng.uniform(0, 3)) for _ in range(6)]
+        polys += [U_SHAPE, Polygon(U_SHAPE.vertices * 1e-7 + 0.5)]
+        polys = [polys[k] for k in rng.permutation(len(polys))]
+        with mock.patch.object(interp, "_recover", wraps=interp._recover) as recover:
+            bases = interp.build_bases(polys)
+        assert recover.called
+        for poly, basis in zip(polys, bases):
+            assert basis.polygon is poly
+            assert_same_basis(basis, build_basis(poly))
 
 
 class TestGramChunks:
