@@ -13,7 +13,6 @@ from .geometry import (  # noqa: F401
     CovarianceSpectrum,
     Polygon,
     ReferenceMap,
-    covariance_spectrum,
     map_polygon,
     reference_map,
 )

@@ -79,6 +79,9 @@ def normalize_config(raw):
         if key not in cfg:
             raise ParseError(f"unknown config key {key!r}")
         cfg[key] = val
+    for key in ("field", "output_dir"):
+        if not isinstance(cfg[key], str):
+            raise ParseError(f"{key} must be a string, got {cfg[key]!r}")
     cfg["levels"] = _number(int, "levels", cfg["levels"])
     if cfg["levels"] < 0:
         raise ParseError(f"levels must be a non-negative integer, got {cfg['levels']}")

@@ -43,9 +43,5 @@ class NoAdmissibleEdge(AnisomeshError):
     """Edge-average interpolation found no admissible edge for a node."""
 
 
-class ZeroGram(AnisomeshError):
-    """Gradient Gram matrix carries no directional information."""
-
-
 class SandwichViolated(AnisomeshError):
     """Two-sided norm-mapping bound failed; indicates a quadrature/mapping bug."""

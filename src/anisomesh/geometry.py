@@ -2,8 +2,11 @@
 
 All moment integrals are evaluated in closed form from the boundary loop
 (Green's theorem applied to polynomial integrands), so there is no quadrature
-error even for extremely stretched elements.  Operations are pure functions on
-immutable inputs.
+error even for extremely stretched elements.  Polygons come in batches
+(``Loops``): flat arrays of many loops' vertices, moments, covariance
+spectra and reference scales, built by one array pass (``loop_moments``).
+Level-wide kernels read a batch, or a ``take`` of its rows; a ``Polygon``
+is one row of a batch, and ``Polygon(vertices)`` a batch of one.
 """
 
 from __future__ import annotations
@@ -19,16 +22,15 @@ from .errors import CutMissesPolygon, DegenerateElement, NonSimpleResult
 
 __all__ = [
     "Polygon",
+    "Loops",
     "CovarianceSpectrum",
     "ReferenceMap",
-    "covariance_spectrum",
     "reference_map",
     "map_polygon",
     "split_polygon_detailed",
     "split_polygons",
     "loop_moments",
     "loops_simple",
-    "polygons",
     "polygons_of",
     "symmetric_eig_2x2",
     "point_set_diameter",
@@ -46,40 +48,35 @@ _PAIR_BLOCK = 1 << 14
 
 
 def symmetric_eig_2x2(a, b, c):
-    """Closed-form spectrum of [[a, b], [b, c]].
+    """Closed-form spectra of the matrices [[a, b], [b, c]], entry by entry of
+    the equal-shaped arrays a, b and c.
 
-    Returns (l1, l2, u1) with l1 >= l2 and u1 the unit eigenvector of l1,
-    sign-normalized so its first component larger than 1e-14 in modulus is
-    positive.
+    Returns (l1, l2, u1) with l1 >= l2 and u1 (..., 2) the unit eigenvectors
+    of l1, sign-normalized so that the first component larger than 1e-14 in
+    modulus is positive.  Each entry takes the operations of a scalar
+    closed-form solve (``math.hypot``, Python's ``max``), so its bits do not
+    depend on the other entries.
     """
-    half_tr = 0.5 * (a + c)
-    half_diff = 0.5 * (a - c)
-    r = math.hypot(half_diff, b)
-    l1 = half_tr + r
-    # The subtraction half_tr - r cancels badly for extreme anisotropy;
-    # the determinant route keeps l2 accurate to machine precision.
-    det = a * c - b * b
-    l2 = det / l1 if l1 > 0.0 else half_tr - r
-    if r <= _ZERO_COMPONENT_TOL * max(abs(l1), abs(l2), 1e-300):
-        u1 = np.array([1.0, 0.0])
-    else:
+    a, b, c = (np.asarray(x, dtype=float) for x in (a, b, c))
+    with np.errstate(all="ignore"):
+        half_tr = 0.5 * (a + c)
+        half_diff = 0.5 * (a - c)
+        r = _hypot(half_diff, b)
+        l1 = half_tr + r
+        # The subtraction half_tr - r cancels badly for extreme anisotropy;
+        # the determinant route keeps l2 accurate to machine precision.
+        l2 = np.where(l1 > 0.0, (a * c - b * b) / l1, half_tr - r)
+        top = np.where(np.abs(l2) > np.abs(l1), np.abs(l2), np.abs(l1))
+        tie = r <= _ZERO_COMPONENT_TOL * np.where(1e-300 > top, 1e-300, top)
         # Two algebraically parallel candidates; pick the better-conditioned one.
-        if half_diff >= 0.0:
-            u1 = np.array([r + half_diff, b])
-        else:
-            u1 = np.array([b, r - half_diff])
-        norm = math.hypot(u1[0], u1[1])
-        if norm == 0.0:
-            u1 = np.array([1.0, 0.0])
-        else:
-            u1 = u1 / norm
-    scale = max(abs(u1[0]), abs(u1[1]))
-    if abs(u1[0]) > _ZERO_COMPONENT_TOL * scale:
-        if u1[0] < 0.0:
-            u1 = -u1
-    elif u1[1] < 0.0:
-        u1 = -u1
-    return l1, l2, u1
+        x = np.where(half_diff >= 0.0, r + half_diff, b)
+        y = np.where(half_diff >= 0.0, b, r - half_diff)
+        norm = _hypot(x, y)
+        axis = tie | (norm == 0.0)
+        x, y = np.where(axis, 1.0, x / norm), np.where(axis, 0.0, y / norm)
+    ax, ay = np.abs(x), np.abs(y)
+    flip = np.where(ax > _ZERO_COMPONENT_TOL * np.where(ay > ax, ay, ax), x < 0.0, y < 0.0)
+    return l1, l2, np.stack((np.where(flip, -x, x), np.where(flip, -y, y)), axis=-1)
 
 
 @dataclass(frozen=True)
@@ -121,20 +118,22 @@ class ReferenceMap:
 
 
 class Polygon:
-    """Simple CCW polygon with exact moments and cached spectral data.
+    """Simple CCW polygon with exact moments and spectral data: row ``row`` of
+    the ``Loops`` batch ``loops``.
 
-    Vertices are an (n, 2) read-only float array without repeated
-    consecutive points, a copy of the input: the caller's array stays
-    writable.  Construction enforces positive signed area and takes
-    the area, centroid, covariance (``second_moment``) and diameter from
-    ``loop_moments`` (a batch of one); ``polygons`` builds many at once as
-    views on one batch.  The spectrum and reference map are computed on
-    first use.  Simplicity is checked on demand (``validate_simple``)
-    because the O(n^2) test is not needed on the hot refinement path.
+    ``Polygon(vertices)`` is the batch of one of ``polygons_of``: it takes an
+    (n, 2) array without repeated consecutive points, copies it (the
+    caller's array stays writable), and raises the ``loop_error`` of its
+    loop, such as a non-positive signed area.  ``Loops.polygon`` views a
+    row of a larger batch.  The vertices, centroid and covariance
+    (``second_moment``) are read-only arrays.  ``spectrum`` raises
+    DegenerateElement for a numerically rank-deficient covariance,
+    construction never does.  Simplicity is checked on demand
+    (``validate_simple``) because the O(n^2) test is not needed on the hot
+    refinement path.
     """
 
-    __slots__ = ("vertices", "area", "centroid", "second_moment", "diameter",
-                 "_spectrum", "_refmap")
+    __slots__ = ("loops", "row", "vertices", "area", "centroid", "second_moment", "diameter")
 
     def __init__(self, vertices):
         v = np.asarray(vertices, dtype=float)
@@ -142,25 +141,18 @@ class Polygon:
             raise ValueError("vertices must be an (n, 2) array")
         if len(v) >= 2 and abs(v[0, 0] - v[-1, 0]) < 1e-300 and abs(v[0, 1] - v[-1, 1]) < 1e-300:
             v = v[:-1]
-        n = len(v)
-        if n < 3:
+        if len(v) < 3:
             raise ValueError("polygon needs at least 3 vertices")
         if not np.all(np.isfinite(v)):
             raise ValueError("vertex coordinates must be finite")
-        loops = loop_moments(np.concatenate((v[-1:], v))[None], np.array([n]))
-        error = loop_error(loops, 0)
-        if error is not None:
-            raise error
-        self._set(*next(_rows(loops)))
+        self._view(polygons_of([v]), 0)
 
-    def _set(self, vertices, area, centroid, second_moment, diameter):
-        self.vertices = vertices
-        self.area = area
-        self.centroid = centroid
-        self.second_moment = second_moment
-        self.diameter = diameter
-        self._spectrum = None
-        self._refmap = None
+    def _view(self, loops, row):
+        start = loops.starts[row]
+        self.loops, self.row = loops, row
+        self.vertices = loops.vertices[start:start + loops.sizes[row]]
+        self.area, self.diameter = float(loops.area[row]), float(loops.diameter[row])
+        self.centroid, self.second_moment = loops.centroid[row], loops.second_moment[row]
 
     def __len__(self):
         return len(self.vertices)
@@ -168,39 +160,89 @@ class Polygon:
     def __repr__(self):
         return f"Polygon({len(self.vertices)} vertices, area={self.area:.6g})"
 
+    def batch(self):
+        """This polygon as a ``Loops`` batch of one."""
+        return self.loops if len(self.loops.sizes) == 1 else self.loops.take([self.row])
+
     @property
     def spectrum(self):
-        if self._spectrum is None:
-            self._spectrum = covariance_spectrum(self)
-        return self._spectrum
+        """Eigen decomposition of the covariance matrix with canonical orientation.
+
+        u1 belongs to the larger eigenvalue; its first nonzero component is
+        positive and u2 is u1 rotated by +90 degrees, so all elements share
+        one orientation convention.
+        """
+        s, k = self.loops.full_rank([self.row]), self.row
+        return CovarianceSpectrum(lambda1=s.lambda1[k], lambda2=s.lambda2[k], u1=s.u[k, 0],
+                                  u2=s.u[k, 1], covariance=s.second_moment[k])
 
     @property
     def refmap(self):
-        if self._refmap is None:
-            self._refmap = reference_map(self)
-        return self._refmap
+        return reference_map(self)
 
     def validate_simple(self):
         """Raise NonSimpleResult if any two non-adjacent edges intersect."""
-        if not loops_simple(*stack_loops([self.vertices]))[0]:
+        if not loops_simple(self.batch())[0]:
             raise NonSimpleResult("polygon boundary self-intersects")
 
 
 class Loops(NamedTuple):
-    """Many loops in ``loop_moments``' layout, with their checks and moments.
+    """Many polygons' loops with their checks, moments and spectra, as flat arrays.
 
-    ``vertices`` is (E, m + 1, 2): row k holds loop k's last vertex, its
-    ``sizes[k]`` vertices in order, then its last vertex again up to column
-    m.  ``error`` is 0 for a valid loop, else a key of ``_LOOP_ERRORS``.
+    Loop k is the ``sizes[k]`` vertices from ``starts[k]``; ``owner`` names
+    each vertex's loop and ``succ`` indexes its successor in it.  ``error``
+    is 0 for a valid loop, else a key of ``_LOOP_ERRORS``.  ``u[k]`` holds
+    the rows u1, u2 of ``Polygon.spectrum``, and ``alpha[k]`` the scale of
+    ``reference_map``.  Rank-deficient loops get spectra too: ``full_rank``
+    rejects them where a spectrum is used.  Every array is read-only.
     """
 
     vertices: np.ndarray
     sizes: np.ndarray
+    starts: np.ndarray
+    owner: np.ndarray
+    succ: np.ndarray
+    # One entry per loop from here on: ``take`` selects them.
     area: np.ndarray
     centroid: np.ndarray
     second_moment: np.ndarray
     diameter: np.ndarray
     error: np.ndarray
+    lambda1: np.ndarray
+    lambda2: np.ndarray
+    u: np.ndarray
+    alpha: np.ndarray
+
+    def take(self, ids):
+        """The loops ``ids``, in that order, as a batch of their own."""
+        ids = np.asarray(ids, dtype=int)
+        _, at = block_pairs(ids, self.starts, self.sizes)
+        return _batch(self.vertices[at], self.sizes[ids], *(a[ids] for a in self[5:]))
+
+    def polygon(self, k):
+        """Loop k as a ``Polygon``: a view on this batch."""
+        poly = object.__new__(Polygon)
+        poly._view(self, k)
+        return poly
+
+    def full_rank(self, rows=slice(None)):
+        """This batch, once no loop of ``rows`` has a numerically rank-deficient
+        covariance (lambda2 <= 1e-14 lambda1); else DegenerateElement for the first."""
+        l1, l2 = self.lambda1[rows], self.lambda2[rows]
+        for k in np.flatnonzero(l2 <= 1e-14 * l1)[:1].tolist():
+            raise DegenerateElement("covariance numerically rank deficient "
+                                    f"(lambda1={l1[k]:.3e}, lambda2={l2[k]:.3e})")
+        return self
+
+
+def _batch(vertices, sizes, *rows):
+    """``Loops`` of concatenated loops of these sizes and their per-loop arrays."""
+    starts = np.cumsum(sizes) - sizes
+    loops = Loops(vertices, sizes, starts, np.repeat(np.arange(len(sizes)), sizes),
+                  loop_successors(starts, sizes), *rows)
+    for a in loops:
+        a.setflags(write=False)
+    return loops
 
 
 _LOOP_ERRORS = {
@@ -210,44 +252,41 @@ _LOOP_ERRORS = {
 }
 
 
-def closed_index(sizes):
-    """(E, m + 1) indices into a concatenation of loops of these sizes (each
-    >= 1) that gather them in ``loop_moments``' layout."""
-    sizes = np.asarray(sizes)
-    last = np.cumsum(sizes) - 1
-    q = np.arange(-1, int(sizes.max(initial=0)))  # column c holds entry c - 1
-    return np.where((q >= 0) & (q < sizes[:, None]), last[:, None] - sizes[:, None] + 1 + q,
-                    last[:, None])
-
-
-def stack_loops(vertex_arrays):
-    """(vertices, sizes) of (n_k, 2) vertex arrays in ``loop_moments``' layout."""
-    sizes = np.array([len(v) for v in vertex_arrays], dtype=int)
-    flat = np.concatenate(vertex_arrays) if len(sizes) else np.empty((0, 2))
-    return flat[closed_index(sizes)], sizes
-
-
 def loop_moments(vertices, sizes):
-    """Checks and exact moments of many loops at once; returns ``Loops``.
+    """Checks, exact moments and covariance spectra of many loops; returns ``Loops``.
 
-    ``vertices`` is in the layout ``Loops`` describes, so column pairs
-    (c, c + 1) are a loop's edges from the closing one on, and the padding
-    edges have zero length.  Each sum runs column by column from 0.0 over
+    ``vertices`` (N, 2) concatenates the loops, loop k being ``sizes[k]``
+    vertices.  The moments go in blocks of at most ``_PAIR_BLOCK`` vertex
+    pairs.  A block row holds a loop's last vertex, its vertices in order,
+    then its last vertex again up to the block's width, so column pairs
+    (c, c + 1) are its edges from the closing one on and the padding edges
+    have zero length.  Each sum runs column by column from 0.0 over
     coordinates shifted to the loop's vertex mean, the order of a scalar
-    loop over the vertices: a row's bits do not depend on the other rows.
-    The rows go in blocks of at most ``_PAIR_BLOCK`` vertex pairs, so the
-    temporaries stay small; the diameter is the largest pairwise distance.
+    loop over the vertices; the diameter is the largest pairwise distance.
+    The spectra come from ``symmetric_eig_2x2`` of the covariances, and
+    alpha = (sqrt(lambda1 lambda2) / |K|)^(1/2) from Python's ``** 0.5``
+    (C ``pow``, not ``sqrt``), loop by loop.  So a row's bits do not depend
+    on the other rows.  The batch holds copies of ``vertices`` and ``sizes``.
     """
-    sizes = np.asarray(sizes)
+    vertices, sizes = np.array(vertices, dtype=float), np.array(sizes)
     count = len(sizes)
+    starts = np.cumsum(sizes) - sizes
+    q = np.arange(-1, int(sizes.max(initial=0)))  # column c holds entry c - 1
     area, diameter, error = np.empty(count), np.empty(count), np.empty(count, dtype=int)
     centroid, second = np.empty((count, 2)), np.empty((count, 2, 2))
-    step = max(1, _PAIR_BLOCK // vertices.shape[1] ** 2)
+    step = max(1, _PAIR_BLOCK // len(q) ** 2)
     for a in range(0, count, step):
         rows = slice(a, a + step)
+        n, s = sizes[rows, None], starts[rows, None]
+        padded = vertices[np.where((q >= 0) & (q < n), s + q, s + n - 1)]
         (area[rows], centroid[rows], second[rows], diameter[rows],
-         error[rows]) = _moments_block(vertices[rows], sizes[rows])
-    return Loops(vertices, sizes, area, centroid, second, diameter, error)
+         error[rows]) = _moments_block(padded, sizes[rows])
+    l1, l2, u1 = symmetric_eig_2x2(second[:, 0, 0], second[:, 0, 1], second[:, 1, 1])
+    u = np.stack((u1, np.column_stack((-u1[:, 1], u1[:, 0]))), axis=1)
+    with np.errstate(all="ignore"):
+        scale = np.sqrt(l1 * l2) / area
+    alpha = np.array([x ** 0.5 for x in np.where(scale >= 0.0, scale, np.nan).tolist()])
+    return _batch(vertices, sizes, area, centroid, second, diameter, error, l1, l2, u, alpha)
 
 
 def _moments_block(vertices, sizes):
@@ -296,27 +335,6 @@ def loop_error(loops, k):
     if code == 3:
         return DegenerateElement(message.format(loops.area[k]))
     return ValueError(message)
-
-
-def _rows(loops):
-    """Per row: (vertices, area, centroid, second moment, diameter), arrays
-    read-only.  The vertices are views on one unpadded copy of all loops."""
-    column = np.arange(loops.vertices.shape[1])
-    flat = loops.vertices[(column > 0) & (column <= loops.sizes[:, None])]
-    for a in (flat, loops.centroid, loops.second_moment):
-        a.setflags(write=False)
-    ends = np.cumsum(loops.sizes).tolist()
-    return zip([flat[b - n:b] for b, n in zip(ends, loops.sizes.tolist())],
-               loops.area.tolist(), loops.centroid, loops.second_moment,
-               loops.diameter.tolist())
-
-
-def polygons(loops):
-    """Yield ``Polygon`` views on the rows of ``loops``, which must all be valid."""
-    for row in _rows(loops):
-        poly = object.__new__(Polygon)
-        poly._set(*row)
-        yield poly
 
 
 def _max_square_distance(points):
@@ -420,18 +438,19 @@ def _edge_pairs(m):
     return (i[keep] + 1) % m, (j[keep] + 1) % m
 
 
-def loops_simple(vertices, sizes):
-    """Per loop in ``loop_moments``' layout: True unless two non-adjacent edges cross.
+def loops_simple(loops):
+    """Per loop of a ``Loops`` batch: True unless two non-adjacent edges cross.
 
     Orientation signs within 1e-12 |e| |f| of zero count as collinear, so
     nearly collinear chains (hanging nodes on a former cut line) do not read
     as crossings.  Loops of one size are tested together, every pair at once.
     """
-    sizes = np.asarray(sizes)
+    sizes = loops.sizes
     simple = np.ones(len(sizes), dtype=bool)
     for m in np.unique(sizes).tolist():
         rows = np.flatnonzero(sizes == m)
-        v = vertices[rows, :m + 1]
+        # Column 0 holds a loop's last vertex, column c its vertex c - 1.
+        v = loops.vertices[loops.starts[rows, None] + np.arange(-1, m) % m]
         start, end = v[:, :-1], v[:, 1:]  # edge k: column k -> k + 1
         ex, ey = (end - start).transpose(2, 0, 1)
         length = _hypot(ex, ey)
@@ -450,33 +469,10 @@ def loops_simple(vertices, sizes):
     return simple
 
 
-def covariance_spectrum(poly):
-    """Eigen decomposition of the covariance matrix with canonical orientation.
-
-    u1 belongs to the larger eigenvalue; its first nonzero component is
-    positive and u2 is u1 rotated by +90 degrees, so all elements share one
-    orientation convention.
-    """
-    m = poly.second_moment
-    l1, l2, u1 = symmetric_eig_2x2(m[0, 0], m[0, 1], m[1, 1])
-    if l2 <= 1e-14 * l1:
-        raise DegenerateElement(
-            f"covariance numerically rank deficient (lambda1={l1:.3e}, lambda2={l2:.3e})"
-        )
-    u2 = np.array([-u1[1], u1[0]])
-    return CovarianceSpectrum(lambda1=l1, lambda2=l2, u1=u1, u2=u2, covariance=m)
-
-
-def reference_alpha(poly):
-    """The alpha of ``reference_map``: (sqrt(lambda1 lambda2) / |K|)^(1/2)."""
-    s = poly.spectrum
-    return (math.sqrt(s.lambda1 * s.lambda2) / poly.area) ** 0.5
-
-
 def reference_map(poly):
     """Map A = alpha Lambda^{-1/2} U^T sending the element to unit area and covariance alpha^2 I."""
     s = poly.spectrum
-    alpha = reference_alpha(poly)
+    alpha = poly.loops.alpha[poly.row]
     u = s.basis
     lam_inv_sqrt = np.diag([s.lambda1 ** -0.5, s.lambda2 ** -0.5])
     lam_sqrt = np.diag([s.lambda1 ** 0.5, s.lambda2 ** 0.5])
@@ -491,17 +487,17 @@ def map_polygon(poly, refmap):
 
 
 def polygons_of(vertex_arrays):
-    """Yield a ``Polygon`` of each (n, 2) vertex array.  The moments of all of
-    them come from one ``loop_moments`` batch, and the first invalid one's
-    error is raised before any polygon is yielded."""
-    loops = loop_moments(*stack_loops(vertex_arrays))
+    """The ``Loops`` batch of (n, 2) vertex arrays; raises the first invalid one's error."""
+    sizes = np.array([len(v) for v in vertex_arrays], dtype=int)
+    loops = loop_moments(np.concatenate(vertex_arrays) if len(sizes) else np.empty((0, 2)), sizes)
     for k in np.flatnonzero(loops.error)[:1].tolist():
         raise loop_error(loops, k)
-    return polygons(loops)
+    return loops
 
 
-def split_polygons(polys, points, directions):
-    """Split every polygon by the line through its point along its direction.
+def split_polygons(loops, points, directions):
+    """Split every polygon of a ``Loops`` batch by the line through its point
+    along its direction.
 
     One array pass over all polygons' edges, with an owner index.  Returns
     (outcomes, pieces).  ``outcomes[k]`` is the exception polygon k's split
@@ -511,15 +507,12 @@ def split_polygons(polys, points, directions):
     of the ``Loops`` ``pieces`` (None for no polygons) are its two pieces
     when it splits.
     """
-    count = len(polys)
+    count = len(loops.sizes)
     if not count:
         return [], None
-    sizes = np.array([len(p.vertices) for p in polys])
-    starts = np.cumsum(sizes) - sizes
-    owner = np.repeat(np.arange(count), sizes)
-    v = np.concatenate([p.vertices for p in polys])
-    w = v[loop_successors(starts, sizes)]  # edge g runs from v[g] to w[g]
-    h = np.array([p.diameter for p in polys])
+    v, sizes, starts, owner = loops.vertices, loops.sizes, loops.starts, loops.owner
+    h = loops.diameter
+    w = v[loops.succ]  # edge g runs from v[g] to w[g]
     anchor = np.asarray(points, dtype=float).reshape(count, 2)
     d = np.asarray(directions, dtype=float).reshape(count, 2)
     norm = _hypot(d[:, 0], d[:, 1])
@@ -611,13 +604,13 @@ def split_polygons(polys, points, directions):
         rows = 2 * co + row
         start[rows], last[rows], ring_from[rows] = a, b, from_at // 2 + 1
         count_of[rows] = np.maximum(inner[:, row], 1)
-    own = np.repeat(np.arange(count), 2)
-    q = np.arange(-1, int(count_of.max(initial=1)) + 2)  # column c holds entry c - 1
-    ring = starts[own, None] + (ring_from[:, None] + q - 1) % sizes[own, None]
-    index = np.where(q == 0, start[:, None],
-                     np.where((q >= 1) & (q <= count_of[:, None]), ring, last[:, None]))
+    piece = np.repeat(np.arange(2 * count), count_of + 2)
+    q = np.arange(len(piece)) - np.repeat(np.cumsum(count_of + 2) - count_of - 2, count_of + 2)
+    own = piece // 2
+    ring = starts[own] + (ring_from[piece] + q - 1) % sizes[own]
+    index = np.where(q == 0, start[piece], np.where(q <= count_of[piece], ring, last[piece]))
     pieces = loop_moments(np.concatenate([v, lo_pt, hi_pt])[index], count_of + 2)
-    simple = loops_simple(pieces.vertices, pieces.sizes)
+    simple = loops_simple(pieces)
 
     # Piece checks in order: a's arc length, moments and simplicity, then
     # b's, then the area sum.  Check 4 is the arc length, 5 simplicity, and
@@ -628,7 +621,7 @@ def split_polygons(polys, points, directions):
     failed = check.any(axis=1)
     row = rows[np.arange(len(co)), (check[:, 0] == 0).astype(int)]
     total = pieces.area[rows[:, 0]] + pieces.area[rows[:, 1]]
-    parent = np.array([p.area for p in polys])[co]
+    parent = loops.area[co]
     short = np.abs(total - parent) > 1e-9 * parent
     ends = [("v", at >> 1) if at % 2 == 0 else ("cut", at >> 1, s_)
             for at, s_ in zip(np.stack([lo_at, hi_at], 1).ravel().tolist(),
@@ -667,7 +660,7 @@ def split_polygon_detailed(poly, point, direction):
     interval containing the anchor point is used (longest interval if the
     anchor is outside).
     """
-    (outcome,), pieces = split_polygons([poly], [point], [direction])
+    (outcome,), pieces = split_polygons(poly.batch(), [point], [direction])
     if isinstance(outcome, Exception):
         raise outcome
-    return (*polygons(pieces), *outcome)
+    return pieces.polygon(0), pieces.polygon(1), *outcome

@@ -8,7 +8,8 @@ the covariance spectrum:
 which equals the squared L2 norm of A_K^{-T} grad v over the element.  Gram
 matrices are assembled once per element and reused for marking and for the
 anisotropic split direction.  A level is integrated in chunked array passes
-and contracted at once; ``gram_element`` and ``eta_local`` are one-element calls.
+and contracted at once, reading the mesh's geometry batch; ``gram_element``
+and ``eta_local`` are batches of one.
 """
 
 from __future__ import annotations
@@ -18,7 +19,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import reference_alpha
 from .quadrature import default_depth, fan_chunks, integrate_on_polygon, polygon_sample_points
 
 __all__ = [
@@ -41,15 +41,13 @@ class IndicatorReport:
     marked: set
 
     def to_csv(self, mesh, fh):
+        geom = mesh.geometry.full_rank()
         fh.write("element_id,eta,g11,g12,g22,lambda1,lambda2,alpha\n")
-        for el in mesh.elements:
-            g = self.gram[el.id]
-            s = el.polygon.spectrum
-            alpha = reference_alpha(el.polygon)
-            fh.write(
-                f"{el.id},{self.eta_local[el.id]:.12g},{g[0, 0]:.12g},{g[0, 1]:.12g},"
-                f"{g[1, 1]:.12g},{s.lambda1:.12g},{s.lambda2:.12g},{alpha:.12g}\n"
-            )
+        rows = zip(self.eta_local.tolist(), self.gram.reshape(-1, 4).tolist(),
+                   geom.lambda1.tolist(), geom.lambda2.tolist(), geom.alpha.tolist())
+        for k, (eta, (g11, g12, _, g22), l1, l2, alpha) in enumerate(rows):
+            fh.write(f"{k},{eta:.12g},{g11:.12g},{g12:.12g},{g22:.12g},{l1:.12g},{l2:.12g},"
+                     f"{alpha:.12g}\n")
 
 
 @dataclass(frozen=True)
@@ -63,14 +61,14 @@ class HessianTerms:
 
 def gram_element(poly, fld, depth=None):
     """G*(v) = int over the element of grad v grad v^T, entrywise."""
-    return gram_elements([poly], fld, depth)[0]
+    return gram_elements(poly.batch(), fld, depth)[0]
 
 
-def gram_elements(polys, fld, depth=None):
-    """Gram matrices of many polygons, (n, 2, 2): one ``fld.gradient`` call per
-    ``fan_chunks`` slice; a larger element fills its own products row."""
-    out = np.empty((len(polys), 3))  # g11, g12, g22
-    for ids, first, size, slices in fan_chunks(polys, depth):
+def gram_elements(loops, fld, depth=None):
+    """Gram matrices of the polygons of a ``Loops`` batch, (n, 2, 2): one ``fld.gradient``
+    call per ``fan_chunks`` slice; a larger element fills its own products row."""
+    out = np.empty((len(loops.sizes), 3))  # g11, g12, g22
+    for ids, first, size, slices in fan_chunks(loops, depth):
         products = np.empty((3, size))  # w gx gx, w gx gy, w gy gy
         for at, pts, w in slices:
             gx, gy = fld.gradient(pts).T
@@ -93,22 +91,20 @@ def gram_patch(mesh, eid, fld, depth=None):
     return total
 
 
-def _contract(polys, grams):
-    """eta_K of each polygon from its Gram matrix, in one stacked contraction."""
-    spectra = [p.spectrum for p in polys]
-    u = np.array([(s.u1, s.u2) for s in spectra])  # (n, 2, 2): rows u1, u2
-    lam = np.array([(s.lambda1, s.lambda2) for s in spectra])
-    alpha = np.array([reference_alpha(p) for p in polys])
+def _contract(loops, grams):
+    """eta_K of each polygon of a ``Loops`` batch from its Gram matrix, in one
+    stacked contraction."""
+    u = loops.full_rank().u  # (n, 2, 2): rows u1, u2
     # u_i @ G @ u_i as a stacked matmul rounds as it does for one element;
     # an einsum or a scalar formula would not.
     q = ((u[:, :, None, :] @ grams[:, None]) @ u[:, :, :, None])[:, :, 0, 0]
-    val = (lam[:, 0] * q[:, 0] + lam[:, 1] * q[:, 1]) / (alpha * alpha)
+    val = (loops.lambda1 * q[:, 0] + loops.lambda2 * q[:, 1]) / (loops.alpha * loops.alpha)
     return np.where(val < 0.0, 0.0, val)
 
 
 def eta_local(poly, fld, depth=None):
     """Local error measure via the Gram contraction; >= 0, zero for constants."""
-    return float(_contract([poly], gram_element(poly, fld, depth=depth)[None])[0])
+    return float(_contract(poly.batch(), gram_element(poly, fld, depth=depth)[None])[0])
 
 
 def eta_local_direct(poly, fld, depth=None):
@@ -134,12 +130,12 @@ def eta_global(mesh, fld, depth=None, carried=None):
     come from one ``gram_elements`` call.
     """
     carried = carried or {}
-    polys = [el.polygon for el in mesh.elements]
-    grams = np.empty((len(polys), 2, 2))
+    geom = mesh.geometry
+    grams = np.empty((mesh.n_elements, 2, 2))
     grams[list(carried)] = np.reshape(list(carried.values()), (-1, 2, 2))
-    fresh = [k for k in range(len(polys)) if k not in carried]
-    grams[fresh] = gram_elements([polys[k] for k in fresh], fld, depth)
-    etas = _contract(polys, grams)
+    fresh = [k for k in range(mesh.n_elements) if k not in carried]
+    grams[fresh] = gram_elements(geom.take(fresh), fld, depth)
+    etas = _contract(geom, grams)
     return IndicatorReport(
         eta_local=etas,
         eta_global=math.sqrt(float(etas.sum())),

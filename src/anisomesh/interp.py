@@ -12,15 +12,15 @@ the lattice order, so its band is about one lattice row wide.  The boundary
 columns go into the right-hand sides (one per basis function), and one
 banded Cholesky solve handles them all.
 
-``build_bases`` builds many bases in one pass per chunk of elements, with an
-owner index over their concatenated vertices, chains, lattices and
-triangles: frames, chains, lattices, even-odd tests, triangle filters,
-conformity and assembly are array operations over the whole chunk, and
-only the Delaunay call, the right-hand side and the banded solve run per
-element.  Elements whose triangulation misses a chain segment go through
-recovery rounds together.  ``build_basis`` is a batch of one, so each basis
-is bit-identical whatever else shares its pass.  ``l2_error`` integrates a
-level in chunks of elements sharing a cached basis.
+``build_bases`` builds the bases of a ``Loops`` batch in one pass per chunk
+of elements, reading the batch's vertices, owner index, successors,
+centroids and eigenframes: chains, lattices, even-odd tests, triangle
+filters, conformity and assembly are array operations over the whole
+chunk, and only the Delaunay call, the right-hand side and the banded solve
+run per element.  Elements whose triangulation misses a chain segment go
+through recovery rounds together.  ``build_basis`` is a batch of one, so
+each basis is bit-identical whatever else shares its pass.  ``l2_error``
+integrates a level in chunks of elements sharing a cached basis.
 """
 
 from __future__ import annotations
@@ -35,8 +35,7 @@ from scipy.linalg.lapack import dpbsv
 from scipy.spatial import Delaunay, QhullError
 
 from .errors import NoAdmissibleEdge, SolveFailed, TriangulationFailed
-from .geometry import (Polygon, _hypot, block_pairs, loop_successors, points_in_loops,
-                       polygons_of)
+from .geometry import Polygon, _hypot, block_pairs, loop_successors, points_in_loops, polygons_of
 from .mesh import DIRICHLET
 from .quadrature import CHUNK, RULE, chunks, fan_chunks, integrate_on_edge
 
@@ -72,7 +71,6 @@ class LocalHarmonicBasis:
     evaluated at all sub-nodes.
     """
 
-    polygon: object
     points: np.ndarray
     triangles: np.ndarray
     psi: np.ndarray
@@ -114,42 +112,26 @@ def _barycentric(tri_pts, p):
     return np.column_stack([1.0 - x1 - x2, x1, x2])
 
 
-class _Elements(NamedTuple):
-    """Polygons of one pass, concatenated, each with its lattice eigenframe.
+class _Frames(NamedTuple):
+    """Lattice eigenframes of a ``Loops`` batch: ``u`` (E, 2, 2) holds the
+    frames as columns u1, u2, ``local`` the vertices in their frame about the
+    centroid, ``lo`` the lattice's low corners and ``delta`` its spacings."""
 
-    Element k owns vertices ``starts[k]`` ... ``starts[k] + sizes[k] - 1``;
-    ``succ`` is each vertex's successor in its loop.  ``u`` (E, 2, 2) holds the
-    frames, ``local`` the vertices in their frame about the centroid, ``lo``
-    the lattice's low corners and ``delta`` its spacings.
-    """
-
-    vertices: np.ndarray
-    starts: np.ndarray
-    sizes: np.ndarray
-    owner: np.ndarray
-    succ: np.ndarray
-    centroid: np.ndarray
-    scale: np.ndarray  # sqrt of the area
     u: np.ndarray
     local: np.ndarray
     lo: np.ndarray
     delta: np.ndarray
 
 
-def _elements(polys, depth):
-    sizes = np.array([len(p.vertices) for p in polys])
-    starts = np.cumsum(sizes) - sizes
-    owner = np.repeat(np.arange(len(polys)), sizes)
-    v = np.concatenate([p.vertices for p in polys])
-    centroid = np.array([p.centroid for p in polys])
-    u = np.array([p.spectrum.basis for p in polys])
+def _frames(loops, depth):
+    v, starts, owner = loops.vertices, loops.starts, loops.owner
+    u = np.ascontiguousarray(loops.full_rank().u.transpose(0, 2, 1))
     # One (1, 2) @ (2, 2) product per vertex rounds as one element's (n, 2) @
     # (2, 2) does; a scalar formula would not.
-    local = ((v - centroid[owner])[:, None, :] @ u[owner])[:, 0]
+    local = ((v - loops.centroid[owner])[:, None, :] @ u[owner])[:, 0]
     lo = np.minimum.reduceat(local, starts)
     delta = np.maximum((np.maximum.reduceat(local, starts) - lo) / 2 ** depth, 1e-300)
-    return _Elements(v, starts, sizes, owner, loop_successors(starts, sizes), centroid,
-                     np.sqrt([p.area for p in polys]), u, local, lo, delta)
+    return _Frames(u, local, lo, delta)
 
 
 class _Nodes(NamedTuple):
@@ -181,20 +163,20 @@ class _Nodes(NamedTuple):
         return points, owner[order], order < len(self.chain)
 
 
-def _boundary_chains(el, depth):
+def _boundary_chains(loops, frames, depth):
     """Boundary sample points of every element: the chain fields of ``_Nodes``.
 
     Edge subdivision counts follow the eigenframe lattice spacing, so chain
     density matches the interior lattice; ``math.hypot`` measures the edges.
     """
-    v = el.vertices
-    d = v[el.succ] - v
-    scaled = (d[:, None, :] @ el.u[el.owner])[:, 0] / el.delta[el.owner]
+    v, owner = loops.vertices, loops.owner
+    d = v[loops.succ] - v
+    scaled = (d[:, None, :] @ frames.u[owner])[:, 0] / frames.delta[owner]
     n_seg = np.clip(np.ceil(_hypot(scaled[:, 0], scaled[:, 1])), 1, 4 * 2 ** depth).astype(int)
     edge = np.repeat(np.arange(len(v)), n_seg)
     t = (np.arange(len(edge)) - (np.cumsum(n_seg) - n_seg)[edge]) / n_seg[edge]
-    owner = el.owner[edge]
-    return v[edge] + t[:, None] * d[edge], edge - el.starts[owner], t, owner
+    owner = owner[edge]
+    return v[edge] + t[:, None] * d[edge], edge - loops.starts[owner], t, owner
 
 
 @lru_cache(maxsize=8)
@@ -206,23 +188,24 @@ def _lattice_steps(depth):
     return ij
 
 
-def _interior_lattices(el, depth):
+def _interior_lattices(loops, frames, depth):
     """Eigenframe lattice points inside each polygon, in lattice order, and their owner.
 
     Points closer than 0.45 lattice spacings to the boundary are dropped.
     """
     steps = _lattice_steps(depth)
-    cand_local = el.lo[:, None, :] + el.delta[:, None, :] * steps  # (E, L, 2)
-    cand = (cand_local @ el.u.transpose(0, 2, 1) + el.centroid[:, None, :]).reshape(-1, 2)
-    owner = np.repeat(np.arange(len(el.starts)), len(steps))
-    keep = points_in_loops(cand, owner, el.vertices, el.starts, el.sizes)
+    u, local, lo, delta = frames
+    cand_local = lo[:, None, :] + delta[:, None, :] * steps  # (E, L, 2)
+    cand = (cand_local @ u.transpose(0, 2, 1) + loops.centroid[:, None, :]).reshape(-1, 2)
+    owner = np.repeat(np.arange(len(loops.sizes)), len(steps))
+    keep = points_in_loops(cand, owner, loops.vertices, loops.starts, loops.sizes)
     cand, owner = cand[keep], owner[keep]
     # Distance of each point to every edge of its polygon, one (point, edge)
     # pair per entry, in the scaled frame where the lattice spacing is 1.
-    s = cand_local.reshape(-1, 2)[keep] / el.delta[owner]
-    a = el.local / el.delta[el.owner]
-    e = a[el.succ] - a
-    item, edge = block_pairs(owner, el.starts, el.sizes)
+    s = cand_local.reshape(-1, 2)[keep] / delta[owner]
+    a = local / delta[loops.owner]
+    e = a[loops.succ] - a
+    item, edge = block_pairs(owner, loops.starts, loops.sizes)
     (sx, sy), (ax, ay), (ex, ey) = s[item].T, a[edge].T, e[edge].T
     t = np.clip(((sx - ax) * ex + (sy - ay) * ey) / (ex * ex + ey * ey), 0.0, 1.0)
     dx = sx - (ax + t * ex)
@@ -242,7 +225,7 @@ def _delaunay(points):
             raise TriangulationFailed(f"Delaunay failed: {exc}") from exc
 
 
-def _triangulate(el, nodes):
+def _triangulate(loops, nodes):
     """One Delaunay triangulation per element of ``nodes``, filtered level-wide.
 
     Returns (triangles, owner, missing): each element's triangles in its own
@@ -254,12 +237,12 @@ def _triangulate(el, nodes):
     is no segment's end: the edge that bridges it carries its segments.
     """
     pts, node_owner, chained = nodes.layout()
-    count = np.bincount(node_owner, minlength=len(el.starts))
+    count = np.bincount(node_owner, minlength=len(loops.sizes))
     first = np.cumsum(count) - count
     ids = np.flatnonzero(count)
     # Translation/scale-normalized coordinates: similarity maps keep both the
     # Delaunay property and harmonicity.
-    norm = (pts - el.centroid[node_owner]) / el.scale[node_owner, None]
+    norm = (pts - loops.centroid[node_owner]) / np.sqrt(loops.area)[node_owner, None]
     simplices = [_delaunay(norm[a:a + n]) for a, n in zip(first[ids].tolist(), count[ids].tolist())]
     n_tri = np.array([len(s) for s in simplices])
     owner = np.repeat(ids, n_tri)
@@ -275,8 +258,8 @@ def _triangulate(el, nodes):
     size = np.abs(cross)
     sound = size > 1e-12 * np.repeat(np.maximum.reduceat(size, np.cumsum(n_tri) - n_tri), n_tri)
     keep = sound.copy()
-    keep[sound] = points_in_loops(((p0 + p1 + p2) / 3)[sound], owner[sound], el.vertices,
-                                  el.starts, el.sizes)
+    keep[sound] = points_in_loops(((p0 + p1 + p2) / 3)[sound], owner[sound], loops.vertices,
+                                  loops.starts, loops.sizes)
     # Conformity: every consecutive chain pair must be an edge.  Edges and
     # segments are integer keys; a sentinel ends the sorted edge keys.
     carried = tri[keep | (~sound & chained[tri].all(axis=1))]
@@ -298,7 +281,7 @@ def _triangulate(el, nodes):
     return tri[keep] - first[owner[keep]][:, None], owner[keep], missing
 
 
-def _recover(el, nodes, missing):
+def _recover(loops, nodes, missing):
     """One recovery round for the elements with ``missing`` chain segments.
 
     A missing segment's diametral circle loses the interior lattice points
@@ -306,10 +289,10 @@ def _recover(el, nodes, missing):
     into the chain, on the segment's polygon edge.
     """
     chain, owner = nodes.chain, nodes.chain_owner
-    n_chain = np.bincount(owner, minlength=len(el.starts))
+    n_chain = np.bincount(owner, minlength=len(loops.sizes))
     j = np.flatnonzero(missing)
     nxt = loop_successors(np.cumsum(n_chain) - n_chain, n_chain)[j]
-    n_int = np.bincount(nodes.interior_owner, minlength=len(el.starts))
+    n_int = np.bincount(nodes.interior_owner, minlength=len(loops.sizes))
     seg, idx = block_pairs(owner[j], np.cumsum(n_int) - n_int, n_int)
     p = nodes.interior[idx]
     inside = ((p - chain[j][seg]) * (p - chain[nxt][seg])).sum(axis=1) < 0.0
@@ -321,9 +304,9 @@ def _recover(el, nodes, missing):
     mid = 0.5 * (chain[j] + chain[nxt])
     # Chains never skip a polygon vertex, so segment j lies on edge[j].
     edge = nodes.edge[j]
-    a = el.starts[owner[j]] + edge
-    start = el.vertices[a]
-    d = el.vertices[el.succ[a]] - start
+    a = loops.starts[owner[j]] + edge
+    start = loops.vertices[a]
+    d = loops.vertices[loops.succ[a]] - start
     k = np.arange(len(j))
     axis = np.argmax(np.abs(d), axis=1)
     t_mid = (mid[k, axis] - start[k, axis]) / d[k, axis]
@@ -332,32 +315,32 @@ def _recover(el, nodes, missing):
                   nodes.interior[kept], nodes.interior_owner[kept])
 
 
-def _conforming(polys, depth):
+def _conforming(loops, depth):
     """Delaunay sub-triangulations whose edges contain the boundary chains.
 
-    Returns (el, nodes, triangles, owner): each element's triangles in its
+    Returns (nodes, triangles, owner): each element's triangles in its
     own node numbering, the boundary chain first, then the interior lattice
     in lattice order.  Elements that miss chain segments (possible on
     non-convex ones) go through recovery rounds of ``_recover`` and
     ``_triangulate`` together, 12 triangulations in all.
     """
-    el = _elements(polys, depth)
-    chain = _boundary_chains(el, depth)
-    nodes = _Nodes(*chain, *_interior_lattices(el, depth))
+    frames = _frames(loops, depth)
+    nodes = _Nodes(*_boundary_chains(loops, frames, depth),
+                   *_interior_lattices(loops, frames, depth))
     parts = []
     for _ in range(12):
-        tri, owner, missing = _triangulate(el, nodes)
-        failed = np.zeros(len(polys), dtype=bool)
+        tri, owner, missing = _triangulate(loops, nodes)
+        failed = np.zeros(len(loops.sizes), dtype=bool)
         failed[nodes.chain_owner[missing]] = True
         if not failed.any():
             break
         ok = ~failed[owner]
         parts.append((nodes.of(~failed), tri[ok], owner[ok]))
-        nodes = _recover(el, nodes.of(failed), missing[failed[nodes.chain_owner]])
+        nodes = _recover(loops, nodes.of(failed), missing[failed[nodes.chain_owner]])
     else:
         raise TriangulationFailed("boundary chain not recovered by Delaunay refinement")
     if not parts:
-        return el, nodes, tri, owner
+        return nodes, tri, owner
     parts.append((nodes, tri, owner))
     # Put the rounds' elements back in element order.
     nodes = _Nodes(*map(np.concatenate, zip(*(p[0] for p in parts))))
@@ -367,7 +350,7 @@ def _conforming(polys, depth):
                    nodes.interior[i], nodes.interior_owner[i])
     tri, owner = (np.concatenate(a) for a in zip(*(p[1:] for p in parts)))
     order = np.argsort(owner, kind="stable")
-    return el, nodes, tri[order], owner[order]
+    return nodes, tri[order], owner[order]
 
 
 def _p1_stiffness(points, triangles):
@@ -388,8 +371,8 @@ def _p1_stiffness(points, triangles):
     return rows.ravel(), cols.ravel(), vals.ravel()
 
 
-def _solve_bases(polys, depth):
-    """The bases of ``polys`` at lattice ``depth``, from one pass over all of them.
+def _solve_bases(loops, depth):
+    """The bases of a ``Loops`` batch at lattice ``depth``, from one pass over all of them.
 
     Hat boundary data: the chain point on edge j at parameter t gets 1 - t
     from loop vertex j and t from loop vertex j + 1.  Interior values are the
@@ -402,11 +385,11 @@ def _solve_bases(polys, depth):
     ``solveh_banded`` wrapper, whose checks cost more than the solve at these
     sizes) handles all of its basis functions.
     """
-    el, nodes, tri, tri_owner = _conforming(polys, depth)
+    nodes, tri, tri_owner = _conforming(loops, depth)
     pts, node_owner, chained = nodes.layout()
-    n_loop = el.sizes
-    n_node = np.bincount(node_owner, minlength=len(polys))
-    n_chain = np.bincount(nodes.chain_owner, minlength=len(polys))
+    n_loop = loops.sizes
+    n_node = np.bincount(node_owner, minlength=len(n_loop))
+    n_chain = np.bincount(nodes.chain_owner, minlength=len(n_loop))
     n_int = n_node - n_chain
     first = np.cumsum(n_node) - n_node
     rows, cols, vals = _p1_stiffness(pts, tri + first[tri_owner][:, None])
@@ -419,7 +402,7 @@ def _solve_bases(polys, depth):
     rows, cols, vals = rows[keep] - base, cols[keep] - base, vals[keep]
     interior = cols >= 0
     band = rows - cols
-    width = np.zeros(len(polys), dtype=int)
+    width = np.zeros(len(n_loop), dtype=int)
     np.maximum.at(width, owner[interior], band[interior])
     width += 1
     n_band = width * n_int
@@ -442,10 +425,10 @@ def _solve_bases(polys, depth):
     psi_all[at[co] + (nodes.edge + 1) % n_loop[co] * n_node[co] + node] = nodes.t
     # Each edge's first chain point, at t == 0, is its loop vertex.
     loop_vertex = np.split(node[nodes.t == 0.0], np.cumsum(n_loop)[:-1])
-    n_tri = np.bincount(tri_owner, minlength=len(polys))
+    n_tri = np.bincount(tri_owner, minlength=len(n_loop))
     triangles = np.split(tri.astype(np.intc), np.cumsum(n_tri)[:-1])
     bases = []
-    for k, poly in enumerate(polys):
+    for k in range(len(n_loop)):
         m, nc, ni, f, s = n_node[k], n_chain[k], n_int[k], first[k], start[k]
         psi = psi_all[at[k]:at[k] + n_psi[k]].reshape(-1, m)
         if ni:
@@ -456,17 +439,10 @@ def _solve_bases(polys, depth):
                 raise SolveFailed("sub-triangulation Laplacian not positive definite "
                                   f"(pbsv info {info})")
             psi[:, nc:] = x.T
-        bases.append(LocalHarmonicBasis(polygon=poly, points=pts[f:f + m], triangles=triangles[k],
-                                        psi=psi, boundary_mask=chained[f:f + m],
+        bases.append(LocalHarmonicBasis(points=pts[f:f + m], triangles=triangles[k], psi=psi,
+                                        boundary_mask=chained[f:f + m],
                                         loop_vertex_index=loop_vertex[k]))
     return bases
-
-
-def _delaunay_conforming(poly, depth):
-    """``_conforming`` of one polygon: (points, triangles, edge, t), the first
-    ``len(edge)`` points being the boundary chain."""
-    _, nodes, tri, _ = _conforming([poly], depth)
-    return nodes.layout()[0], tri, nodes.edge, nodes.t
 
 
 class BasisCache:
@@ -488,19 +464,18 @@ class BasisCache:
             self.store.clear()
 
     def get(self, poly, depth):
-        key = (_full_similarity_key(poly), depth)
+        key = (_similarity_keys(poly.batch())[0], depth)
         hit = self.store.get(key)
         if hit is None:
             self._missed_key = key
             return None
         return _placed(hit, poly)
 
-    def put(self, key, basis):
-        """Store ``basis``, built for the polygon of ``key``, at unit area about the origin."""
-        poly = basis.polygon
+    def put(self, key, basis, centroid, area):
+        """Store ``basis``, built for the polygon of ``key`` with this centroid
+        and area, at unit area about the origin."""
         self.store[key] = LocalHarmonicBasis(
-            polygon=None,
-            points=(basis.points - poly.centroid) / math.sqrt(poly.area),
+            points=(basis.points - centroid) / math.sqrt(area),
             triangles=basis.triangles,
             psi=basis.psi,
             boundary_mask=basis.boundary_mask,
@@ -508,26 +483,19 @@ class BasisCache:
         )
 
 
-def _similarity_keys(polys):
+def _similarity_keys(loops):
     """Each polygon's vertices moved to unit area about the origin, rounded to 12
-    digits, as one flat tuple: one array pass over the concatenated loops."""
-    sizes = np.array([len(p.vertices) for p in polys])
-    v = np.concatenate([p.vertices for p in polys]) if len(polys) else np.empty((0, 2))
-    c = np.repeat(np.array([p.centroid for p in polys]).reshape(-1, 2), sizes, axis=0)
-    scale = np.repeat(np.sqrt([p.area for p in polys]), sizes)
-    flat = np.round((v - c) / scale[:, None], 12).ravel().tolist()
-    ends = np.cumsum(2 * sizes).tolist()
-    return [tuple(flat[e - 2 * n:e]) for e, n in zip(ends, sizes.tolist())]
-
-
-def _full_similarity_key(poly):
-    return _similarity_keys([poly])[0]
+    digits, as one flat tuple: one array pass over a ``Loops`` batch."""
+    owner = loops.owner
+    scale = np.sqrt(loops.area)[owner]
+    flat = np.round((loops.vertices - loops.centroid[owner]) / scale[:, None], 12).ravel().tolist()
+    ends = (2 * (loops.starts + loops.sizes)).tolist()
+    return [tuple(flat[e - 2 * n:e]) for e, n in zip(ends, loops.sizes.tolist())]
 
 
 def _placed(unit, poly):
     """A stored basis of unit area about the origin, moved onto ``poly``."""
     return LocalHarmonicBasis(
-        polygon=poly,
         points=unit.points * math.sqrt(poly.area) + poly.centroid,
         triangles=unit.triangles,
         psi=unit.psi,
@@ -549,24 +517,25 @@ def build_basis(poly, depth=None, cache=None):
     if depth is None:
         depth = BASIS_DEPTH
     if cache is None:
-        return build_bases([poly], depth)[0]
+        return build_bases(poly.batch(), depth)[0]
     hit = cache.get(poly, depth)
     if hit is None:
         key = cache._missed_key
-        cache.put(key, build_bases([Polygon(np.reshape(key[0], (-1, 2)))], depth)[0])
+        shape = Polygon(np.reshape(key[0], (-1, 2)))
+        cache.put(key, build_bases(shape.batch(), depth)[0], shape.centroid, shape.area)
         hit = _placed(cache.store[key], poly)
     return hit
 
 
-def build_bases(polys, depth=None):
-    """``build_basis`` of each polygon, one pass per chunk of them: per chunk, every
-    step but the Delaunay call and the banded solve runs over all its elements."""
+def build_bases(loops, depth=None):
+    """``build_basis`` of each polygon of a ``Loops`` batch, one pass per chunk of them:
+    per chunk, every step but the Delaunay call and the banded solve runs over all its
+    elements."""
     if depth is None:
         depth = BASIS_DEPTH
-    sizes = np.array([len(p.vertices) for p in polys]) * len(_lattice_steps(depth))
     bases = []
-    for a, b in chunks(sizes):
-        bases += _solve_bases(polys[a:b], depth)
+    for a, b in chunks(loops.sizes * len(_lattice_steps(depth))):
+        bases += _solve_bases(loops.take(np.arange(a, b)), depth)
     return bases
 
 
@@ -584,7 +553,7 @@ def _element_integrals(mesh, fld, depth):
     """``integrate_on_polygon`` of each element: one ``fld.value`` call per
     ``fan_chunks`` slice, and each integral one dot."""
     out = np.empty(mesh.n_elements)
-    for ids, first, size, slices in fan_chunks([el.polygon for el in mesh.elements], depth):
+    for ids, first, size, slices in fan_chunks(mesh.geometry, depth):
         w, vals = np.empty(size), np.empty(size)
         for at, pts, ws in slices:
             w[at:at + len(ws)] = ws
@@ -610,7 +579,7 @@ def coefficients(mesh, fld, scheme, depth=None):
 
     if scheme == CLEMENT:
         integrals = _element_integrals(mesh, fld, depth)
-        areas = [el.polygon.area for el in mesh.elements]
+        areas = mesh.geometry.area.tolist()
         for i in range(n):
             if int(mesh.node_tags[i]) == DIRICHLET:
                 c[i] = 0.0
@@ -676,21 +645,21 @@ def l2_parts(mesh, fld, coeffs, depth=None, cache=None):
     if cache is None:
         cache = BasisCache()
     cache.trim()
-    polys = [el.polygon for el in mesh.elements]
+    geom = mesh.geometry
     groups = {}
-    for k, key in enumerate(_similarity_keys(polys)):
+    for k, key in enumerate(_similarity_keys(geom)):
         groups.setdefault(key, []).append(k)
-    parts = np.empty(len(polys))
+    parts = np.empty(mesh.n_elements)
     # The polygons and bases of all missed keys are built in one batch.
     missed = [key for key in groups if (key, depth) not in cache.store]
-    key_polys = list(polygons_of([np.reshape(key, (-1, 2)) for key in missed]))
-    for key, basis in zip(missed, build_bases(key_polys, depth)):
-        cache.put((key, depth), basis)
+    shapes = polygons_of([np.reshape(key, (-1, 2)) for key in missed])
+    for k, (key, basis) in enumerate(zip(missed, build_bases(shapes, depth))):
+        cache.put((key, depth), basis, shapes.centroid[k], shapes.area[k])
     for key, members in groups.items():
         shared = cache.store[(key, depth)]
         # Physical sub-nodes as a cache hit maps them: unit points * sqrt|K| + c.
-        scale = np.sqrt([polys[k].area for k in members])
-        center = np.array([polys[k].centroid for k in members])
+        scale = np.sqrt(geom.area[members])
+        center = geom.centroid[members]
         values = coeffs.values[[mesh.elements[k].vertex_loop for k in members]]
         per_chunk = max(1, CHUNK // (len(shared.triangles) * len(RULE.weights)))
         for a in range(0, len(members), per_chunk):

@@ -13,7 +13,7 @@ from itertools import chain
 import numpy as np
 
 from .errors import InvalidTopology, NonSimpleResult, ParseError
-from .geometry import closed_index, loop_error, loop_moments, loops_simple, polygons, stack_loops
+from .geometry import loop_error, loop_moments, loops_simple
 
 __all__ = [
     "INTERIOR",
@@ -36,14 +36,19 @@ _FORMAT_VERSION = 1
 
 
 class MeshElement:
-    """Element as an ordered CCW node-id loop with cached geometry."""
+    """Element as an ordered CCW node-id loop; its ``polygon`` views its row
+    of the mesh's geometry batch."""
 
-    __slots__ = ("id", "vertex_loop", "polygon")
+    __slots__ = ("id", "vertex_loop", "_geometry")
 
-    def __init__(self, eid, vertex_loop, polygon):
+    def __init__(self, eid, vertex_loop, geometry):
         self.id = eid
         self.vertex_loop = vertex_loop
-        self.polygon = polygon
+        self._geometry = geometry
+
+    @property
+    def polygon(self):
+        return self._geometry.polygon(self.id)
 
 
 class PolyMesh:
@@ -53,12 +58,16 @@ class PolyMesh:
     lexicographically; the row number is the edge id.  ``edge_tags`` is the
     (E,) uint8 array of INTERIOR, NEUMANN or DIRICHLET: exactly the edges in
     one element loop (the boundary) carry NEUMANN or DIRICHLET.
+    ``geometry`` is the ``Loops`` batch of the element polygons, in element
+    order, with their moments and spectra: level passes read it.
     """
 
-    def __init__(self, points, node_tags, elements, edges, edge_tags, node_elems, domain_area):
+    def __init__(self, points, node_tags, elements, geometry, edges, edge_tags, node_elems,
+                 domain_area):
         self.points = points
         self.node_tags = node_tags
         self.elements = elements
+        self.geometry = geometry
         self.edges = edges
         self.edge_tags = edge_tags
         self._node_elems = node_elems
@@ -75,7 +84,7 @@ class PolyMesh:
         return len(self.elements)
 
     def total_area(self):
-        return float(sum(el.polygon.area for el in self.elements))
+        return float(sum(self.geometry.area.tolist()))
 
     def neighbour_pairs(self):
         """All unordered pairs of elements whose closures intersect."""
@@ -125,7 +134,7 @@ class PolyMesh:
         if _node_patches(loops, self.n_nodes) != self._node_elems:
             raise InvalidTopology("node patches do not match the element loops")
         if check_simple:
-            if not loops_simple(*stack_loops([el.polygon.vertices for el in self.elements])).all():
+            if not loops_simple(self.geometry).all():
                 raise NonSimpleResult("polygon boundary self-intersects")
         total = self.total_area()
         if abs(total - self.domain_area) > 1e-10 * self.domain_area:
@@ -203,14 +212,13 @@ def build_mesh(points, element_loops, boundary_spec=DIRICHLET, check_simple=True
         raise InvalidTopology(f"element {eid} repeats a node in its loop")
     for eid in np.flatnonzero(sizes < 3)[:1].tolist():
         raise InvalidTopology(f"element {eid}: polygon needs at least 3 vertices")
-    geometry = loop_moments(pts[flat[closed_index(sizes)]], sizes)
+    geometry = loop_moments(pts[flat], sizes)
     for eid in np.flatnonzero(geometry.error)[:1].tolist():
         error = loop_error(geometry, eid)
         if isinstance(error, ValueError):
             raise InvalidTopology(f"element {eid}: {error}") from error
         raise error
-    elements = [MeshElement(eid, loop, poly)
-                for eid, (loop, poly) in enumerate(zip(loops, polygons(geometry)))]
+    elements = [MeshElement(eid, loop, geometry) for eid, loop in enumerate(loops)]
 
     edges, counts, walk = _edge_table(loops, n_nodes)
     # Domain area from the oriented boundary: domain on the left of the walk.
@@ -237,9 +245,8 @@ def build_mesh(points, element_loops, boundary_spec=DIRICHLET, check_simple=True
     node_tags = np.zeros(n_nodes, dtype=np.uint8)
     np.maximum.at(node_tags, edges[boundary].ravel(), np.repeat(edge_tags[boundary], 2))
 
-    mesh = PolyMesh(
-        pts, node_tags, elements, edges, edge_tags, _node_patches(loops, n_nodes), domain_area
-    )
+    mesh = PolyMesh(pts, node_tags, elements, geometry, edges, edge_tags,
+                    _node_patches(loops, n_nodes), domain_area)
     mesh.validate(check_simple=check_simple)
     return mesh
 

@@ -1,4 +1,8 @@
-"""The per-element map that interpolation routes its work through."""
+"""A plain per-item map that no anisomesh code calls.
+
+It stays only because the benchmark's tracer (``bench/tracing.py``) patches
+``pmap`` by name; it goes with that benchmark change (ROADMAP item 1).
+"""
 
 from __future__ import annotations
 

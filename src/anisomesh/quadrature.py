@@ -125,32 +125,28 @@ def default_depth(h):
 
 
 def fan_triangles(poly):
-    """Fan triangles of one polygon, (T, 3, 2): ``polygon_fans`` of ``[poly]``."""
-    return polygon_fans([poly])[0]
+    """Fan triangles of one polygon, (T, 3, 2): ``polygon_fans`` of its batch of one."""
+    return polygon_fans(poly.batch())[0]
 
 
-def polygon_fans(polys):
-    """Fan triangles (T, 3, 2) of many polygons, and their counts (n,), without zero-area
+def polygon_fans(loops):
+    """Fan triangles (T, 3, 2) of a ``Loops`` batch, and their counts (n,), without zero-area
     ones: around the centroid when it sees every edge (always for convex elements), else
     around the star-kernel center; ear clipping is the last resort."""
     from .regularity import star_kernel  # deferred: regularity depends on geometry
 
-    sizes = [len(p.vertices) for p in polys]
-    starts = np.cumsum(sizes) - sizes
-    owner = np.repeat(np.arange(len(polys)), sizes)
-    v = np.concatenate([p.vertices for p in polys])
-    w = np.roll(v, -1, axis=0)  # edge v -> w
-    w[starts + sizes - 1] = v[starts]
+    v, starts, owner = loops.vertices, loops.starts, loops.owner
+    w = v[loops.succ]  # edge v -> w
     # The center must lie left of every edge, by a margin scaled to the polygon.
     span = np.maximum.reduceat(v.max(axis=1), starts) - np.minimum.reduceat(v.min(axis=1), starts)
     tol = (1e-12 * np.maximum(span, 1e-300))[owner]
-    centers = np.array([p.centroid for p in polys])
+    centers = loops.centroid.copy()
     c = centers[owner]
     ex, ey = (w - v).T
     left = ex * (c[:, 1] - v[:, 1]) - ey * (c[:, 0] - v[:, 0]) > tol * np.hypot(ex, ey)
     clipped = []
     for k in np.flatnonzero(~np.logical_and.reduceat(left, starts)).tolist():
-        rho, centers[k] = star_kernel(polys[k])
+        rho, centers[k] = star_kernel(loops.polygon(k))
         if not rho > 0.0:
             clipped.append(k)
     c = centers[owner]
@@ -159,11 +155,11 @@ def polygon_fans(polys):
     keep = (area > 0.0) & ~np.isin(owner, clipped)
     tris, owner = np.concatenate((c, v, w), axis=1).reshape(-1, 3, 2)[keep], owner[keep]
     if clipped:
-        ears = [_ear_clip(polys[k].vertices) for k in clipped]
+        ears = [_ear_clip(loops.polygon(k).vertices) for k in clipped]
         owner = np.concatenate([owner] + [np.full(len(e), k) for k, e in zip(clipped, ears)])
         order = np.argsort(owner, kind="stable")
         tris, owner = np.concatenate([tris] + ears)[order], owner[order]
-    return tris, np.bincount(owner, minlength=len(polys))
+    return tris, np.bincount(owner, minlength=len(loops.sizes))
 
 
 def chunks(sizes):
@@ -177,8 +173,8 @@ def chunks(sizes):
         start = stop
 
 
-def fan_chunks(polys, depth=None):
-    """Chunks of whole polygons for level-wide integrals over their fans.
+def fan_chunks(loops, depth=None):
+    """Chunks of whole polygons of a ``Loops`` batch for level-wide integrals over their fans.
 
     Per quadrature depth (``depth``, else each polygon's ``default_depth``),
     yields (ids, first, size, slices): the chunk's polygon indices, the
@@ -186,10 +182,11 @@ def fan_chunks(polys, depth=None):
     ``fan_slices`` of their fan triangles, all from one ``polygon_fans`` call
     per depth.
     """
-    depths = np.array([default_depth(p.diameter) if depth is None else depth for p in polys])
+    depths = (np.array([default_depth(h) for h in loops.diameter.tolist()]) if depth is None
+              else np.full(len(loops.sizes), depth))
     for d in np.unique(depths).tolist():
         members = np.flatnonzero(depths == d)
-        tris, counts = polygon_fans([polys[k] for k in members])
+        tris, counts = polygon_fans(loops.take(members))
         first = np.cumsum(counts) - counts  # first fan triangle of each polygon
         r = len(_subdivided_reference(d)[0])  # points per fan triangle
         for a, b in chunks(counts * r):

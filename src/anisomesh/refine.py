@@ -19,7 +19,7 @@ from itertools import islice
 
 import numpy as np
 
-from .errors import CutMissesPolygon, NonSimpleResult, ZeroGram
+from .errors import CutMissesPolygon, NonSimpleResult
 from .geometry import SNAP_TOL, split_polygons, symmetric_eig_2x2
 from .indicator import eta_global
 from .mesh import INTERIOR, build_mesh
@@ -40,6 +40,7 @@ __all__ = [
     "RefinementStep",
     "mark",
     "split_direction",
+    "cut_directions",
     "refine",
     "adaptive_loop",
 ]
@@ -76,47 +77,53 @@ def mark(report, n_elements, factor=0.9):
     return {i for i, val in enumerate(report.eta_local) if val > threshold}
 
 
-def _gram_direction(gram):
-    tr = gram[0, 0] + gram[1, 1]
-    if tr <= 0.0 or not np.isfinite(tr):
-        raise ZeroGram("gram matrix has no directional information")
-    l1, l2, w1 = symmetric_eig_2x2(gram[0, 0], gram[0, 1], gram[1, 1])
-    if l1 - l2 < 1e-12 * tr:
-        w1 = np.array([1.0, 0.0])  # tie: canonical x-axis eigenvector
-    return w1
+def cut_directions(loops, grams, strategy):
+    """Directions (n, 2) of the cut LINES of a ``Loops`` batch, orthogonal to the
+    selected eigenvectors, in one array step.
+
+    ANISOTROPIC takes the largest-eigenvalue eigenvector of each Gram matrix
+    of ``grams`` (n, 2, 2), or the x-axis at a tie.  A Gram matrix without
+    directional information (a flat field: trace not positive and finite)
+    falls back to the covariance, as do the other strategies: u1, whose
+    normal u2 is the direction, or a cut orthogonal to the x-axis at a tie.
+    DegenerateElement is raised for a covariance that is used and rank deficient.
+    """
+    l1, l2 = loops.lambda1, loops.lambda2
+    d = np.where((l1 - l2 < 1e-12 * (l1 + l2))[:, None], [0.0, 1.0], loops.u[:, 1])
+    covariance = np.ones(len(d), dtype=bool)
+    if strategy == ANISOTROPIC and len(d):
+        if grams is None:
+            raise ValueError("anisotropic direction needs an indicator report")
+        g11, g12, g22 = grams[:, 0, 0], grams[:, 0, 1], grams[:, 1, 1]
+        m1, m2, w1 = symmetric_eig_2x2(g11, g12, g22)
+        with np.errstate(all="ignore"):
+            tr = g11 + g22
+            w1 = np.where((m1 - m2 < 1e-12 * tr)[:, None], [1.0, 0.0], w1)
+        covariance = ~((tr > 0.0) & np.isfinite(tr))
+        d = np.where(covariance[:, None], d, np.column_stack((-w1[:, 1], w1[:, 0])))
+    loops.full_rank(covariance)
+    return d
 
 
 def split_direction(element, report=None, strategy=ISOTROPIC):
-    """Direction of the cut LINE (orthogonal to the selected eigenvector)."""
-    if strategy == ANISOTROPIC:
-        if report is None:
-            raise ValueError("anisotropic direction needs an indicator report")
-        try:
-            w1 = _gram_direction(report.gram[element.id])
-            return np.array([-w1[1], w1[0]])
-        except ZeroGram:
-            pass  # flat field: fall back to the covariance direction
-    s = element.polygon.spectrum
-    if s.lambda1 - s.lambda2 < 1e-12 * (s.lambda1 + s.lambda2):
-        return np.array([0.0, 1.0])  # tie: cut orthogonal to the x-axis
-    return s.u2.copy()
+    """Direction of the cut LINE of one element: ``cut_directions`` of its batch of one."""
+    grams = None if report is None else report.gram[[element.id]]
+    return cut_directions(element.polygon.batch(), grams, strategy)[0]
 
 
-def _bisections(elements, report, strategy):
-    """Per element, in order: (direction, cut ends) of its bisection, or
-    (None, the failures of both directions).
+def _bisections(loops, grams, strategy):
+    """Per polygon of a ``Loops`` batch, in order: (direction, cut ends) of
+    its bisection, or (None, the failures of both directions).
 
-    All elements are split in one pass; those whose cut fails are tried
+    All polygons are split in one pass; those whose cut fails are tried
     once more, together, in the orthogonal direction.  Failures other than
     a missed cut or a non-simple piece propagate.
     """
-    polys = [el.polygon for el in elements]
-    first = [np.asarray(split_direction(el, report, strategy), dtype=float) for el in elements]
-    outcomes, _ = split_polygons(polys, [poly.centroid for poly in polys], first)
+    first = cut_directions(loops, grams, strategy)
+    outcomes, _ = split_polygons(loops, loops.centroid, first)
     retry = [k for k, out in enumerate(outcomes) if isinstance(out, _CUT_FAILURES)]
-    second = [np.array([-first[k][1], first[k][0]]) for k in retry]
-    retried, _ = split_polygons([polys[k] for k in retry], [polys[k].centroid for k in retry],
-                                second)
+    second = np.column_stack((-first[retry, 1], first[retry, 0]))
+    retried, _ = split_polygons(loops.take(retry), loops.centroid[retry], second)
     fallback = dict(zip(retry, zip(second, retried)))
     for k, out in enumerate(outcomes):
         d = first[k]
@@ -167,7 +174,7 @@ def refine(mesh, marked, strategy=ISOTROPIC, report=None):
         entries = inserted.setdefault(key, [])
         if entries:
             length = float(np.hypot(xb - xa, yb - ya))
-            tol_t = SNAP_TOL * el.polygon.diameter / max(length, 1e-300)
+            tol_t = SNAP_TOL * diameter[el.id] / max(length, 1e-300)
             for t_old, nid in entries:
                 if abs(t_old - t) <= tol_t:
                     return nid
@@ -179,8 +186,11 @@ def refine(mesh, marked, strategy=ISOTROPIC, report=None):
         return nid
 
     order = sorted(marked)
-    elements = [mesh.elements[eid] for eid in order]
-    for eid, el, (d, cut) in zip(order, elements, _bisections(elements, report, strategy)):
+    diameter = mesh.geometry.diameter.tolist()
+    grams = None if report is None else report.gram[order]
+    bisections = _bisections(mesh.geometry.take(order), grams, strategy)
+    for eid, (d, cut) in zip(order, bisections):
+        el = mesh.elements[eid]
         if d is None:
             log.warning("element %d skipped: %s", eid, cut)
             skipped.append(eid)

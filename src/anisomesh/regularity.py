@@ -9,10 +9,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
-from .geometry import map_polygon, point_set_diameter, polygons_of
+from .geometry import Loops, map_polygon, point_set_diameter, polygons_of
 
 __all__ = [
     "ElementRegularity",
@@ -50,16 +51,37 @@ class NeighbourRegularity:
 
 @dataclass
 class RegularityAudit:
+    """Per-element and per-pair records of an audited mesh.
+
+    The records of the mapped elements F_K(K), and the sigma and c bounds
+    observed on them, are built on first access from ``geometry``, the
+    audited elements' batch.
+    """
+
     elements: list
-    mapped_elements: list
     pairs: list
-    max_aspect: float = 0.0  # observed sigma bound on mapped elements
-    max_edge_ratio: float = 0.0  # observed c bound on mapped elements
+    geometry: Loops
     max_delta: float = 0.0
     max_rotation_term: float = 0.0
     max_node_valence: int = 0
     lambda_ratio_hist: np.ndarray = field(default=None)
     alpha_hist: np.ndarray = field(default=None)
+
+    @cached_property
+    def mapped_elements(self):
+        polys = [self.geometry.polygon(k) for k in range(len(self.geometry.sizes))]
+        images = [poly.refmap.apply(poly.vertices) for poly in polys]
+        return _mapped_records(range(len(polys)), images, self.geometry.alpha)[0]
+
+    @property
+    def max_aspect(self):
+        """Observed sigma bound on the mapped elements."""
+        return max((r.aspect for r in self.mapped_elements), default=0.0)
+
+    @property
+    def max_edge_ratio(self):
+        """Observed c bound on the mapped elements."""
+        return max((r.min_edge_ratio for r in self.mapped_elements), default=0.0)
 
 
 def _halfplanes(coords):
@@ -203,14 +225,19 @@ def audit_element(poly, eid=0):
     Returns (record of K, record of F_K(K)); anisotropy-aware checks use the
     mapped record, whose element should look isotropic and unit-sized.
     """
-    return _audit_pair(eid, poly, map_polygon(poly, poly.refmap))
+    refmap = poly.refmap
+    mapped = map_polygon(poly, refmap)
+    return (_element_record(eid, poly, poly.spectrum.ratio, refmap.alpha),
+            _element_record(eid, mapped, mapped.spectrum.ratio, refmap.alpha))
 
 
-def _audit_pair(eid, poly, mapped):
-    """``audit_element`` of ``poly``, given its image under its reference map."""
-    alpha = poly.refmap.alpha
-    return (_element_record(eid, poly, poly.spectrum.ratio, alpha),
-            _element_record(eid, mapped, mapped.spectrum.ratio, alpha))
+def _mapped_records(ids, images, alphas):
+    """Records of the elements ``ids`` mapped to the vertex arrays ``images`` by
+    maps of these alphas, and the ``Loops`` batch of the images."""
+    mapped = polygons_of(images).full_rank()
+    ratio = mapped.lambda1 / mapped.lambda2
+    return [_element_record(k, mapped.polygon(i), ratio[i], alphas[i])
+            for i, k in enumerate(ids)], mapped
 
 
 def relative_rotation_angle(u1_a, u1_b):
@@ -228,13 +255,16 @@ def relative_rotation_angle(u1_a, u1_b):
     return ang
 
 
-def neighbour_record(pair, spec_a, spec_b):
-    da = abs(spec_b.lambda1 / spec_a.lambda1 - 1.0)
-    db = abs(spec_b.lambda2 / spec_a.lambda2 - 1.0)
-    phi = relative_rotation_angle(spec_a.u1, spec_b.u1)
+def neighbour_record(pair, a, b):
+    """Record of two elements whose spectra are ``a`` and ``b``, each a
+    (lambda1, lambda2, u1) triple."""
+    (l1_a, l2_a, u1_a), (l1_b, l2_b, u1_b) = a, b
+    da = abs(l1_b / l1_a - 1.0)
+    db = abs(l2_b / l2_a - 1.0)
+    phi = relative_rotation_angle(u1_a, u1_b)
     rot = np.array([[math.cos(phi), -math.sin(phi)], [math.sin(phi), math.cos(phi)]])
     rnorm = 2.0 * abs(math.sin(0.5 * phi))
-    term = rnorm * math.sqrt(spec_a.lambda1 / spec_a.lambda2)
+    term = rnorm * math.sqrt(l1_a / l2_a)
     return NeighbourRegularity(
         pair=pair,
         delta_max=max(da, db),
@@ -246,11 +276,9 @@ def neighbour_record(pair, spec_a, spec_b):
 
 def audit_neighbours(mesh):
     """Anisotropy-compatibility records for every closure-intersecting pair."""
-    specs = [el.polygon.spectrum for el in mesh.elements]
-    out = []
-    for a, b in mesh.neighbour_pairs():
-        out.append(neighbour_record((a, b), specs[a], specs[b]))
-    return out
+    geom = mesh.geometry.full_rank()
+    specs = list(zip(geom.lambda1.tolist(), geom.lambda2.tolist(), geom.u[:, 0].tolist()))
+    return [neighbour_record((a, b), specs[a], specs[b]) for a, b in mesh.neighbour_pairs()]
 
 
 def audit_mapped_patch(mesh, eid):
@@ -263,31 +291,21 @@ def audit_mapped_patch(mesh, eid):
     el = mesh.elements[eid]
     rm = el.polygon.refmap
     patch = sorted(mesh.element_patch(eid))
-    records = []
-    all_pts = []
-    max_ratio = 0.0
     polys = [mesh.elements[other].polygon for other in patch]
-    images = polygons_of([rm.apply(poly.vertices) for poly in polys])
-    for other, poly, mapped in zip(patch, polys, images):
-        records.append(_element_record(other, mapped, mapped.spectrum.ratio, rm.alpha))
-        all_pts.append(mapped.vertices)
-        max_ratio = max(max_ratio, poly.area / el.polygon.area)
-    return records, point_set_diameter(np.vstack(all_pts)), max_ratio
+    records, images = _mapped_records(patch, [rm.apply(poly.vertices) for poly in polys],
+                                      [rm.alpha] * len(patch))
+    max_ratio = max(poly.area / el.polygon.area for poly in polys)
+    return records, point_set_diameter(images.vertices), max_ratio
 
 
 def audit_mesh(mesh):
-    """Full regularity audit: per-element (original and mapped) and per-pair."""
-    polys = [el.polygon for el in mesh.elements]
-    mapped = polygons_of([poly.refmap.apply(poly.vertices) for poly in polys])
-    recs = []
-    mapped_recs = []
-    for el, poly, image in zip(mesh.elements, polys, mapped):
-        rec, rec_mapped = _audit_pair(el.id, poly, image)
-        recs.append(rec)
-        mapped_recs.append(rec_mapped)
+    """Full regularity audit: per-element (original and, on first access,
+    mapped) and per-pair."""
+    geom = mesh.geometry.full_rank()
+    ratios, alphas = geom.lambda1 / geom.lambda2, geom.alpha
+    recs = [_element_record(k, geom.polygon(k), ratios[k], alphas[k])
+            for k in range(mesh.n_elements)]
     pairs = audit_neighbours(mesh)
-    ratios = np.array([r.lambda_ratio for r in recs])
-    alphas = np.array([r.alpha for r in recs])
 
     def hist(vals):
         if len(vals) == 0:
@@ -299,10 +317,8 @@ def audit_mesh(mesh):
 
     return RegularityAudit(
         elements=recs,
-        mapped_elements=mapped_recs,
         pairs=pairs,
-        max_aspect=max((r.aspect for r in mapped_recs), default=0.0),
-        max_edge_ratio=max((r.min_edge_ratio for r in mapped_recs), default=0.0),
+        geometry=geom,
         max_delta=max((p.delta_max for p in pairs), default=0.0),
         max_rotation_term=max((p.rotation_term for p in pairs), default=0.0),
         max_node_valence=mesh.max_elements_per_node(),
@@ -313,10 +329,11 @@ def audit_mesh(mesh):
 
 def write_element_csv(mesh, audit, fh):
     fh.write("element_id,lambda1,lambda2,ratio,alpha,rho,aspect,min_edge_ratio,n_nodes\n")
+    l1, l2 = mesh.geometry.lambda1.tolist(), mesh.geometry.lambda2.tolist()
     for rec in audit.elements:
-        s = mesh.elements[rec.element_id].polygon.spectrum
+        k = rec.element_id
         fh.write(
-            f"{rec.element_id},{s.lambda1:.12g},{s.lambda2:.12g},{rec.lambda_ratio:.12g},"
+            f"{k},{l1[k]:.12g},{l2[k]:.12g},{rec.lambda_ratio:.12g},"
             f"{rec.alpha:.12g},{rec.rho:.12g},{rec.aspect:.12g},"
             f"{rec.min_edge_ratio:.12g},{rec.n_nodes}\n"
         )

@@ -146,7 +146,8 @@ def check_neighbour_gradient(poly_k, poly_other, fld, context=""):
     lhs = math.sqrt(_mapped_gradient_l2sq(poly_other, poly_k.refmap, fld))
     rhs = math.sqrt(_mapped_gradient_l2sq(poly_other, poly_other.refmap, fld))
     rec = _record("neighbour_gradient", lhs, rhs, context)
-    pair = neighbour_record((0, 1), poly_other.spectrum, poly_k.spectrum)
+    a, b = poly_other.spectrum, poly_k.spectrum
+    pair = neighbour_record((0, 1), (a.lambda1, a.lambda2, a.u1), (b.lambda1, b.lambda2, b.u1))
     bound = (
         math.sqrt(1.0 + pair.delta_max)
         * (1.0 + pair.rotation_term)

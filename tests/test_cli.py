@@ -81,6 +81,7 @@ class TestConfig:
         "l2=ture", "deterministic=yes please", "save_levels=2",
         # JSON values, written as key:=json
         "levels:=2.7", "seed:=1.5", "quad_depth:=3.9", "basis_depth:=true",
+        "field:=5", "output_dir:=5",
     ])
     def test_bad_value_is_parse_error(self, tmp_path, line):
         if ":=" in line:

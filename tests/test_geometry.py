@@ -12,11 +12,46 @@ from anisomesh.geometry import (
     points_in_polygon,
     polygons_of,
     split_polygon_detailed,
+    symmetric_eig_2x2,
 )
 from anisomesh.mesh import build_mesh
 from conftest import random_convex_polygon, random_polygon, random_star_polygon
 
 UNIT_SQUARE = [(0.0, 0.0), (1.0, 0.0), (1.0, 1.0), (0.0, 1.0)]
+
+MAGNITUDES = st.one_of(st.just(0.0), st.floats(1e-300, 1e300), st.floats(-1e300, -1e-300))
+
+
+def scalar_eig_2x2(a, b, c):
+    """Closed-form spectrum of one [[a, b], [b, c]] in scalar Python: (l1, l2, u1)."""
+    half_tr, half_diff = 0.5 * (a + c), 0.5 * (a - c)
+    r = math.hypot(half_diff, b)
+    l1 = half_tr + r
+    l2 = (a * c - b * b) / l1 if l1 > 0.0 else half_tr - r
+    u1 = [1.0, 0.0]
+    if not r <= 1e-14 * max(abs(l1), abs(l2), 1e-300):
+        x, y = (r + half_diff, b) if half_diff >= 0.0 else (b, r - half_diff)
+        norm = math.hypot(x, y)
+        if norm != 0.0:
+            u1 = [x / norm, y / norm]
+    x, y = u1
+    if (x if abs(x) > 1e-14 * max(abs(x), abs(y)) else y) < 0.0:
+        u1 = [-x, -y]
+    return l1, l2, u1
+
+
+@st.composite
+def symmetric_2x2(draw):
+    """(a, b, c) of [[a, b], [b, c]]: any entries from 1e-300 to 1e300 in modulus, or
+    with b = 0, or a = c, or g g^T for a 2x2 or a rank-one g."""
+    kind = draw(st.sampled_from(["any", "diagonal", "equal", "rank one", "gram"]))
+    if kind in ("rank one", "gram"):
+        p, q, r, s = (draw(st.floats(-1e150, 1e150)) for _ in range(4))
+        if kind == "rank one":
+            q = s = 0.0
+        return p * p + q * q, p * r + q * s, r * r + s * s
+    a, b, c = draw(MAGNITUDES), draw(MAGNITUDES), draw(MAGNITUDES)
+    return a, 0.0 if kind == "diagonal" else b, a if kind == "equal" else c
 
 
 def rotation(theta):
@@ -123,7 +158,9 @@ class TestMoments:
                                                    ratio=10.0 ** log_ratio).vertices,
                                     int(rng.integers(0, 5)), rng) for _ in range(4)]
         batch.insert(int(rng.integers(0, 5)), v)
-        for vertices, poly in [(v, Polygon(v))] + list(zip(batch, polygons_of(batch))):
+        shapes = polygons_of(batch)
+        polys = [Polygon(v)] + [shapes.polygon(k) for k in range(len(batch))]
+        for vertices, poly in zip([v] + batch, polys):
             area, centroid, cov, diameter = two_pass_moments(vertices)
             assert poly.area == area
             assert poly.centroid.tobytes() == centroid.tobytes()
@@ -207,6 +244,50 @@ class TestMoments:
 
 
 class TestSpectrum:
+    @settings(max_examples=200, deadline=None)
+    @given(matrices=st.lists(symmetric_2x2(), min_size=1, max_size=8))
+    def test_array_eigen_solve(self, matrices):
+        l1, l2, u1 = symmetric_eig_2x2(*map(np.array, zip(*matrices)))
+        for k, (a, b, c) in enumerate(matrices):
+            # Each row is its batch of one, whatever shares the batch.
+            one = symmetric_eig_2x2([a], [b], [c])
+            assert [x[0].tobytes() for x in one] == [l1[k].tobytes(), l2[k].tobytes(),
+                                                      u1[k].tobytes()]
+            x, y = u1[k]
+            if not (math.isfinite(x) and math.isfinite(y)):
+                continue  # entries near 1e300 overflow
+            # The operations of the scalar closed form, bit for bit.
+            s1, s2, (sx, sy) = scalar_eig_2x2(a, b, c)
+            assert np.array([l1[k], l2[k], x, y]).tobytes() == np.array([s1, s2, sx, sy]).tobytes()
+            assert math.hypot(x, y) == pytest.approx(1.0, abs=1e-15)
+            assert (x if abs(x) > 1e-14 * max(abs(x), abs(y)) else y) > 0.0
+            m = np.array([[a, b], [b, c]])
+            scale = np.abs(m).max()
+            if (scale == 0.0 or not (a >= 0.0 and c >= 0.0 and a * c >= b * b)
+                    or not all(e == 0.0 or 1e-100 <= abs(e) <= 1e100 for e in m.flat)):
+                continue
+            # Well conditioned (positive semidefinite, as covariances and Grams
+            # are, and far from under- and overflow): eigh's eigenvalues to
+            # 1e-12 of the largest, and u2, u1 rotated by +90 degrees, the
+            # eigenvector of l2.
+            low, high = np.linalg.eigh(m)[0]
+            assert abs(l1[k] - high) <= 1e-12 * scale
+            assert abs(l2[k] - low) <= 1e-12 * scale
+            u2 = np.array([-y, x])
+            assert np.abs(m @ u2 - l2[k] * u2).max() <= 1e-12 * scale
+
+    def test_alpha_takes_pythons_pow(self, rng):
+        # alpha = (sqrt(l1 l2) / |K|) ** 0.5 is C pow, which differs from sqrt
+        # in the last bit for about one x in 1,200: many triangles catch a sqrt.
+        tris = rng.uniform(-1.0, 1.0, (20000, 3, 2))
+        e1, e2 = tris[:, 1] - tris[:, 0], tris[:, 2] - tris[:, 0]
+        cross = e1[:, 0] * e2[:, 1] - e1[:, 1] * e2[:, 0]
+        tris = np.where((cross < 0.0)[:, None, None], tris[:, ::-1], tris)[np.abs(cross) > 1e-3]
+        loops = polygons_of(list(tris))
+        expected = [(math.sqrt(l1 * l2) / area) ** 0.5 for l1, l2, area in
+                    zip(loops.lambda1.tolist(), loops.lambda2.tolist(), loops.area.tolist())]
+        assert loops.alpha.tolist() == expected
+
     def test_unit_square_isotropic(self):
         s = Polygon(UNIT_SQUARE).spectrum
         assert s.lambda1 == pytest.approx(1.0 / 12.0, rel=1e-14)

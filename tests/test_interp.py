@@ -6,7 +6,7 @@ import pytest
 from anisomesh import interp
 from anisomesh.errors import NoAdmissibleEdge, SolveFailed
 from anisomesh.fields import ScalarField, constant_field, linear_field, tanh_layer
-from anisomesh.geometry import Polygon, points_in_polygon
+from anisomesh.geometry import Polygon, points_in_polygon, polygons_of
 from anisomesh.interp import (
     CLEMENT,
     POINTWISE,
@@ -137,12 +137,12 @@ class TestBasis:
     def test_cache_miss_computes_key_once(self, monkeypatch):
         calls = []
 
-        def counted(poly):
-            calls.append(poly)
-            return similarity_key(poly)
+        def counted(loops):
+            calls.append(loops)
+            return similarity_keys(loops)
 
-        similarity_key = interp._full_similarity_key
-        monkeypatch.setattr(interp, "_full_similarity_key", counted)
+        similarity_keys = interp._similarity_keys
+        monkeypatch.setattr(interp, "_similarity_keys", counted)
         cache = BasisCache()
         build_basis(UNIT_SQUARE, depth=3, cache=cache)
         assert len(calls) == 1 and len(cache.store) == 1
@@ -187,9 +187,10 @@ class TestChainRecovery:
 
         rebuild = interp._recover
         monkeypatch.setattr(interp, "_recover", spy)
-        pts, tris, edge, t = interp._delaunay_conforming(poly, interp.BASIS_DEPTH)
+        # The first len(edge) points are the boundary chain.
+        nodes, tris, _ = interp._conforming(poly.batch(), interp.BASIS_DEPTH)
         monkeypatch.undo()
-        return pts, tris, edge, t, len(rounds)
+        return nodes.layout()[0], tris, nodes.edge, nodes.t, len(rounds)
 
     def check_chain(self, poly, pts, tris, edge, t):
         n_chain = len(edge)
@@ -236,7 +237,7 @@ class TestChainRecovery:
         history = adaptive_loop(mesh0, fld, RefineConfig(strategy=ANISOTROPIC, max_levels=3))
         mesh = history[3][0]
         assert math.isfinite(l2_error(mesh, fld, coefficients(mesh, fld, POINTWISE)))
-        for basis in interp.build_bases([el.polygon for el in mesh.elements]):
+        for basis in interp.build_bases(mesh.geometry):
             assert basis.partition_residual() <= 1e-10
             assert basis.range_violation() <= 1e-10
 
@@ -259,7 +260,7 @@ class TestChainRecovery:
 
     def test_stretched_stars_build(self):
         polys = [random_star_polygon(np.random.default_rng(s), ratio=1e3) for s in range(500)]
-        for basis in interp.build_bases(polys):
+        for basis in interp.build_bases(polygons_of([p.vertices for p in polys])):
             assert basis.partition_residual() <= 1e-10
             assert basis.range_violation() <= 1e-10
 

@@ -1,11 +1,12 @@
 """Level-wide element kernels against their one-element calls.
 
-The Gram, eta, fan, split and harmonic-basis kernels keep the arithmetic of
-the per-element code, so they must agree bit for bit whatever else shares a
-chunk or a level; the L2 parts sum in another order and must agree to 1e-13
-relative.
+The Gram, eta, fan, split, cut-direction and harmonic-basis kernels keep the
+arithmetic of the per-element code, so they must agree bit for bit whatever
+else shares a chunk, a level or a ``Loops.take`` subset of it; the L2 parts
+sum in another order and must agree to 1e-13 relative.
 """
 
+import io
 import math
 from unittest import mock
 
@@ -13,10 +14,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from anisomesh import interp
-from anisomesh.errors import CutMissesPolygon
+from anisomesh import indicator, interp
+from anisomesh.errors import CutMissesPolygon, DegenerateElement
 from anisomesh.fields import tanh_layer
-from anisomesh.geometry import Polygon, split_polygon_detailed, split_polygons
+from anisomesh.geometry import (CovarianceSpectrum, Polygon, loops_simple, polygons_of,
+                                split_polygon_detailed, split_polygons)
 from anisomesh.indicator import eta_global, eta_local, gram_element, gram_elements
 from anisomesh.interp import POINTWISE, BasisCache, build_basis, coefficients, element_l2_error
 from anisomesh.mesh import build_mesh, generate_grid, generate_polygonal
@@ -29,11 +31,17 @@ from anisomesh.quadrature import (
     polygon_fans,
     polygon_sample_points,
 )
-from anisomesh.refine import ANISOTROPIC, ISOTROPIC, UNIFORM, RefineConfig, adaptive_loop
-from anisomesh.regularity import star_kernel
+from anisomesh.refine import (ANISOTROPIC, ISOTROPIC, UNIFORM, RefineConfig, adaptive_loop,
+                              cut_directions, refine)
+from anisomesh.regularity import audit_mesh, star_kernel
 from conftest import random_convex_polygon, random_star_polygon
 
 U_SHAPE = Polygon([(0, 0), (3, 0), (3, 1), (2, 1), (2, 0.1), (1, 0.1), (1, 1), (0, 1)])
+
+
+def batch(polys):
+    """The ``Loops`` batch of a list of polygons."""
+    return polygons_of([p.vertices for p in polys])
 
 
 def reference_fan(poly):
@@ -87,7 +95,7 @@ class TestFans:
     def test_many_polygons_concatenate_single_fans(self, rng):
         polys = [random_star_polygon(rng), U_SHAPE, random_convex_polygon(rng), U_SHAPE,
                  random_star_polygon(rng, ratio=1e3)]
-        tris, counts = polygon_fans(polys)
+        tris, counts = polygon_fans(batch(polys))
         singles = [fan_triangles(p) for p in polys]
         assert counts.tolist() == [len(t) for t in singles]
         assert np.array_equal(tris, np.concatenate(singles))
@@ -105,7 +113,7 @@ def assert_level_split_matches_single_calls(polys, anchors, directions):
     """Each polygon's outcome in one ``split_polygons`` pass equals its
     ``split_polygon_detailed`` call alone: the same cut ends and points bit
     for bit and bit-identical piece moments, or the same exception class."""
-    outcomes, pieces = split_polygons(polys, anchors, directions)
+    outcomes, pieces = split_polygons(batch(polys), anchors, directions)
     for k, (poly, anchor, d) in enumerate(zip(polys, anchors, directions)):
         try:
             a, b, cut, ends = split_polygon_detailed(poly, anchor, d)
@@ -224,10 +232,9 @@ class TestLevelBases:
         polys += [U_SHAPE, Polygon(U_SHAPE.vertices * 1e-7 + 0.5)]
         polys = [polys[k] for k in rng.permutation(len(polys))]
         with mock.patch.object(interp, "_recover", wraps=interp._recover) as recover:
-            bases = interp.build_bases(polys)
+            bases = interp.build_bases(batch(polys))
         assert recover.called
         for poly, basis in zip(polys, bases):
-            assert basis.polygon is poly
             assert_same_basis(basis, build_basis(poly))
 
 
@@ -241,7 +248,7 @@ class TestGramChunks:
         polys = [random_convex_polygon(rng) for _ in range(3)]
         polys.insert(1, sliver)
         fld = tanh_layer()
-        grams = gram_elements(polys, fld)
+        grams = gram_elements(batch(polys), fld)
         for poly, gram in zip(polys, grams):
             assert np.array_equal(gram, gram_element(poly, fld))
         gx, gy = fld.gradient(pts).T
@@ -252,7 +259,7 @@ class TestGramChunks:
         polys = [random_star_polygon(rng) for _ in range(12)] + [U_SHAPE]
         fld = tanh_layer()
         for depth in (2, 4):
-            grams = gram_elements(polys, fld, depth=depth)
+            grams = gram_elements(batch(polys), fld, depth=depth)
             for poly, gram in zip(polys, grams):
                 assert np.array_equal(gram, gram_element(poly, fld, depth=depth))
 
@@ -288,20 +295,70 @@ class TestFanIntegrals:
         assert integrate_on_polygon(sliver, fld.value, depth=6) == float(w @ fld.value(pts))
 
 
+def same_bits(a, b):
+    a, b = np.asarray(a), np.asarray(b)
+    return (a.dtype, a.shape) == (b.dtype, b.shape) and a.tobytes() == b.tobytes()
+
+
+def assert_take_matches_rows(geom, ids, grams, strategy, fld, bases):
+    """Every level kernel on ``geom.take(ids)`` gives rows ``ids`` of its result
+    on the whole batch ``geom``, bit for bit."""
+    sub = geom.take(ids)
+    for name in ("area", "centroid", "second_moment", "diameter", "lambda1", "lambda2", "u",
+                 "alpha"):
+        assert same_bits(getattr(sub, name), getattr(geom, name)[ids]), name
+    assert same_bits(sub.vertices, np.concatenate([geom.polygon(k).vertices for k in ids]))
+    assert same_bits(gram_elements(sub, fld), grams[ids])
+    assert same_bits(indicator._contract(sub, grams[ids]), indicator._contract(geom, grams)[ids])
+    assert same_bits(loops_simple(sub), loops_simple(geom)[ids])
+    keys = interp._similarity_keys(geom)
+    assert interp._similarity_keys(sub) == [keys[k] for k in ids]
+    tris, counts = polygon_fans(geom)
+    first = np.cumsum(counts) - counts
+    sub_tris, sub_counts = polygon_fans(sub)
+    assert same_bits(sub_counts, counts[ids])
+    assert same_bits(sub_tris, np.concatenate([tris[first[k]:first[k] + counts[k]] for k in ids]))
+    dirs = cut_directions(geom, grams, strategy)
+    sub_dirs = cut_directions(sub, grams[ids], strategy)
+    assert same_bits(sub_dirs, dirs[ids])
+    outcomes, pieces = split_polygons(geom, geom.centroid, dirs)
+    sub_outcomes, sub_pieces = split_polygons(sub, sub.centroid, sub_dirs)
+    for i, k in enumerate(ids):
+        got, want = sub_outcomes[i], outcomes[k]
+        if isinstance(want, Exception):
+            assert type(got) is type(want)
+            continue
+        assert got[1] == want[1] and all(map(same_bits, got[0], want[0]))
+        for name in ("area", "centroid", "second_moment", "diameter", "alpha"):
+            rows = getattr(pieces, name)
+            assert same_bits(getattr(sub_pieces, name)[2 * i:2 * i + 2], rows[2 * k:2 * k + 2])
+    if bases is not None:
+        for got, k in zip(interp.build_bases(sub), ids):
+            assert_same_basis(got, bases[k])
+
+
 @settings(max_examples=8, deadline=None)
 @given(
     seed=st.integers(0, 2 ** 16),
     jitter=st.floats(0.0, 0.3),
     strategy=st.sampled_from([ANISOTROPIC, ISOTROPIC, UNIFORM]),
     levels=st.integers(2, 3),
+    kept=st.floats(0.0, 1.0),
 )
-def test_level_kernels_match_one_element_calls(seed, jitter, strategy, levels):
+def test_level_kernels_match_one_element_calls(seed, jitter, strategy, levels, kept):
+    # ``kept`` is the share of each level's elements in a random subset,
+    # taken in random order, on which every level kernel runs again.
     fld = tanh_layer()
+    rng = np.random.default_rng(seed)
     mesh0 = generate_polygonal(4, 4, jitter=jitter, seed=seed)
     history = adaptive_loop(mesh0, fld, RefineConfig(strategy=strategy, max_levels=levels))
-    for mesh, _ in history:
+    for level, (mesh, _) in enumerate(history):
         polys = [el.polygon for el in mesh.elements]
         report = eta_global(mesh, fld)
+        ids = rng.permutation(mesh.n_elements)[:max(1, round(kept * mesh.n_elements))]
+        last = level == len(history) - 1
+        assert_take_matches_rows(mesh.geometry, ids, report.gram, strategy, fld,
+                                 interp.build_bases(mesh.geometry) if last else None)
         for k, poly in enumerate(polys):
             gram = gram_element(poly, fld)
             assert np.array_equal(report.gram[k], gram)
@@ -326,3 +383,38 @@ def test_level_kernels_match_one_element_calls(seed, jitter, strategy, levels):
         floor = 1e-14 * np.sqrt([p.area for p in polys])
         assert np.all((np.abs(parts - single) <= 1e-13 * single)
                       | (np.abs(np.sqrt(parts) - np.sqrt(single)) <= floor))
+
+
+def test_level_passes_build_no_spectrum_objects(monkeypatch):
+    # Level passes read the spectra from the mesh's geometry batch; only a
+    # batch of one (``Polygon.spectrum``) builds a CovarianceSpectrum.
+    def built(*args, **kwargs):
+        raise AssertionError("a level pass built a per-element spectrum")
+
+    fld = tanh_layer()
+    mesh = generate_polygonal(4, 4, jitter=0.3, seed=3)
+    monkeypatch.setattr(CovarianceSpectrum, "__init__", built)
+    with pytest.raises(AssertionError):
+        mesh.elements[0].polygon.spectrum
+    report = eta_global(mesh, fld)
+    marked = set(np.flatnonzero(report.eta_local > np.median(report.eta_local)).tolist())
+    for strategy in (UNIFORM, ISOTROPIC, ANISOTROPIC):
+        refine(mesh, marked, strategy, report)
+    interp.l2_error(mesh, fld, coefficients(mesh, fld, POINTWISE))
+    report.to_csv(mesh, io.StringIO())
+
+
+def test_rank_deficient_element_raises_where_its_spectrum_is_used():
+    # Area 2e-14 passes the area check, but lambda2 / lambda1 is about 4e-28:
+    # the mesh builds, and every pass that reads the covariance spectrum raises.
+    mesh = build_mesh([(0, 0), (1, 0), (1, 2e-14), (0, 2e-14)], [[0, 1, 2, 3]])
+    fld = tanh_layer()
+    report = indicator.IndicatorReport(np.ones(1), 1.0, np.zeros((1, 2, 2)), set())
+    for run in (lambda: eta_global(mesh, fld),
+                lambda: refine(mesh, {0}, ISOTROPIC),
+                lambda: refine(mesh, {0}, ANISOTROPIC, report),  # a zero Gram falls back
+                lambda: interp.l2_error(mesh, fld, coefficients(mesh, fld, POINTWISE)),
+                lambda: report.to_csv(mesh, io.StringIO()),
+                lambda: audit_mesh(mesh)):
+        with pytest.raises(DegenerateElement, match="rank deficient"):
+            run()

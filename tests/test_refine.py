@@ -81,6 +81,14 @@ class TestSplitDirection:
         d = split_direction(mesh.elements[0], strategy=ISOTROPIC)
         assert d == pytest.approx([0.0, 1.0], abs=1e-14)
 
+    def test_anisotropic_near_tie_takes_x_axis(self):
+        # Gram eigenvalues 2e-13 apart, under 1e-12 of the trace: a tie, so the
+        # cut is orthogonal to the x-axis, not to the diagonal eigenvector.
+        mesh = build_mesh([(0, 0), (2, 0), (2, 1), (0, 1)], [[0, 1, 2, 3]])
+        report = fake_report([1.0], [np.array([[1.0, 1e-13], [1e-13, 1.0]])])
+        d = split_direction(mesh.elements[0], report, ANISOTROPIC)
+        assert d == pytest.approx([0.0, 1.0], abs=1e-14)
+
     def test_zero_gram_falls_back_to_isotropic(self):
         mesh = build_mesh([(0, 0), (2, 0), (2, 1), (0, 1)], [[0, 1, 2, 3]])
         report = fake_report([0.0], [np.zeros((2, 2))])
@@ -141,12 +149,15 @@ class TestRefine:
         from anisomesh import refine as refine_mod
 
         chosen = {11, 3}
-        original = refine_mod.split_direction
+        original = refine_mod.cut_directions
 
-        def zero_for_chosen(el, report=None, strategy=ISOTROPIC):
-            return np.zeros(2) if el.id in chosen else original(el, report, strategy)
+        def zero_for_chosen(loops, grams, strategy):
+            # UNIFORM splits every element, so row k is element k.
+            d = original(loops, grams, strategy)
+            d[sorted(chosen)] = 0.0
+            return d
 
-        monkeypatch.setattr(refine_mod, "split_direction", zero_for_chosen)
+        monkeypatch.setattr(refine_mod, "cut_directions", zero_for_chosen)
         mesh = generate_grid(4, 4)
         with caplog.at_level("WARNING", logger="anisomesh.refine"):
             out, step = refine(mesh, set(), strategy=UNIFORM)
@@ -166,7 +177,8 @@ class TestRefine:
         a = math.sqrt(3.0) - 1.0
         mesh = build_mesh([(0, 0), (2, 0), (2, 2), (1, a), (0, 2)], [[0, 1, 2, 3, 4]])
         along = np.array([-1.0, 2.0 - a])
-        monkeypatch.setattr(refine_mod, "split_direction", lambda el, report, strategy: along)
+        monkeypatch.setattr(refine_mod, "cut_directions",
+                            lambda loops, grams, strategy: np.tile(along, (len(loops.sizes), 1)))
         out, step = refine(mesh, {0}, strategy=ISOTROPIC)
         assert step.skipped == []
         assert step.parent_children == {0: (0, 1)}

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -30,6 +31,12 @@ def kernel_area(poly):
     region = np.asarray(_kernel_region(poly)[0]).reshape(-1, 2)
     x, y = region.T
     return 0.5 * float(x @ np.roll(y, -1) - y @ np.roll(x, -1))
+
+
+def triple(poly):
+    """(lambda1, lambda2, u1) of a polygon's spectrum, as ``neighbour_record`` takes it."""
+    s = poly.spectrum
+    return s.lambda1, s.lambda2, s.u1
 
 
 def rotation(theta):
@@ -200,7 +207,7 @@ class TestNeighbourAudit:
     def test_thickness_jump(self):
         k1 = Polygon([(0, 0), (2, 0), (2, 1), (0, 1)])
         k2 = Polygon([(2, 0), (4, 0), (4, 1.5), (2, 1.5)])
-        rec = neighbour_record((0, 1), k1.spectrum, k2.spectrum)
+        rec = neighbour_record((0, 1), triple(k1), triple(k2))
         assert rec.delta_max == pytest.approx(1.25, rel=1e-12)
 
     def test_small_rotation_of_sliver(self):
@@ -208,7 +215,7 @@ class TestNeighbourAudit:
         p1 = Polygon(base)
         p2 = Polygon(base @ rotation(0.01).T)
         assert p1.spectrum.ratio == pytest.approx(1e4, rel=1e-9)
-        rec = neighbour_record((0, 1), p1.spectrum, p2.spectrum)
+        rec = neighbour_record((0, 1), triple(p1), triple(p2))
         assert rec.rotation_term == pytest.approx(1.0, abs=1e-3)
         assert np.linalg.det(rec.rotation) == pytest.approx(1.0, abs=1e-12)
 
@@ -216,8 +223,8 @@ class TestNeighbourAudit:
         base = np.array([(0.0, 0.0), (3.0, 0.0), (3.0, 1.0), (0.0, 1.0)])
         p1 = Polygon(base)
         p2 = Polygon(base @ rotation(0.2).T)
-        fwd = neighbour_record((0, 1), p1.spectrum, p2.spectrum)
-        bwd = neighbour_record((1, 0), p2.spectrum, p1.spectrum)
+        fwd = neighbour_record((0, 1), triple(p1), triple(p2))
+        bwd = neighbour_record((1, 0), triple(p2), triple(p1))
         assert fwd.rotation_norm == pytest.approx(bwd.rotation_norm, abs=1e-12)
         # The scaled terms differ (different lambda scalings) but the raw
         # rotation magnitude matches 2 sin(phi / 2).
@@ -291,6 +298,15 @@ class TestMeshAudit:
                            [el.vertex_loop for el in mesh.elements])
         audit_mesh(moved)
         assert record_bits(audit_mesh(mesh)) == first
+
+    def test_records_match_audit_element(self):
+        # The pass over the mesh's geometry batch gives every element the
+        # records that auditing it alone gives, mapped ones included.
+        mesh = generate_polygonal(4, 4, jitter=0.2, seed=5)
+        alone = [audit_element(el.polygon, el.id) for el in mesh.elements]
+        want = SimpleNamespace(elements=[a for a, _ in alone],
+                               mapped_elements=[b for _, b in alone])
+        assert record_bits(audit_mesh(mesh)) == record_bits(want)
 
     def test_global_maxima_match_records(self):
         mesh = generate_polygonal(3, 3, jitter=0.2, seed=9)
