@@ -178,10 +178,9 @@ def run_strategy(mesh, fld, strategy, cfg, out_dir):
     for level, (mesh, report) in enumerate(levels):
         l2_pw = l2_clem = float("nan")
         if cfg["l2"]:
-            pw = coefficients(mesh, fld, POINTWISE)
-            l2_pw = l2_error(mesh, fld, pw, depth=cfg["basis_depth"], cache=basis_cache)
-            clem = coefficients(mesh, fld, CLEMENT, depth=cfg["quad_depth"])
-            l2_clem = l2_error(mesh, fld, clem, depth=cfg["basis_depth"], cache=basis_cache)
+            sets = [coefficients(mesh, fld, POINTWISE),
+                    coefficients(mesh, fld, CLEMENT, depth=cfg["quad_depth"])]
+            l2_pw, l2_clem = l2_error(mesh, fld, sets, depth=cfg["basis_depth"], cache=basis_cache)
         if cfg["save_levels"]:
             write_level_artifacts(mesh, report, out_dir, tag, level, cfg)
         wall_ms = 0.0 if cfg["deterministic"] else (time.perf_counter() - t0) * 1e3

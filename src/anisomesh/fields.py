@@ -34,7 +34,11 @@ class ScalarField:
     """Scalar function on R^2 with exact first and second derivatives.
 
     All three callbacks are vectorized: for points of shape (..., 2) they
-    return shapes (...,), (..., 2) and (..., 2, 2) respectively.
+    return shapes (...,), (..., 2) and (..., 2, 2) respectively.  Points may
+    be any (..., 2) view, not only C-contiguous pairs: the L2 pass hands
+    ``value`` (e, P, 2) views of two coordinate planes, so ``points[..., 0]``
+    is a contiguous plane there.  A callback gives the same values for the
+    same points whatever their layout.
     """
 
     value: object

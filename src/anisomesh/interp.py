@@ -19,12 +19,17 @@ filters, conformity and assembly are array operations over the whole
 chunk, and only the Delaunay call, the right-hand side and the banded solve
 run per element.  Elements whose triangulation misses a chain segment go
 through recovery rounds together.  ``build_basis`` is a batch of one, so
-each basis is bit-identical whatever else shares its pass.  ``l2_error``
-integrates a level in chunks of elements sharing a cached basis.
+each basis is bit-identical whatever else shares its pass.
+
+``l2_error`` integrates a level per similarity key: each call builds one
+quadrature table per key from the cached unit basis (rule points as
+coordinate planes, weights, basis values), and each chunk of the key's
+elements evaluates the field once for every interpolant of the call.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from functools import lru_cache
@@ -85,12 +90,14 @@ class LocalHarmonicBasis:
         return max(0.0, float(-self.psi.min()), float(self.psi.max() - 1.0))
 
     def evaluate(self, coeff_loop, pts):
-        """Evaluate the interpolant at points inside the element."""
+        """Evaluate the interpolant at points (..., 2) inside the element; a single
+        point gives shape (1,)."""
         w = np.asarray(coeff_loop, dtype=float) @ self.psi
         pts = np.atleast_2d(np.asarray(pts, dtype=float))
         tri_pts = self.points[self.triangles]  # (T, 3, 2)
-        out = np.empty(len(pts))
-        for k, p in enumerate(pts):
+        flat = pts.reshape(-1, 2)
+        out = np.empty(len(flat))
+        for k, p in enumerate(flat):
             bary = _barycentric(tri_pts, p)
             inside = np.all(bary >= -1e-9, axis=1)
             if not inside.any():
@@ -98,7 +105,7 @@ class LocalHarmonicBasis:
             else:
                 idx = int(np.nonzero(inside)[0][0])
             out[k] = float(bary[idx] @ w[self.triangles[idx]])
-        return out
+        return out.reshape(pts.shape[:-1])
 
 
 def _barycentric(tri_pts, p):
@@ -615,31 +622,78 @@ def coefficients(mesh, fld, scheme, depth=None):
 
 
 _BARY = np.column_stack([1.0 - RULE.points[:, 0] - RULE.points[:, 1], RULE.points])  # (Q, 3)
+# Right factor of every table product: a coordinate's values at the three corners
+# give its values at the Q rule points and the two edge differences.
+_MAP = np.column_stack([_BARY.T, [[-1.0, -1.0], [1.0, 0.0], [0.0, 1.0]]])
 
 
-def _shared_l2_parts(points, triangles, psi, coeffs, fld):
-    """Integrals of (v - interpolant)^2, (E,), over E elements sharing one
-    sub-triangulation and basis: ``points`` (E, M, 2), ``coeffs`` (E, n_loop)."""
-    w_nodes = coeffs @ psi  # (E, M)
-    tp = points[:, triangles]  # (E, T, 3, 2)
-    e1 = tp[:, :, 1] - tp[:, :, 0]
-    e2 = tp[:, :, 2] - tp[:, :, 0]
-    jac = np.abs(e1[..., 0] * e2[..., 1] - e1[..., 1] * e2[..., 0])
-    pts = _BARY @ tp  # (E, T, Q, 2)
-    vh = w_nodes[:, triangles] @ _BARY.T  # (E, T, Q)
-    diff = fld.value(pts.reshape(-1, 2)).reshape(vh.shape) - vh
-    return np.einsum("et,q,etq->e", jac, RULE.weights, diff * diff)
+def _table(basis):
+    """The quadrature table of ``basis``, from two 2-D products: the ``RULE``
+    points on its sub-triangles as coordinate planes (2, P), their weights
+    |J| w_q (P,), and every basis function's value at them (n_loop, P)."""
+    q = len(RULE.weights)
+    tri = basis.triangles
+    t = len(tri)
+    xy = basis.points.T.take(tri, axis=1).reshape(-1, 3) @ _MAP  # x rows, then y rows
+    ex, ey = xy[:t, q:], xy[t:, q:]
+    jac = np.abs(ex[:, 0] * ey[:, 1] - ex[:, 1] * ey[:, 0])
+    phi = basis.psi.take(tri, axis=1).reshape(-1, 3) @ _MAP[:, :q]
+    return (xy[:, :q].reshape(2, -1), np.multiply.outer(jac, RULE.weights).ravel(),
+            phi.reshape(len(basis.psi), -1))
+
+
+def _table_parts(table, scale, center, values, fld, buf=None):
+    """Integrals of (v - interpolant)^2, (S, E), over E elements sharing one ``table``:
+    element e is the table's basis scaled by ``scale[e]`` about ``center[e]``, and
+    ``values`` (S, E, n_loop) holds its loop coefficients in S sets.
+
+    Per chunk of whole elements (at most ``CHUNK`` points, unless one element has
+    more), the physical points go into coordinate planes in ``buf`` and the field is
+    evaluated once, on their (e, P, 2) view, for all S sets.  Every product and sum
+    runs per element, so a part does not depend on what else shares its chunk.
+    """
+    planes, weights, phi = table
+    n = len(weights)
+    per_chunk = max(1, CHUNK // n)
+    size = 2 * n * min(per_chunk, len(scale))
+    if buf is None or len(buf) < size:
+        buf = np.empty(size)
+    out = np.empty(values.shape[:2])
+    for a in range(0, len(scale), per_chunk):
+        s = scale[a:a + per_chunk]
+        xy = buf[:2 * len(s) * n].reshape(2, len(s), n)
+        np.multiply(planes[:, None, :], s[:, None], out=xy)
+        xy += center[a:a + len(s)].T[:, :, None]
+        v = fld.value(xy.transpose(1, 2, 0))
+        for k, vals in enumerate(values[:, a:a + len(s)]):
+            # A stacked product rounds by the layout of its rows: keep them contiguous.
+            vals = np.ascontiguousarray(vals)
+            diff = v - (vals[:, None, :] @ phi)[:, 0]
+            diff *= diff
+            out[k, a:a + len(s)] = np.einsum("ep,p->e", diff, weights) * (s * s)
+    return out
 
 
 def element_l2_error(basis, loop_coeffs, fld):
-    """Integral of (v - interpolant)^2 over one element at basis resolution."""
-    coeffs = np.asarray(loop_coeffs, dtype=float)[None]
-    return float(_shared_l2_parts(basis.points[None], basis.triangles, basis.psi, coeffs, fld)[0])
+    """Integral of (v - interpolant)^2 over one element at basis resolution: a
+    placed basis is a table of scale 1 about the origin."""
+    values = np.asarray(loop_coeffs, dtype=float).reshape(1, 1, -1)
+    return float(_table_parts(_table(basis), np.ones(1), np.zeros((1, 2)), values, fld)[0, 0])
 
 
 def l2_parts(mesh, fld, coeffs, depth=None, cache=None):
-    """Per-element integrals of (v - Iv)^2, (n_elements,); elements of one similarity key
-    share a basis from ``cache`` (fresh if None) and go in chunks of ``CHUNK`` points."""
+    """Per-element integrals of (v - Iv)^2, (n_elements,), for one coefficient set, or
+    a list of them for a sequence of sets.
+
+    Elements of one similarity key share a basis from ``cache`` (fresh if None)
+    and one quadrature table, built here for this call; each chunk of at most
+    ``CHUNK`` points evaluates the field once for every set.
+    """
+    sets = [coeffs] if isinstance(coeffs, InterpolantCoefficients) else list(coeffs)
+    for c in sets:
+        if np.shape(c.values) != (mesh.n_nodes,):
+            raise ValueError(f"{c.scheme} coefficients of shape {np.shape(c.values)} "
+                             f"on a mesh of {mesh.n_nodes} nodes")
     if depth is None:
         depth = BASIS_DEPTH
     if cache is None:
@@ -649,26 +703,37 @@ def l2_parts(mesh, fld, coeffs, depth=None, cache=None):
     groups = {}
     for k, key in enumerate(_similarity_keys(geom)):
         groups.setdefault(key, []).append(k)
-    parts = np.empty(mesh.n_elements)
     # The polygons and bases of all missed keys are built in one batch.
     missed = [key for key in groups if (key, depth) not in cache.store]
     shapes = polygons_of([np.reshape(key, (-1, 2)) for key in missed])
     for k, (key, basis) in enumerate(zip(missed, build_bases(shapes, depth))):
         cache.put((key, depth), basis, shapes.centroid[k], shapes.area[k])
+    # Elements in key order: each key's scales, centres and loop coefficients are
+    # views of one gather.
+    order = np.fromiter(itertools.chain.from_iterable(groups.values()), dtype=np.int64,
+                        count=mesh.n_elements)
+    nodes = np.fromiter(itertools.chain.from_iterable(el.vertex_loop for el in mesh.elements),
+                        dtype=np.int64, count=len(geom.vertices))
+    at = nodes[block_pairs(order, geom.starts, geom.sizes)[1]]
+    values = np.stack([np.asarray(c.values, dtype=float)[at] for c in sets])
+    scale, center = np.sqrt(geom.area[order]), geom.centroid[order]
+    out = np.empty((len(sets), mesh.n_elements))
+    buf = np.empty(2 * CHUNK)
+    a = lo = 0
     for key, members in groups.items():
-        shared = cache.store[(key, depth)]
-        # Physical sub-nodes as a cache hit maps them: unit points * sqrt|K| + c.
-        scale = np.sqrt(geom.area[members])
-        center = geom.centroid[members]
-        values = coeffs.values[[mesh.elements[k].vertex_loop for k in members]]
-        per_chunk = max(1, CHUNK // (len(shared.triangles) * len(RULE.weights)))
-        for a in range(0, len(members), per_chunk):
-            s = slice(a, a + per_chunk)
-            pts = shared.points * scale[s, None, None] + center[s, None, :]
-            parts[members[s]] = _shared_l2_parts(pts, shared.triangles, shared.psi, values[s], fld)
-    return parts
+        b, hi = a + len(members), lo + len(key) // 2 * len(members)
+        # Physical points as a cache hit maps them: unit points * sqrt|K| + c.
+        out[:, a:b] = _table_parts(_table(cache.store[(key, depth)]), scale[a:b], center[a:b],
+                                   values[:, lo:hi].reshape(len(sets), b - a, -1), fld, buf)
+        a, lo = b, hi
+    parts = np.empty_like(out)
+    parts[:, order] = out
+    return parts[0] if isinstance(coeffs, InterpolantCoefficients) else list(parts)
 
 
 def l2_error(mesh, fld, coeffs, depth=None, cache=None):
-    """Global L2 interpolation error sqrt(sum_K int_K (v - Iv)^2), summed in element order."""
-    return math.sqrt(max(sum(l2_parts(mesh, fld, coeffs, depth, cache).tolist()), 0.0))
+    """Global L2 interpolation error sqrt(sum_K int_K (v - Iv)^2), summed in element
+    order: one value for one coefficient set, a list for a sequence of sets."""
+    parts = l2_parts(mesh, fld, coeffs, depth, cache)
+    errors = [math.sqrt(max(sum(p.tolist()), 0.0)) for p in np.atleast_2d(parts)]
+    return errors[0] if isinstance(coeffs, InterpolantCoefficients) else errors

@@ -248,3 +248,22 @@ class TestHelperFields:
         mf = monomial_field(2, 3)
         g_err, h_err = check_derivatives(mf, pts, step=1e-6)
         assert g_err < 1e-6 and h_err < 1e-5
+
+    @pytest.mark.parametrize("fld", [
+        tanh_layer(),
+        constant_field(-2.5),
+        linear_field(1.5, -0.25, 0.75),
+        monomial_field(3, 2),
+        monomial_field(0, 1),
+        expression_field("exp(x1) * sin(3 * x2) - x1 ^ 2 / (1 + x2 ^ 2) + tanh(20 * x1)"),
+    ], ids=lambda f: f.label)
+    def test_planar_views_match_contiguous_points(self, fld, rng):
+        # The level L2 pass hands fields (e, P, 2) views of coordinate planes.
+        planes = rng.uniform(-1, 1, (2, 3, 50))
+        view = planes.transpose(1, 2, 0)
+        pts = np.ascontiguousarray(view).reshape(-1, 2)
+        assert not view.flags.c_contiguous and pts.flags.c_contiguous
+        for cb, tail in ((fld.value, ()), (fld.gradient, (2,)), (fld.hessian, (2, 2))):
+            got = cb(view)
+            assert got.shape == (3, 50) + tail
+            assert np.array_equal(got.reshape((-1,) + tail), cb(pts))

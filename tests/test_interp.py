@@ -16,6 +16,7 @@ from anisomesh.interp import (
     coefficients,
     element_l2_error,
     l2_error,
+    l2_parts,
 )
 from anisomesh.mesh import DIRICHLET, NEUMANN, build_mesh, generate_grid, generate_polygonal
 from anisomesh.refine import ANISOTROPIC, RefineConfig, adaptive_loop
@@ -395,3 +396,55 @@ class TestInterpolantAndError:
             c = coefficients(mesh, fld, POINTWISE)
             errs.append(l2_error(mesh, fld, c, cache=cache))
         assert all(b < a for a, b in zip(errs, errs[1:]))
+
+
+class TestL2Pass:
+    def test_sets_share_one_field_evaluation(self):
+        # Every chunk evaluates the field once for all sets; each set's parts
+        # are those of its own call, bit for bit.
+        mesh = adaptive_loop(generate_polygonal(3, 3, jitter=0.2, seed=4), tanh_layer(),
+                             RefineConfig(strategy=ANISOTROPIC, max_levels=2))[-1][0]
+        calls = []
+
+        def value(p):
+            calls.append(np.shape(p))
+            return tanh_layer().value(p)
+
+        fld = ScalarField(value, None, None)
+        sets = [coefficients(mesh, tanh_layer(), s) for s in (POINTWISE, CLEMENT)]
+        cache = BasisCache()
+        both = l2_parts(mesh, fld, sets, cache=cache)
+        n_calls = len(calls)
+        single = [l2_parts(mesh, fld, c, cache=cache) for c in sets]
+        assert len(calls) == 3 * n_calls
+        assert all(np.array_equal(a, b) for a, b in zip(both, single))
+        assert l2_error(mesh, fld, sets, cache=cache) == [l2_error(mesh, fld, c, cache=cache)
+                                                         for c in sets]
+
+    def test_key_group_over_many_chunks_matches_lone_elements(self):
+        # 256 cells of one similarity key fill many chunks; each part is the
+        # one its cell gets as the only element of a mesh.
+        fld = tanh_layer()
+        mesh = generate_grid(16, 16)
+        cache = BasisCache()
+        parts = l2_parts(mesh, fld, coefficients(mesh, fld, POINTWISE), cache=cache)
+        basis = cache.store[next(iter(cache.store))]
+        assert len(cache.store) == 1
+        assert mesh.n_elements * len(basis.triangles) * len(interp.RULE.weights) > 8 * interp.CHUNK
+        for el, part in zip(mesh.elements, parts):
+            lone = build_mesh(mesh.points[el.vertex_loop], [[0, 1, 2, 3]])
+            assert np.array_equal(l2_parts(lone, fld, coefficients(lone, fld, POINTWISE),
+                                           cache=cache), [part])
+
+    def test_coefficients_of_another_mesh_raise(self):
+        fld = tanh_layer()
+        history = adaptive_loop(generate_grid(4, 4), fld,
+                                RefineConfig(strategy=ANISOTROPIC, max_levels=2))
+        coarse, fine = history[0][0], history[-1][0]
+        assert fine.n_nodes > coarse.n_nodes
+        fine_pw = coefficients(fine, fld, POINTWISE)
+        for coeffs in (fine_pw, [coefficients(coarse, fld, POINTWISE), fine_pw]):
+            with pytest.raises(ValueError, match="coefficients"):
+                l2_parts(coarse, fld, coeffs)
+            with pytest.raises(ValueError, match="coefficients"):
+                l2_error(coarse, fld, coeffs)
