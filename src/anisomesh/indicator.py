@@ -7,9 +7,10 @@ the covariance spectrum:
 
 which equals the squared L2 norm of A_K^{-T} grad v over the element.  Gram
 matrices are assembled once per element and reused for marking and for the
-anisotropic split direction.  A level is integrated in chunked array passes
-and contracted at once, reading the mesh's geometry batch; ``gram_element``
-and ``eta_local`` are batches of one.
+anisotropic split direction.  A level's Grams are one ``quadrature.integrals``
+call, whose integrand writes the three weighted gradient products in place;
+they are contracted at once, reading the mesh's geometry batch.  ``eta_local``
+is a batch of one.
 """
 
 from __future__ import annotations
@@ -19,14 +20,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .quadrature import default_depth, fan_chunks, integrate_on_polygon, polygon_sample_points
+from .quadrature import integrals
 
 __all__ = [
     "IndicatorReport",
     "HessianTerms",
-    "gram_element",
     "gram_elements",
-    "gram_patch",
     "eta_local",
     "eta_global",
     "hessian_terms",
@@ -59,36 +58,18 @@ class HessianTerms:
     rhs1: float
 
 
-def gram_element(poly, fld, depth=None):
-    """G*(v) = int over the element of grad v grad v^T, entrywise."""
-    return gram_elements(poly.batch(), fld, depth)[0]
-
-
 def gram_elements(loops, fld, depth=None):
-    """Gram matrices of the polygons of a ``Loops`` batch, (n, 2, 2): one ``fld.gradient``
-    call per ``fan_chunks`` slice; a larger element fills its own products row."""
-    out = np.empty((len(loops.sizes), 3))  # g11, g12, g22
-    for ids, first, size, slices in fan_chunks(loops, depth):
-        products = np.empty((3, size))  # w gx gx, w gx gy, w gy gy
-        for at, pts, w in slices:
-            gx, gy = fld.gradient(pts).T
-            row = products[:, at:at + len(w)]
-            wgx = w * gx
-            np.multiply(wgx, gx, out=row[0])
-            np.multiply(wgx, gy, out=row[1])
-            np.multiply(w * gy, gy, out=row[2])
-        # One reduceat segment per element fixes each sum's order whatever
-        # shares the chunk; w @ x or x.sum() would round differently.
-        out[ids] = np.add.reduceat(products, first, axis=1).T
-    return out[:, [[0, 1], [1, 2]]]
+    """Gram matrices int grad v grad v^T of the polygons of a ``Loops`` batch, (n, 2, 2):
+    ``integrals`` of the three weighted products, one ``fld.gradient`` call per slice."""
 
+    def products(pts, w, out):  # w gx gx, w gx gy, w gy gy
+        gx, gy = fld.gradient(pts).T
+        wgx = w * gx
+        np.multiply(wgx, gx, out=out[0])
+        np.multiply(wgx, gy, out=out[1])
+        np.multiply(w * gy, gy, out=out[2])
 
-def gram_patch(mesh, eid, fld, depth=None):
-    """Patch Gram matrix: sum of element Grams over omega_K."""
-    total = np.zeros((2, 2))
-    for other in sorted(mesh.element_patch(eid)):
-        total += gram_element(mesh.elements[other].polygon, fld, depth=depth)
-    return total
+    return integrals(loops, products, 3, depth)[:, [[0, 1], [1, 2]]]
 
 
 def _contract(loops, grams):
@@ -104,21 +85,19 @@ def _contract(loops, grams):
 
 def eta_local(poly, fld, depth=None):
     """Local error measure via the Gram contraction; >= 0, zero for constants."""
-    return float(_contract(poly.batch(), gram_element(poly, fld, depth=depth)[None])[0])
+    loops = poly.batch()
+    return float(_contract(loops, gram_elements(loops, fld, depth))[0])
 
 
 def eta_local_direct(poly, fld, depth=None):
     """Independent evaluation path: direct quadrature of |A^{-T} grad v|^2."""
     a_inv_t = poly.refmap.inverse_transpose
 
-    def integrand(pts):
-        g = fld.gradient(pts)
-        mapped = g @ a_inv_t.T
-        return (mapped * mapped).sum(axis=1)
+    def integrand(pts, w, out):
+        mapped = fld.gradient(pts) @ a_inv_t.T
+        np.multiply(w, (mapped * mapped).sum(axis=1), out=out[0])
 
-    if depth is None:
-        depth = default_depth(poly.diameter)
-    return integrate_on_polygon(poly, integrand, depth=depth)
+    return float(integrals(poly.batch(), integrand, 1, depth)[0, 0])
 
 
 def eta_global(mesh, fld, depth=None, carried=None):
@@ -153,14 +132,14 @@ def hessian_terms(poly, fld, depth=None):
     diagnostic right-hand sides.
     """
     s = poly.spectrum
-    if depth is None:
-        depth = default_depth(poly.diameter)
-    pts, w = polygon_sample_points(poly, depth=depth)
-    h = fld.hessian(pts)
     u = np.stack([s.u1, s.u2])  # (2, 2)
-    # proj[k, i, j] = u_i . H(x_k) u_j
-    proj = np.einsum("ia,kab,jb->kij", u, h, u)
-    lmat = np.einsum("k,kij->ij", w, proj * proj)
+
+    def squares(pts, w, out):
+        # proj[k, i, j] = u_i . H(x_k) u_j; row 2 i + j of out is w proj_ij^2.
+        proj = np.einsum("ia,kab,jb->kij", u, fld.hessian(pts), u)
+        np.multiply(w, (proj * proj).reshape(-1, 4).T, out=out)
+
+    lmat = integrals(poly.batch(), squares, 4, depth)[0].reshape(2, 2)
     lam = np.array([s.lambda1, s.lambda2])
     alpha = poly.refmap.alpha
     weighted = float((lam[:, None] * lam[None, :] * lmat).sum())

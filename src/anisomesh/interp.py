@@ -19,7 +19,13 @@ filters, conformity and assembly are array operations over the whole
 chunk, and only the Delaunay call, the right-hand side and the banded solve
 run per element.  Elements whose triangulation misses a chain segment go
 through recovery rounds together.  ``build_basis`` is a batch of one, so
-each basis is bit-identical whatever else shares its pass.
+each basis is bit-identical whatever else shares its pass, and a
+``BasisCache`` builds all the keys it misses in one such batch.
+
+CLEMENT's node-patch means take the element integrals of the field from
+one ``quadrature.integrals`` call, the kernel of the Gram matrices, and sum
+them and the element areas over the element-node incidence with two
+``bincount``s, so each patch is summed in ascending element id.
 
 ``l2_error`` integrates a level per similarity key: each call builds one
 quadrature table per key from the cached unit basis (rule points as
@@ -40,9 +46,9 @@ from scipy.linalg.lapack import dpbsv
 from scipy.spatial import Delaunay, QhullError
 
 from .errors import NoAdmissibleEdge, SolveFailed, TriangulationFailed
-from .geometry import Polygon, _hypot, block_pairs, loop_successors, points_in_loops, polygons_of
+from .geometry import _hypot, block_pairs, loop_successors, points_in_loops, polygons_of
 from .mesh import DIRICHLET
-from .quadrature import CHUNK, RULE, chunks, fan_chunks, integrate_on_edge
+from .quadrature import CHUNK, RULE, chunks, integrals, integrate_on_edge
 
 __all__ = [
     "POINTWISE",
@@ -455,39 +461,39 @@ def _solve_bases(loops, depth):
 class BasisCache:
     """Similarity-keyed cache: harmonic bases survive translation/scaling.
 
-    The store is emptied once it holds ``MAXSIZE`` entries, when an
-    ``l2_error`` call starts, never halfway through one.  A ``get`` that
-    misses keeps its key in ``_missed_key``, so a miss computes its key once.
+    The store maps (similarity key, depth) to a basis of unit area about the
+    origin.  It is emptied once it holds ``MAXSIZE`` entries, when an
+    ``l2_error`` call starts, never halfway through one.
     """
 
     MAXSIZE = 20000
 
     def __init__(self):
         self.store = {}
-        self._missed_key = None
 
     def trim(self):
         if len(self.store) >= self.MAXSIZE:
             self.store.clear()
 
     def get(self, poly, depth):
-        key = (_similarity_keys(poly.batch())[0], depth)
-        hit = self.store.get(key)
-        if hit is None:
-            self._missed_key = key
-            return None
-        return _placed(hit, poly)
+        """The stored basis of ``poly``'s key moved onto ``poly``, or None."""
+        hit = self.store.get((_similarity_keys(poly.batch())[0], depth))
+        return None if hit is None else _placed(hit, poly)
 
-    def put(self, key, basis, centroid, area):
-        """Store ``basis``, built for the polygon of ``key`` with this centroid
-        and area, at unit area about the origin."""
-        self.store[key] = LocalHarmonicBasis(
-            points=(basis.points - centroid) / math.sqrt(area),
-            triangles=basis.triangles,
-            psi=basis.psi,
-            boundary_mask=basis.boundary_mask,
-            loop_vertex_index=basis.loop_vertex_index,
-        )
+    def fill(self, keys, depth):
+        """Store the basis of every similarity key of ``keys`` missing at ``depth``,
+        built for the key's own polygon (its rounded normalized vertices), all in
+        one ``build_bases`` batch."""
+        missed = [key for key in keys if (key, depth) not in self.store]
+        shapes = polygons_of([np.reshape(key, (-1, 2)) for key in missed])
+        for k, (key, basis) in enumerate(zip(missed, build_bases(shapes, depth))):
+            self.store[(key, depth)] = LocalHarmonicBasis(
+                points=(basis.points - shapes.centroid[k]) / math.sqrt(shapes.area[k]),
+                triangles=basis.triangles,
+                psi=basis.psi,
+                boundary_mask=basis.boundary_mask,
+                loop_vertex_index=basis.loop_vertex_index,
+            )
 
 
 def _similarity_keys(loops):
@@ -525,13 +531,9 @@ def build_basis(poly, depth=None, cache=None):
         depth = BASIS_DEPTH
     if cache is None:
         return build_bases(poly.batch(), depth)[0]
-    hit = cache.get(poly, depth)
-    if hit is None:
-        key = cache._missed_key
-        shape = Polygon(np.reshape(key[0], (-1, 2)))
-        cache.put(key, build_bases(shape.batch(), depth)[0], shape.centroid, shape.area)
-        hit = _placed(cache.store[key], poly)
-    return hit
+    key = _similarity_keys(poly.batch())[0]
+    cache.fill([key], depth)
+    return _placed(cache.store[(key, depth)], poly)
 
 
 def build_bases(loops, depth=None):
@@ -556,25 +558,12 @@ class InterpolantCoefficients:
     scheme: str
 
 
-def _element_integrals(mesh, fld, depth):
-    """``integrate_on_polygon`` of each element: one ``fld.value`` call per
-    ``fan_chunks`` slice, and each integral one dot."""
-    out = np.empty(mesh.n_elements)
-    for ids, first, size, slices in fan_chunks(mesh.geometry, depth):
-        w, vals = np.empty(size), np.empty(size)
-        for at, pts, ws in slices:
-            w[at:at + len(ws)] = ws
-            vals[at:at + len(ws)] = fld.value(pts)
-        ends = np.append(first[1:], size).tolist()
-        out[ids] = [w[a:b] @ vals[a:b] for a, b in zip(first.tolist(), ends)]
-    return out.tolist()
-
-
 def coefficients(mesh, fld, scheme, depth=None):
     """Nodal coefficients for the chosen interpolation operator.
 
     POINTWISE uses nodal values at every node; CLEMENT uses node-patch means
-    and zeroes the coefficients of Dirichlet-boundary nodes; SCOTT_ZHANG uses
+    and zeroes the coefficients of Dirichlet-boundary nodes and of nodes in no
+    element; SCOTT_ZHANG uses
     the mean over one admissible incident edge (Dirichlet edges for Dirichlet
     nodes, non-Dirichlet edges otherwise; longest edge wins, ties by id).
     """
@@ -585,16 +574,13 @@ def coefficients(mesh, fld, scheme, depth=None):
         return InterpolantCoefficients(values=np.asarray(c, dtype=float), scheme=scheme)
 
     if scheme == CLEMENT:
-        integrals = _element_integrals(mesh, fld, depth)
-        areas = mesh.geometry.area.tolist()
-        for i in range(n):
-            if int(mesh.node_tags[i]) == DIRICHLET:
-                c[i] = 0.0
-                continue
-            patch = mesh.node_patch(i)
-            num = sum(integrals[k] for k in patch)
-            den = sum(areas[k] for k in patch)
-            c[i] = num / den
+        geom = mesh.geometry
+        totals = integrals(geom, lambda p, w, out: np.multiply(w, fld.value(p), out=out[0]), 1,
+                           depth)[:, 0]
+        # Over the incidence in element order, each node's patch sums in ascending id.
+        num = np.bincount(mesh.loop_nodes, totals[geom.owner], minlength=n)
+        den = np.bincount(mesh.loop_nodes, geom.area[geom.owner], minlength=n)
+        np.divide(num, den, out=c, where=(mesh.node_tags != DIRICHLET) & (den > 0.0))
         return InterpolantCoefficients(values=c, scheme=scheme)
 
     if scheme == SCOTT_ZHANG:
@@ -703,18 +689,12 @@ def l2_parts(mesh, fld, coeffs, depth=None, cache=None):
     groups = {}
     for k, key in enumerate(_similarity_keys(geom)):
         groups.setdefault(key, []).append(k)
-    # The polygons and bases of all missed keys are built in one batch.
-    missed = [key for key in groups if (key, depth) not in cache.store]
-    shapes = polygons_of([np.reshape(key, (-1, 2)) for key in missed])
-    for k, (key, basis) in enumerate(zip(missed, build_bases(shapes, depth))):
-        cache.put((key, depth), basis, shapes.centroid[k], shapes.area[k])
+    cache.fill(groups, depth)
     # Elements in key order: each key's scales, centres and loop coefficients are
     # views of one gather.
     order = np.fromiter(itertools.chain.from_iterable(groups.values()), dtype=np.int64,
                         count=mesh.n_elements)
-    nodes = np.fromiter(itertools.chain.from_iterable(el.vertex_loop for el in mesh.elements),
-                        dtype=np.int64, count=len(geom.vertices))
-    at = nodes[block_pairs(order, geom.starts, geom.sizes)[1]]
+    at = mesh.loop_nodes[block_pairs(order, geom.starts, geom.sizes)[1]]
     values = np.stack([np.asarray(c.values, dtype=float)[at] for c in sets])
     scale, center = np.sqrt(geom.area[order]), geom.centroid[order]
     out = np.empty((len(sets), mesh.n_elements))

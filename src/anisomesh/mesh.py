@@ -60,14 +60,17 @@ class PolyMesh:
     one element loop (the boundary) carry NEUMANN or DIRICHLET.
     ``geometry`` is the ``Loops`` batch of the element polygons, in element
     order, with their moments and spectra: level passes read it.
+    ``loop_nodes`` is the read-only node id of each of its vertices: the
+    element loops, flat, in element order.
     """
 
-    def __init__(self, points, node_tags, elements, geometry, edges, edge_tags, node_elems,
-                 domain_area):
+    def __init__(self, points, node_tags, elements, geometry, loop_nodes, edges, edge_tags,
+                 node_elems, domain_area):
         self.points = points
         self.node_tags = node_tags
         self.elements = elements
         self.geometry = geometry
+        self.loop_nodes = loop_nodes
         self.edges = edges
         self.edge_tags = edge_tags
         self._node_elems = node_elems
@@ -245,7 +248,8 @@ def build_mesh(points, element_loops, boundary_spec=DIRICHLET, check_simple=True
     node_tags = np.zeros(n_nodes, dtype=np.uint8)
     np.maximum.at(node_tags, edges[boundary].ravel(), np.repeat(edge_tags[boundary], 2))
 
-    mesh = PolyMesh(pts, node_tags, elements, geometry, edges, edge_tags,
+    flat.setflags(write=False)
+    mesh = PolyMesh(pts, node_tags, elements, geometry, flat, edges, edge_tags,
                     _node_patches(loops, n_nodes), domain_area)
     mesh.validate(check_simple=check_simple)
     return mesh

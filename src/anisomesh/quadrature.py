@@ -4,10 +4,14 @@ Rules are conical products of Gauss-Jacobi and Gauss-Legendre lines, so the
 weights are positive at every exactness degree.  Every element integral uses
 the one order-7 rule ``RULE``, and every edge integral the order-7 Gauss line.
 Polygons are integrated by fanning into triangles around an interior star
-point and subdividing each fan triangle uniformly.  Level-wide integrals call
-the integrand once per chunk of at most ``CHUNK`` points of many elements.
-Points are mapped as (fan triangle, reference point) planes, one coordinate
-at a time, bit-identical to a per-triangle affine map.
+point and subdividing each fan triangle uniformly.  ``integrals`` is the one
+function that integrates over polygons: it integrates a batch in chunks of
+at most ``CHUNK`` points of whole polygons (a larger polygon is a chunk of
+its own, passed in slices), its integrand writes k weighted rows in place,
+and one ``reduceat`` segment per polygon sums each row, so an integral does
+not depend on what else shares its chunk.  Points are mapped as (fan
+triangle, reference point) planes, one coordinate at a time, bit-identical
+to a per-triangle affine map.
 """
 
 from __future__ import annotations
@@ -24,12 +28,10 @@ from .errors import TriangulationFailed
 __all__ = [
     "QuadratureRule",
     "triangle_rule",
+    "integrals",
     "integrate_on_polygon",
-    "integrate_on_fan",
     "polygon_sample_points",
-    "fan_triangles",
     "polygon_fans",
-    "fan_chunks",
     "integrate_on_edge",
     "default_depth",
     "RULE",
@@ -124,11 +126,6 @@ def default_depth(h):
     return int(min(6, max(2, math.ceil(math.log2(max(60.0 * h, 1.0 + 1e-12))))))
 
 
-def fan_triangles(poly):
-    """Fan triangles of one polygon, (T, 3, 2): ``polygon_fans`` of its batch of one."""
-    return polygon_fans(poly.batch())[0]
-
-
 def polygon_fans(loops):
     """Fan triangles (T, 3, 2) of a ``Loops`` batch, and their counts (n,), without zero-area
     ones: around the centroid when it sees every edge (always for convex elements), else
@@ -171,27 +168,6 @@ def chunks(sizes):
         stop = max(start + 1, int(np.searchsorted(ends, limit, side="right")))
         yield start, stop
         start = stop
-
-
-def fan_chunks(loops, depth=None):
-    """Chunks of whole polygons of a ``Loops`` batch for level-wide integrals over their fans.
-
-    Per quadrature depth (``depth``, else each polygon's ``default_depth``),
-    yields (ids, first, size, slices): the chunk's polygon indices, the
-    offset of each one's first point among the chunk's ``size`` points, and
-    ``fan_slices`` of their fan triangles, all from one ``polygon_fans`` call
-    per depth.
-    """
-    depths = (np.array([default_depth(h) for h in loops.diameter.tolist()]) if depth is None
-              else np.full(len(loops.sizes), depth))
-    for d in np.unique(depths).tolist():
-        members = np.flatnonzero(depths == d)
-        tris, counts = polygon_fans(loops.take(members))
-        first = np.cumsum(counts) - counts  # first fan triangle of each polygon
-        r = len(_subdivided_reference(d)[0])  # points per fan triangle
-        for a, b in chunks(counts * r):
-            t0, t1 = first[a], first[b - 1] + counts[b - 1]
-            yield members[a:b], (first[a:b] - t0) * r, (t1 - t0) * r, fan_slices(tris[t0:t1], d)
 
 
 def _ear_clip(vertices):
@@ -257,24 +233,44 @@ def fan_slices(tris, depth):
 def polygon_sample_points(poly, depth=2):
     """Quadrature points (M, 2) and physical weights (M,) covering the polygon;
     sum(weights) equals the polygon area up to roundoff."""
-    _, pts, w = zip(*fan_slices(fan_triangles(poly), depth))
+    _, pts, w = zip(*fan_slices(polygon_fans(poly.batch())[0], depth))
     return np.concatenate(pts), np.concatenate(w)
 
 
+def integrals(loops, f, k, depth=None):
+    """Integrals (n, k) of k quantities over each polygon of a ``Loops`` batch.
+
+    ``f(points, weights, out)`` gets m points (m, 2) and their weights (m,)
+    and writes the k weighted values at them into the rows of ``out`` (k, m).
+    Per quadrature depth (``depth``, else each polygon's ``default_depth``)
+    one ``polygon_fans`` call fans the polygons; ``f`` sees each chunk of
+    whole polygons in ``fan_slices``, and one ``reduceat`` segment per
+    polygon sums its rows.
+    """
+    out = np.empty((len(loops.sizes), k))
+    depths = (np.array([default_depth(h) for h in loops.diameter.tolist()]) if depth is None
+              else np.full(len(loops.sizes), depth))
+    for d in np.unique(depths).tolist():
+        members = np.flatnonzero(depths == d)
+        tris, counts = polygon_fans(loops.take(members))
+        first = np.cumsum(counts) - counts  # first fan triangle of each polygon
+        r = len(_subdivided_reference(d)[0])  # points per fan triangle
+        for a, b in chunks(counts * r):
+            t0, t1 = first[a], first[b - 1] + counts[b - 1]
+            rows = np.empty((k, (t1 - t0) * r))
+            for at, pts, w in fan_slices(tris[t0:t1], d):
+                f(pts, w, rows[:, at:at + len(w)])
+            # One segment per polygon fixes each sum's order whatever shares
+            # the chunk; w @ x or x.sum() would round differently.
+            out[members[a:b]] = np.add.reduceat(rows, (first[a:b] - t0) * r, axis=1).T
+    return out
+
+
 def integrate_on_polygon(poly, f, depth=2):
-    """Integrate a scalar function over the polygon: ``integrate_on_fan`` of its fan."""
-    return integrate_on_fan(fan_triangles(poly), f, depth)
-
-
-def integrate_on_fan(tris, f, depth):
-    """Integrate ``f``, which maps (m, 2) points to (m,) values, over fan triangles:
-    ``f`` sees slices of at most ``CHUNK`` points, the weighted sum is one dot."""
-    w = np.empty(len(tris) * len(_subdivided_reference(depth)[0]))
-    vals = np.empty_like(w)
-    for at, pts, ws in fan_slices(tris, depth):
-        w[at:at + len(ws)] = ws
-        vals[at:at + len(ws)] = f(pts)
-    return float(w @ vals)
+    """Integrate ``f``, which maps (m, 2) points to (m,) values, over the polygon:
+    ``integrals`` of its batch of one."""
+    return float(integrals(poly.batch(), lambda p, w, out: np.multiply(w, f(p), out=out[0]), 1,
+                           depth)[0, 0])
 
 
 def integrate_on_edge(a, b, f, n_seg=8):

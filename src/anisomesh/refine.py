@@ -39,7 +39,6 @@ __all__ = [
     "RefineConfig",
     "RefinementStep",
     "mark",
-    "split_direction",
     "cut_directions",
     "refine",
     "adaptive_loop",
@@ -103,12 +102,6 @@ def cut_directions(loops, grams, strategy):
         d = np.where(covariance[:, None], d, np.column_stack((-w1[:, 1], w1[:, 0])))
     loops.full_rank(covariance)
     return d
-
-
-def split_direction(element, report=None, strategy=ISOTROPIC):
-    """Direction of the cut LINE of one element: ``cut_directions`` of its batch of one."""
-    grams = None if report is None else report.gram[[element.id]]
-    return cut_directions(element.polygon.batch(), grams, strategy)[0]
 
 
 def _bisections(loops, grams, strategy):

@@ -16,7 +16,7 @@ import numpy as np
 from .errors import SandwichViolated
 from .fields import monomial_field, tanh_layer
 from .geometry import Polygon
-from .quadrature import integrate_on_edge, integrate_on_polygon
+from .quadrature import integrals, integrate_on_edge
 from .regularity import neighbour_record
 
 __all__ = [
@@ -59,18 +59,21 @@ def _record(name, lhs, rhs, context):
                             context=context)
 
 
-def _l2sq(poly, f):
-    return integrate_on_polygon(poly, lambda p: f(p) ** 2, depth=DEPTH)
-
-
-def _mapped_gradient_l2sq(poly, refmap, fld):
+def _integrals(loops, fld, refmap, mean=0.0):
+    """Per polygon of ``loops``, at ``DEPTH``, the integrals of v - mean, (v - mean)^2,
+    |grad v|^2 and |A^{-T} grad v|^2, with A the matrix of ``refmap``: (n, 4)."""
     a_inv_t = refmap.inverse_transpose
 
-    def integrand(p):
-        g = fld.gradient(p) @ a_inv_t.T
-        return (g * g).sum(axis=1)
+    def rows(p, w, out):
+        v = fld.value(p) - mean
+        g = fld.gradient(p)
+        mapped = g @ a_inv_t.T
+        np.multiply(w, v, out=out[0])
+        np.multiply(w, v ** 2, out=out[1])
+        np.multiply(w, (g * g).sum(axis=1), out=out[2])
+        np.multiply(w, (mapped * mapped).sum(axis=1), out=out[3])
 
-    return integrate_on_polygon(poly, integrand, depth=DEPTH)
+    return integrals(loops, rows, 4, DEPTH)
 
 
 def check_trace(poly, edge, fld, context=""):
@@ -81,28 +84,22 @@ def check_trace(poly, edge, fld, context=""):
     a, b = np.asarray(edge[0], float), np.asarray(edge[1], float)
     lhs = integrate_on_edge(a, b, lambda p: fld.value(p) ** 2, n_seg=16)
     e_len = float(np.hypot(*(b - a)))
-    core = _l2sq(poly, fld.value) + _mapped_gradient_l2sq(poly, poly.refmap, fld)
-    rhs = e_len / poly.area * core
+    _, l2sq, _, mapped = _integrals(poly.batch(), fld, poly.refmap)[0].tolist()
+    rhs = e_len / poly.area * (l2sq + mapped)
     return _record("trace", lhs, rhs, context)
 
 
 def check_poincare(mesh, patch, eid, fld, context=""):
     """Patch deviation from its mean against the scaled gradient norm."""
-    patch = sorted(patch)
-    polys = [mesh.elements[k].polygon for k in patch]
-    total_area = sum(p.area for p in polys)
-    mean = sum(integrate_on_polygon(p, fld.value, depth=DEPTH) for p in polys) / total_area
-    lhs = sum(
-        integrate_on_polygon(p, lambda q: (fld.value(q) - mean) ** 2, depth=DEPTH)
-        for p in polys
-    )
+    polys = mesh.geometry.take(sorted(patch))
+    rm = mesh.elements[eid].polygon.refmap
+    total, scale, _, rhs = (sum(col) for col in _integrals(polys, fld, rm).T.tolist())
+    mean = total / sum(polys.area.tolist())
+    lhs = sum(_integrals(polys, fld, rm, mean)[:, 1].tolist())
     # Deviations at the roundoff floor of the field's own norm are zero
     # (constant fields otherwise produce 0/0).
-    scale = sum(_l2sq(p, fld.value) for p in polys)
     if lhs <= 1e-26 * max(scale, 1.0):
         lhs = 0.0
-    rm = mesh.elements[eid].polygon.refmap
-    rhs = sum(_mapped_gradient_l2sq(p, rm, fld) for p in polys)
     return _record("poincare", math.sqrt(max(lhs, 0.0)), math.sqrt(max(rhs, 0.0)), context)
 
 
@@ -114,17 +111,10 @@ def check_h1_mapping(poly, fld, slack=1e-8, context=""):
     """
     s = poly.spectrum
     rm = poly.refmap
-
-    def grad_sq(p):
-        g = fld.gradient(p)
-        return (g * g).sum(axis=1)
-
-    h1 = integrate_on_polygon(poly, grad_sq, depth=DEPTH)
+    *_, h1, mapped = _integrals(poly.batch(), fld, rm)[0].tolist()
     # Reference seminorm pulled back to the element: the mapped gradient with
     # the volume factor |det A|.
-    h1_hat = _mapped_gradient_l2sq(poly, rm, fld) * abs(
-        rm.matrix[0, 0] * rm.matrix[1, 1] - rm.matrix[0, 1] * rm.matrix[1, 0]
-    )
+    h1_hat = mapped * abs(rm.matrix[0, 0] * rm.matrix[1, 1] - rm.matrix[0, 1] * rm.matrix[1, 0])
     lo = math.sqrt(s.lambda2 / s.lambda1) * h1_hat
     hi = math.sqrt(s.lambda1 / s.lambda2) * h1_hat
     scale = max(h1, hi, 1e-300)
@@ -143,8 +133,8 @@ def check_neighbour_gradient(poly_k, poly_other, fld, context=""):
     sqrt(1 + delta_max) (1 + rotation_term) alpha_{K'} / alpha_K derived from
     the audited pair quantities; returns (record, bound).
     """
-    lhs = math.sqrt(_mapped_gradient_l2sq(poly_other, poly_k.refmap, fld))
-    rhs = math.sqrt(_mapped_gradient_l2sq(poly_other, poly_other.refmap, fld))
+    lhs, rhs = (math.sqrt(_integrals(poly_other.batch(), fld, rm)[0, 3])
+                for rm in (poly_k.refmap, poly_other.refmap))
     rec = _record("neighbour_gradient", lhs, rhs, context)
     a, b = poly_other.spectrum, poly_k.spectrum
     pair = neighbour_record((0, 1), (a.lambda1, a.lambda2, a.u1), (b.lambda1, b.lambda2, b.u1))

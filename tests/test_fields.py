@@ -18,9 +18,9 @@ from anisomesh.geometry import Polygon, split_polygon_detailed
 from anisomesh.quadrature import (
     _subdivided_reference,
     EDGE_RULE,
-    fan_triangles,
     integrate_on_edge,
     integrate_on_polygon,
+    polygon_fans,
     polygon_sample_points,
     triangle_rule,
 )
@@ -170,7 +170,7 @@ class TestPolygonIntegration:
             for depth in range(2, 7):
                 xi, eta, ref_w = _subdivided_reference(depth)
                 want_pts, want_w = [], []
-                for a, b, c in fan_triangles(poly):
+                for a, b, c in polygon_fans(poly.batch())[0]:
                     e1, e2 = b - a, c - a
                     want_pts.append(np.column_stack(
                         [a[k] + xi * e1[k] + eta * e2[k] for k in (0, 1)]))

@@ -17,8 +17,7 @@ from anisomesh.indicator import (
     eta_global,
     eta_local,
     eta_local_direct,
-    gram_element,
-    gram_patch,
+    gram_elements,
     hessian_terms,
 )
 from anisomesh.mesh import build_mesh, generate_grid
@@ -52,21 +51,21 @@ def rotate_field(fld, theta):
 
 class TestGram:
     def test_gradient_x1(self):
-        g = gram_element(UNIT_SQUARE, linear_field(1, 0), depth=1)
+        g = gram_elements(UNIT_SQUARE.batch(), linear_field(1, 0), depth=1)[0]
         assert g == pytest.approx(np.array([[1.0, 0.0], [0.0, 0.0]]), abs=1e-14)
 
     def test_gradient_diagonal(self):
-        g = gram_element(UNIT_SQUARE, linear_field(1, 1), depth=1)
+        g = gram_elements(UNIT_SQUARE.batch(), linear_field(1, 1), depth=1)[0]
         assert g == pytest.approx(np.ones((2, 2)), rel=1e-14)
 
     def test_constant_zero(self):
-        g = gram_element(UNIT_SQUARE, constant_field(4.2), depth=1)
+        g = gram_elements(UNIT_SQUARE.batch(), constant_field(4.2), depth=1)[0]
         assert g == pytest.approx(np.zeros((2, 2)), abs=1e-15)
 
     def test_positive_semidefinite(self, rng):
         for _ in range(10):
             poly = random_polygon(rng)
-            g = gram_element(poly, tanh_layer(), depth=2)
+            g = gram_elements(poly.batch(), tanh_layer(), depth=2)[0]
             assert g[0, 1] == pytest.approx(g[1, 0], abs=1e-13)
             evals = np.linalg.eigvalsh(g)
             assert evals.min() >= -1e-12 * g.trace()
@@ -79,18 +78,8 @@ class TestGram:
                 gx, gy = fld.gradient(pts).T
                 g11, g12, g22 = np.add.reduceat(
                     [w * gx * gx, w * gx * gy, w * gy * gy], [0], axis=1)[:, 0]
-                got = gram_element(poly, fld, depth=depth)
+                got = gram_elements(poly.batch(), fld, depth=depth)[0]
                 assert np.array_equal(got, np.array([[g11, g12], [g12, g22]]))
-
-    def test_patch_gram_sums_elements(self):
-        mesh = generate_grid(2, 2)
-        fld = tanh_layer()
-        total = gram_patch(mesh, 0, fld, depth=3)
-        assert sorted(mesh.element_patch(0)) == [0, 1, 2, 3]
-        expected = sum(
-            gram_element(mesh.elements[k].polygon, fld, depth=3) for k in range(4)
-        )
-        assert total == pytest.approx(expected, rel=1e-13)
 
     def test_split_additivity(self, rng):
         # A layer-scale element fully resolved at depth 6: both integration
@@ -102,8 +91,9 @@ class TestGram:
             a, b, _, _ = split_polygon_detailed(
                 cell, cell.centroid, np.array([math.cos(theta), math.sin(theta)])
             )
-            whole = gram_element(cell, fld, depth=6)
-            parts = gram_element(a, fld, depth=6) + gram_element(b, fld, depth=6)
+            whole = gram_elements(cell.batch(), fld, depth=6)[0]
+            parts = (gram_elements(a.batch(), fld, depth=6)[0]
+                     + gram_elements(b.batch(), fld, depth=6)[0])
             assert parts == pytest.approx(whole, rel=1e-8, abs=1e-10 * whole.trace())
 
 

@@ -18,8 +18,10 @@ from anisomesh.interp import (
     l2_error,
     l2_parts,
 )
-from anisomesh.mesh import DIRICHLET, NEUMANN, build_mesh, generate_grid, generate_polygonal
-from anisomesh.refine import ANISOTROPIC, RefineConfig, adaptive_loop
+from anisomesh.mesh import (DIRICHLET, INTERIOR, NEUMANN, build_mesh, generate_grid,
+                            generate_polygonal)
+from anisomesh.quadrature import default_depth, integrate_on_polygon
+from anisomesh.refine import ANISOTROPIC, ISOTROPIC, RefineConfig, adaptive_loop
 from conftest import random_convex_polygon, random_star_polygon
 
 UNIT_SQUARE = Polygon([(0, 0), (1, 0), (1, 1), (0, 1)])
@@ -293,6 +295,39 @@ class TestCoefficients:
                 assert c.values[i] == 0.0
             else:
                 assert c.values[i] == pytest.approx(1.0, rel=1e-13)
+
+    def test_clement_sums_patches_in_ascending_element_id(self):
+        # Two isotropic levels of a grid leave hanging nodes; the side x = 0
+        # is Neumann.  Some node patch iterates, as a set, in another order
+        # than ascending id, and the reference sums each patch in that order.
+        fld = tanh_layer()
+        fine = adaptive_loop(generate_grid(4, 4), fld,
+                             RefineConfig(strategy=ISOTROPIC, max_levels=2))[-1][0]
+        x = fine.points[:, 0]
+        spec = {(a, b): NEUMANN if x[a] == x[b] == 0.0 else DIRICHLET
+                for a, b in fine.edges[fine.edge_tags != INTERIOR].tolist()}
+        mesh = build_mesh(fine.points, [el.vertex_loop for el in fine.elements], spec)
+        assert any(len(el.vertex_loop) > 4 for el in mesh.elements)
+        assert (mesh.node_tags == NEUMANN).any()
+        patches = [mesh.node_patch(i) for i in range(mesh.n_nodes)]
+        assert any(list(p) != sorted(p) for p in patches)
+        totals = [integrate_on_polygon(el.polygon, fld.value, default_depth(el.polygon.diameter))
+                  for el in mesh.elements]
+        want = np.zeros(mesh.n_nodes)
+        for i, patch in enumerate(patches):
+            if mesh.node_tags[i] == DIRICHLET:
+                continue
+            num = den = 0.0
+            for k in sorted(patch):
+                num += totals[k]
+                den += mesh.elements[k].polygon.area
+            want[i] = num / den
+        assert np.array_equal(coefficients(mesh, fld, CLEMENT).values, want)
+
+    def test_clement_zeroes_node_in_no_element(self):
+        mesh = build_mesh([(0, 0), (1, 0), (1, 1), (0, 1), (5, 5)], [[0, 1, 2, 3]], NEUMANN)
+        c = coefficients(mesh, constant_field(2.0), CLEMENT, depth=1)
+        assert c.values[4] == 0.0 and c.values[:4] == pytest.approx(np.full(4, 2.0), rel=1e-13)
 
     def test_scott_zhang_edge_choice(self):
         mesh = build_mesh(UNIT_SQUARE.vertices, [[0, 1, 2, 3]])

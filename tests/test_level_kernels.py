@@ -1,9 +1,9 @@
 """Level-wide element kernels against their one-element calls.
 
-The Gram, eta, fan, split, cut-direction and harmonic-basis kernels keep the
-arithmetic of the per-element code, so they must agree bit for bit whatever
-else shares a chunk, a level or a ``Loops.take`` subset of it; the L2 parts
-sum in another order and must agree to 1e-13 relative.
+The integral, Gram, eta, fan, split, cut-direction and harmonic-basis kernels
+keep the arithmetic of the per-element code, so they must agree bit for bit
+whatever else shares a chunk, a level or a ``Loops.take`` subset of it; the
+L2 parts sum in another order and must agree to 1e-13 relative.
 """
 
 import io
@@ -19,14 +19,14 @@ from anisomesh.errors import CutMissesPolygon, DegenerateElement
 from anisomesh.fields import tanh_layer
 from anisomesh.geometry import (CovarianceSpectrum, Polygon, loops_simple, polygons_of,
                                 split_polygon_detailed, split_polygons)
-from anisomesh.indicator import eta_global, eta_local, gram_element, gram_elements
+from anisomesh.indicator import eta_global, eta_local, gram_elements
 from anisomesh.interp import POINTWISE, BasisCache, build_basis, coefficients, element_l2_error
 from anisomesh.mesh import build_mesh, generate_grid, generate_polygonal
 from anisomesh.quadrature import (
     CHUNK,
     _ear_clip,
     default_depth,
-    fan_triangles,
+    integrals,
     integrate_on_polygon,
     polygon_fans,
     polygon_sample_points,
@@ -90,19 +90,19 @@ class TestFans:
         polys += [random_star_polygon(rng, ratio=r) for r in (1.0, 10.0, 1e3) for _ in range(20)]
         polys += [el.polygon for el in generate_polygonal(6, 6, jitter=0.3, seed=4).elements]
         for poly in polys:
-            assert np.array_equal(fan_triangles(poly), reference_fan(poly))
+            assert np.array_equal(polygon_fans(poly.batch())[0], reference_fan(poly))
 
     def test_many_polygons_concatenate_single_fans(self, rng):
         polys = [random_star_polygon(rng), U_SHAPE, random_convex_polygon(rng), U_SHAPE,
                  random_star_polygon(rng, ratio=1e3)]
         tris, counts = polygon_fans(batch(polys))
-        singles = [fan_triangles(p) for p in polys]
+        singles = [polygon_fans(p.batch())[0] for p in polys]
         assert counts.tolist() == [len(t) for t in singles]
         assert np.array_equal(tris, np.concatenate(singles))
 
     def test_ear_clip_covers_polygon_without_kernel(self):
         assert star_kernel(U_SHAPE)[0] == 0.0
-        tris = fan_triangles(U_SHAPE)
+        tris = polygon_fans(U_SHAPE.batch())[0]
         e1, e2 = tris[:, 1] - tris[:, 0], tris[:, 2] - tris[:, 0]
         areas = 0.5 * (e1[:, 0] * e2[:, 1] - e1[:, 1] * e2[:, 0])
         assert (areas > 0.0).all()
@@ -250,7 +250,7 @@ class TestGramChunks:
         fld = tanh_layer()
         grams = gram_elements(batch(polys), fld)
         for poly, gram in zip(polys, grams):
-            assert np.array_equal(gram, gram_element(poly, fld))
+            assert np.array_equal(gram, gram_elements(poly.batch(), fld)[0])
         gx, gy = fld.gradient(pts).T
         g11, g12, g22 = np.add.reduceat([w * gx * gx, w * gx * gy, w * gy * gy], [0], axis=1)[:, 0]
         assert np.array_equal(grams[1], np.array([[g11, g12], [g12, g22]]))
@@ -261,7 +261,26 @@ class TestGramChunks:
         for depth in (2, 4):
             grams = gram_elements(batch(polys), fld, depth=depth)
             for poly, gram in zip(polys, grams):
-                assert np.array_equal(gram, gram_element(poly, fld, depth=depth))
+                assert np.array_equal(gram, gram_elements(poly.batch(), fld, depth=depth)[0])
+
+    def test_one_row_integrand_matches_single_calls(self, rng):
+        # A sliver of more than a chunk between small polygons, which take
+        # default depths 2 and 3: two depth groups, and chunks that hold one
+        # polygon, several, or a slice of one.
+        sliver = Polygon([(0.0, 0.0), (1.0, 0.0), (1.0, 0.01), (0.0, 0.01)])
+        small = [random_convex_polygon(rng).vertices for _ in range(3)]
+        polys = [Polygon(v * scale) for scale in (0.02, 0.05) for v in small]
+        polys.insert(2, sliver)
+        assert [default_depth(p.diameter) for p in polys] == [2, 2, 6, 2, 3, 3, 3]
+        fld = tanh_layer()
+
+        def value(p, w, out):
+            np.multiply(w, fld.value(p), out=out[0])
+
+        got = integrals(batch(polys), value, 1)
+        assert got.shape == (len(polys), 1)
+        for poly, row in zip(polys, got):
+            assert np.array_equal(row, integrals(poly.batch(), value, 1)[0])
 
 
 class TestSharedBases:
@@ -279,20 +298,26 @@ class TestSharedBases:
 
 
 class TestFanIntegrals:
-    def test_level_fans_match_one_dot_over_sample_points(self):
+    def test_level_fans_match_reduceat_over_sample_points(self):
         # CLEMENT's element integrals come from one polygon_fans call per
-        # level and a field sliced into chunks; the sum stays one dot.
+        # depth and a field sliced into chunks; each sum is one reduceat
+        # segment over the element's sample points.
         fld = tanh_layer()
         mesh = generate_polygonal(4, 4, jitter=0.3, seed=1)
         sliver = Polygon([(0.0, 0.0), (1.0, 0.0), (1.0, 0.01), (0.0, 0.01)])
+
+        def value(p, w, out):
+            np.multiply(w, fld.value(p), out=out[0])
+
         for depth in (None, 6):
-            got = interp._element_integrals(mesh, fld, depth)
-            for el, value in zip(mesh.elements, got):
+            got = integrals(mesh.geometry, value, 1, depth)[:, 0]
+            for el, total in zip(mesh.elements, got):
                 d = default_depth(el.polygon.diameter) if depth is None else depth
                 pts, w = polygon_sample_points(el.polygon, depth=d)
-                assert value == float(w @ fld.value(pts))
+                assert total == np.add.reduceat(w * fld.value(pts), [0])[0]
         pts, w = polygon_sample_points(sliver, depth=6)
-        assert integrate_on_polygon(sliver, fld.value, depth=6) == float(w @ fld.value(pts))
+        assert integrate_on_polygon(sliver, fld.value, depth=6) == np.add.reduceat(
+            w * fld.value(pts), [0])[0]
 
 
 def same_bits(a, b):
@@ -360,7 +385,7 @@ def test_level_kernels_match_one_element_calls(seed, jitter, strategy, levels, k
         assert_take_matches_rows(mesh.geometry, ids, report.gram, strategy, fld,
                                  interp.build_bases(mesh.geometry) if last else None)
         for k, poly in enumerate(polys):
-            gram = gram_element(poly, fld)
+            gram = gram_elements(poly.batch(), fld)[0]
             assert np.array_equal(report.gram[k], gram)
             assert report.eta_local[k] == eta_local(poly, fld)
             assert report.eta_local[k] == reference_eta(poly, gram)

@@ -133,6 +133,10 @@ class TestPatches:
         mesh = build_mesh(UNIT_SQUARE_NODES, [[0, 1, 2, 3]])
         assert mesh.edge_patch(mesh.edges[0]) == {0}
 
+    def test_element_patch_2x2(self):
+        mesh = generate_grid(2, 2)
+        assert sorted(mesh.element_patch(0)) == [0, 1, 2, 3]
+
     def test_element_patch_contains_self(self):
         mesh = generate_polygonal(3, 3, jitter=0.15, seed=5)
         for el in mesh.elements:

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from anisomesh.fields import constant_field, tanh_layer
-from anisomesh.indicator import IndicatorReport, eta_global, gram_element
+from anisomesh.indicator import IndicatorReport, eta_global, gram_elements
 from anisomesh.mesh import (
     DIRICHLET,
     INTERIOR,
@@ -21,9 +21,9 @@ from anisomesh.refine import (
     UNIFORM,
     RefineConfig,
     adaptive_loop,
+    cut_directions,
     mark,
     refine,
-    split_direction,
 )
 
 
@@ -67,18 +67,18 @@ class TestMark:
 class TestSplitDirection:
     def test_isotropic_rectangle(self):
         mesh = build_mesh([(0, 0), (2, 0), (2, 1), (0, 1)], [[0, 1, 2, 3]])
-        d = split_direction(mesh.elements[0], strategy=ISOTROPIC)
+        d = cut_directions(mesh.elements[0].polygon.batch(), None, ISOTROPIC)[0]
         assert d == pytest.approx([0.0, 1.0], abs=1e-14)
 
     def test_anisotropic_from_gram(self):
         mesh = build_mesh([(0, 0), (1, 0), (1, 1), (0, 1)], [[0, 1, 2, 3]])
         report = fake_report([1.0], [np.array([[1.0, 0.0], [0.0, 0.0]])])
-        d = split_direction(mesh.elements[0], report, ANISOTROPIC)
+        d = cut_directions(mesh.elements[0].polygon.batch(), report.gram, ANISOTROPIC)[0]
         assert d == pytest.approx([0.0, 1.0], abs=1e-14)
 
     def test_isotropic_tie_canonical(self):
         mesh = build_mesh([(0, 0), (1, 0), (1, 1), (0, 1)], [[0, 1, 2, 3]])
-        d = split_direction(mesh.elements[0], strategy=ISOTROPIC)
+        d = cut_directions(mesh.elements[0].polygon.batch(), None, ISOTROPIC)[0]
         assert d == pytest.approx([0.0, 1.0], abs=1e-14)
 
     def test_anisotropic_near_tie_takes_x_axis(self):
@@ -86,13 +86,13 @@ class TestSplitDirection:
         # cut is orthogonal to the x-axis, not to the diagonal eigenvector.
         mesh = build_mesh([(0, 0), (2, 0), (2, 1), (0, 1)], [[0, 1, 2, 3]])
         report = fake_report([1.0], [np.array([[1.0, 1e-13], [1e-13, 1.0]])])
-        d = split_direction(mesh.elements[0], report, ANISOTROPIC)
+        d = cut_directions(mesh.elements[0].polygon.batch(), report.gram, ANISOTROPIC)[0]
         assert d == pytest.approx([0.0, 1.0], abs=1e-14)
 
     def test_zero_gram_falls_back_to_isotropic(self):
         mesh = build_mesh([(0, 0), (2, 0), (2, 1), (0, 1)], [[0, 1, 2, 3]])
         report = fake_report([0.0], [np.zeros((2, 2))])
-        d = split_direction(mesh.elements[0], report, ANISOTROPIC)
+        d = cut_directions(mesh.elements[0].polygon.batch(), report.gram, ANISOTROPIC)[0]
         assert d == pytest.approx([0.0, 1.0], abs=1e-14)
 
     def test_orthogonality_to_selected_eigenvector(self, rng):
@@ -101,7 +101,8 @@ class TestSplitDirection:
             g = rng.uniform(-1, 1, (2, 2))
             g = g @ g.T
             report = fake_report([1.0], [g])
-            d = split_direction(mesh.elements[0], report, ANISOTROPIC)
+            d = cut_directions(mesh.elements[0].polygon.batch(), report.gram,
+                               ANISOTROPIC)[0]
             w, v = np.linalg.eigh(g)
             largest = v[:, np.argmax(w)]
             assert abs(float(d @ largest)) < 1e-12
@@ -267,7 +268,7 @@ class TestChildRayleigh:
             for child in children:
                 c_poly = out.elements[child].polygon
                 sc = c_poly.spectrum
-                g_child = gram_element(c_poly, fld, depth=4)
+                g_child = gram_elements(c_poly.batch(), fld, depth=4)[0]
                 child_term = sc.lambda1 * float(sc.u1 @ g_child @ sc.u1)
                 assert child_term <= parent_term * (1.0 + 1e-6) + 1e-12
 
