@@ -103,16 +103,19 @@ def eta_local_direct(poly, fld, depth=None):
 def eta_global(mesh, fld, depth=None, carried=None):
     """Aggregate the local indicators into a report (marking left empty).
 
-    ``carried`` maps element ids to Gram matrices that are already known,
-    such as those of elements whose parent was not split at the last
-    refinement; they are used as given.  The Grams of all other elements
-    come from one ``gram_elements`` call.
+    ``carried`` is a pair (ids, grams) of element ids and the (k, 2, 2) Gram
+    matrices already known for them, such as those of elements whose parent
+    was not split at the last refinement; they are used as given.  The
+    Grams of all other elements come from one ``gram_elements`` call.
     """
-    carried = carried or {}
     geom = mesh.geometry
     grams = np.empty((mesh.n_elements, 2, 2))
-    grams[list(carried)] = np.reshape(list(carried.values()), (-1, 2, 2))
-    fresh = [k for k in range(mesh.n_elements) if k not in carried]
+    fresh = np.ones(mesh.n_elements, dtype=bool)
+    if carried is not None:
+        ids, known = carried
+        grams[ids] = known
+        fresh[ids] = False
+    fresh = np.flatnonzero(fresh)
     grams[fresh] = gram_elements(geom.take(fresh), fld, depth)
     etas = _contract(geom, grams)
     return IndicatorReport(

@@ -2,18 +2,21 @@
 
 Hanging nodes are ordinary mesh nodes: an element's vertex loop lists every
 node on its boundary, including nodes with interior angle pi.  Patches are
-therefore computed topologically from loop membership.  The mesh is immutable
-during indicator and interpolation passes; refinement builds a new mesh.
+therefore computed topologically from loop membership.  A mesh keeps its
+topology once, as flat arrays: the element loops concatenated in element
+order, and the node patches as one CSR pair.  The mesh is immutable during
+indicator and interpolation passes; refinement builds a new mesh.
 """
 
 from __future__ import annotations
 
+from functools import cached_property
 from itertools import chain
 
 import numpy as np
 
 from .errors import InvalidTopology, NonSimpleResult, ParseError
-from .geometry import loop_error, loop_moments, loops_simple
+from .geometry import block_pairs, loop_error, loop_moments, loops_simple
 
 __all__ = [
     "INTERIOR",
@@ -36,8 +39,8 @@ _FORMAT_VERSION = 1
 
 
 class MeshElement:
-    """Element as an ordered CCW node-id loop; its ``polygon`` views its row
-    of the mesh's geometry batch."""
+    """Read-only view of element ``id``: its ``vertex_loop`` is its slice of
+    the mesh's ``loop_nodes``, its ``polygon`` its row of the geometry batch."""
 
     __slots__ = ("id", "vertex_loop", "_geometry")
 
@@ -52,28 +55,31 @@ class MeshElement:
 
 
 class PolyMesh:
-    """Nodes, edges, elements, and their mutual incidence.
+    """Nodes, edges, elements, and their mutual incidence, as flat arrays.
 
-    ``edges`` is an (E, 2) int array of node pairs (a, b) with a < b, sorted
-    lexicographically; the row number is the edge id.  ``edge_tags`` is the
-    (E,) uint8 array of INTERIOR, NEUMANN or DIRICHLET: exactly the edges in
-    one element loop (the boundary) carry NEUMANN or DIRICHLET.
     ``geometry`` is the ``Loops`` batch of the element polygons, in element
     order, with their moments and spectra: level passes read it.
-    ``loop_nodes`` is the read-only node id of each of its vertices: the
-    element loops, flat, in element order.
+    ``loop_nodes`` is the read-only node id of each of its vertices: element
+    k's CCW loop is the ``geometry.sizes[k]`` entries from
+    ``geometry.starts[k]``.  ``edges`` is an (E, 2) int array of node pairs
+    (a, b) with a < b, sorted lexicographically; the row number is the edge
+    id.  ``edge_tags`` is the (E,) uint8 array of INTERIOR, NEUMANN or
+    DIRICHLET: exactly the edges in one element loop (the boundary) carry
+    NEUMANN or DIRICHLET.  The node patches are CSR arrays: node i's patch
+    is ``patch_elements[patch_starts[i]:patch_starts[i + 1]]``, its element
+    ids in ascending order.  ``elements`` holds ``MeshElement`` views, built
+    on first access.
     """
 
-    def __init__(self, points, node_tags, elements, geometry, loop_nodes, edges, edge_tags,
-                 node_elems, domain_area):
+    def __init__(self, points, node_tags, geometry, loop_nodes, edges, edge_tags, domain_area):
         self.points = points
         self.node_tags = node_tags
-        self.elements = elements
         self.geometry = geometry
         self.loop_nodes = loop_nodes
         self.edges = edges
         self.edge_tags = edge_tags
-        self._node_elems = node_elems
+        self.patch_starts, self.patch_elements = _node_patch_csr(loop_nodes, geometry.owner,
+                                                                 len(points))
         self.domain_area = domain_area
 
     # -- basic queries ------------------------------------------------------
@@ -84,41 +90,47 @@ class PolyMesh:
 
     @property
     def n_elements(self):
-        return len(self.elements)
+        return len(self.geometry.sizes)
+
+    @cached_property
+    def elements(self):
+        loops = np.split(self.loop_nodes, self.geometry.starts[1:])
+        return [MeshElement(k, loop, self.geometry) for k, loop in enumerate(loops)]
 
     def total_area(self):
         return float(sum(self.geometry.area.tolist()))
 
+    def _patches_of(self, nodes):
+        """Element ids of the patches of ``nodes``, concatenated, with repeats."""
+        at = block_pairs(np.asarray(nodes), self.patch_starts[:-1], np.diff(self.patch_starts))
+        return self.patch_elements[at[1]]
+
     def neighbour_pairs(self):
-        """All unordered pairs of elements whose closures intersect."""
-        pairs = set()
-        for elems in self._node_elems:
-            elems = sorted(elems)
-            for i in range(len(elems)):
-                for j in range(i + 1, len(elems)):
-                    pairs.add((elems[i], elems[j]))
-        return sorted(pairs)
+        """All unordered pairs of elements whose closures intersect, sorted."""
+        # Patch entry j belongs to node sort(loop_nodes)[j]: pair it with that patch.
+        item, other = block_pairs(np.sort(self.loop_nodes), self.patch_starts[:-1],
+                                  np.diff(self.patch_starts))
+        a, b = self.patch_elements[item], self.patch_elements[other]
+        codes = np.unique(a[a < b] * self.n_elements + b[a < b])
+        return list(zip(*(x.tolist() for x in np.divmod(codes, self.n_elements))))
 
     # -- patches ------------------------------------------------------------
 
     def node_patch(self, i):
         """omega_i: indices of elements whose closure contains node i."""
-        return set(self._node_elems[i])
+        return set(self._patches_of([i]).tolist())
 
     def edge_patch(self, edge):
         """omega_E: union of the endpoint node patches of edge (a, b)."""
-        a, b = edge
-        return self.node_patch(a) | self.node_patch(b)
+        return set(self._patches_of(edge).tolist())
 
     def element_patch(self, eid):
         """omega_K: union of node patches over the element's loop."""
-        out = set()
-        for i in self.elements[eid].vertex_loop:
-            out.update(self._node_elems[i])
-        return out
+        a, n = self.geometry.starts[eid], self.geometry.sizes[eid]
+        return set(self._patches_of(self.loop_nodes[a:a + n]).tolist())
 
     def max_elements_per_node(self):
-        return max((len(s) for s in self._node_elems), default=0)
+        return int(np.diff(self.patch_starts).max(initial=0))
 
     # -- validation ---------------------------------------------------------
 
@@ -128,16 +140,17 @@ class PolyMesh:
         The edge table and node patches are rebuilt from the element loops
         and must equal the stored ones.
         """
-        loops = [el.vertex_loop for el in self.elements]
-        edges, counts, _ = _edge_table(loops, self.n_nodes)
+        g = self.geometry
+        edges, counts, _ = _edge_table(self.loop_nodes, g.succ, self.n_nodes)
         if not np.array_equal(edges, self.edges):
             raise InvalidTopology("edge table does not match the element loops")
         if not np.array_equal(self.edge_tags != INTERIOR, counts == 1):
             raise InvalidTopology("boundary tags are not exactly on the boundary edges")
-        if _node_patches(loops, self.n_nodes) != self._node_elems:
+        patches = _node_patch_csr(self.loop_nodes, g.owner, self.n_nodes)
+        if not all(map(np.array_equal, patches, (self.patch_starts, self.patch_elements))):
             raise InvalidTopology("node patches do not match the element loops")
         if check_simple:
-            if not loops_simple(self.geometry).all():
+            if not loops_simple(g).all():
                 raise NonSimpleResult("polygon boundary self-intersects")
         total = self.total_area()
         if abs(total - self.domain_area) > 1e-10 * self.domain_area:
@@ -147,8 +160,9 @@ class PolyMesh:
         return True
 
 
-def _edge_table(loops, n_nodes):
-    """Edges of the element loops: (edges, counts, boundary walk).
+def _edge_table(tail, succ, n_nodes):
+    """Edges of the loops whose vertices are the nodes ``tail``, each followed
+    by vertex ``succ``: (edges, counts, boundary walk).
 
     ``edges`` holds each undirected edge once as (a, b), a < b, in
     lexicographic order; ``counts`` the number of loops using it; the
@@ -156,12 +170,7 @@ def _edge_table(loops, n_nodes):
     loop traverses them.  Raises InvalidTopology when a directed edge
     repeats (orientation mismatch or overlap) or an edge is in > 2 loops.
     """
-    sizes = np.fromiter(map(len, loops), dtype=np.int64, count=len(loops))
-    tail = np.fromiter(chain.from_iterable(loops), dtype=np.int64, count=int(sizes.sum()))
-    ends = np.cumsum(sizes)
-    nxt = np.arange(1, len(tail) + 1)
-    nxt[ends - 1] = ends - sizes
-    head = tail[nxt]
+    head = tail[succ]
     directed, dir_counts = np.unique(tail * n_nodes + head, return_counts=True)
     if np.any(dir_counts > 1):
         a, b = divmod(int(directed[dir_counts > 1][0]), n_nodes)
@@ -182,20 +191,22 @@ def _edge_table(loops, n_nodes):
     return edges, counts, np.column_stack((tail[once], head[once]))
 
 
-def _node_patches(loops, n_nodes):
-    node_elems = [set() for _ in range(n_nodes)]
-    for eid, loop in enumerate(loops):
-        for i in loop:
-            node_elems[i].add(eid)
-    return node_elems
+def _node_patch_csr(loop_nodes, owner, n_nodes):
+    """(starts, elements): the element ids of each node's patch, ascending,
+    from a stable sort of the loops' nodes (owners ascend along the loops)."""
+    starts = np.zeros(n_nodes + 1, dtype=np.int64)
+    np.cumsum(np.bincount(loop_nodes, minlength=n_nodes), out=starts[1:])
+    return starts, owner[np.argsort(loop_nodes, kind="stable")]
 
 
 def build_mesh(points, element_loops, boundary_spec=DIRICHLET, check_simple=True):
     """Construct a PolyMesh with full incidence and invariant validation.
 
-    ``boundary_spec`` assigns tags to boundary edges: a single tag for the
-    whole boundary, or a dict {(a, b): tag} keyed by node pairs (either
-    order); keys of pairs that are not boundary edges are ignored.
+    ``element_loops`` is a list of node-id loops, or a tuple (loop_nodes,
+    sizes): the loops concatenated and their lengths.  ``boundary_spec``
+    assigns tags to boundary edges: a single tag for the whole boundary, or
+    a dict {(a, b): tag} keyed by node pairs (either order); keys of pairs
+    that are not boundary edges are ignored.
     """
     pts = np.asarray(points, dtype=float)
     if pts.ndim != 2 or pts.shape[1] != 2:
@@ -204,10 +215,12 @@ def build_mesh(points, element_loops, boundary_spec=DIRICHLET, check_simple=True
         raise InvalidTopology("node coordinates must be finite")
     n_nodes = len(pts)
 
-    loops = [list(loop) for loop in element_loops]
-    sizes = np.array([len(loop) for loop in loops], dtype=np.int64)
-    flat = np.fromiter(chain.from_iterable(loops), dtype=np.int64, count=int(sizes.sum()))
-    owner = np.repeat(np.arange(len(loops)), sizes)
+    if not isinstance(element_loops, tuple):  # nested loops, flattened once
+        element_loops = list(chain.from_iterable(element_loops)), list(map(len, element_loops))
+    flat, sizes = (np.array(a, dtype=np.int64) for a in element_loops)
+    if sizes.sum() != len(flat):
+        raise InvalidTopology("loop sizes do not add up to the loop nodes")
+    owner = np.repeat(np.arange(len(sizes)), sizes)
     for eid in owner[(flat < 0) | (flat >= n_nodes)][:1].tolist():
         raise InvalidTopology(f"element {eid} references a missing node")
     codes = np.sort(owner * n_nodes + flat)
@@ -221,9 +234,8 @@ def build_mesh(points, element_loops, boundary_spec=DIRICHLET, check_simple=True
         if isinstance(error, ValueError):
             raise InvalidTopology(f"element {eid}: {error}") from error
         raise error
-    elements = [MeshElement(eid, loop, geometry) for eid, loop in enumerate(loops)]
 
-    edges, counts, walk = _edge_table(loops, n_nodes)
+    edges, counts, walk = _edge_table(flat, geometry.succ, n_nodes)
     # Domain area from the oriented boundary: domain on the left of the walk.
     pa, pb = pts[walk[:, 0]], pts[walk[:, 1]]
     domain_area = 0.5 * float(np.sum(pa[:, 0] * pb[:, 1] - pb[:, 0] * pa[:, 1]))
@@ -249,8 +261,7 @@ def build_mesh(points, element_loops, boundary_spec=DIRICHLET, check_simple=True
     np.maximum.at(node_tags, edges[boundary].ravel(), np.repeat(edge_tags[boundary], 2))
 
     flat.setflags(write=False)
-    mesh = PolyMesh(pts, node_tags, elements, geometry, flat, edges, edge_tags,
-                    _node_patches(loops, n_nodes), domain_area)
+    mesh = PolyMesh(pts, node_tags, geometry, flat, edges, edge_tags, domain_area)
     mesh.validate(check_simple=check_simple)
     return mesh
 
@@ -265,8 +276,9 @@ def save_mesh(mesh, path):
         x, y = mesh.points[i]
         lines.append(f"{x:.17g} {y:.17g} {int(mesh.node_tags[i])}")
     lines.append(str(mesh.n_elements))
-    for el in mesh.elements:
-        lines.append(" ".join([str(len(el.vertex_loop))] + [str(i) for i in el.vertex_loop]))
+    nodes = mesh.loop_nodes.tolist()
+    for a, n in zip(mesh.geometry.starts.tolist(), mesh.geometry.sizes.tolist()):
+        lines.append(" ".join(map(str, [n, *nodes[a:a + n]])))
     with open(path, "w") as fh:
         fh.write("\n".join(lines) + "\n")
 
@@ -332,18 +344,11 @@ def load_mesh(path):
         loops.append(loop)
 
     # Boundary edge tags are reconstructed from node tags: an edge lies on
-    # the Dirichlet part only if both endpoints do (junction nodes carry the
-    # Dirichlet tag, so mixed edges read as Neumann).
-    def tag_for(a, b):
-        ta, tb = int(tags[a]), int(tags[b])
-        if ta == DIRICHLET and tb == DIRICHLET:
-            return DIRICHLET
-        if NEUMANN in (ta, tb):
-            return NEUMANN
-        return DIRICHLET
-
+    # the Neumann part when an endpoint does.  Junction nodes carry the
+    # Dirichlet tag, so an edge between two junctions reads as Dirichlet.
     boundary_spec = {
-        (a, b): tag_for(a, b) for loop in loops for a, b in zip(loop, loop[1:] + loop[:1])
+        (a, b): NEUMANN if NEUMANN in (tags[a], tags[b]) else DIRICHLET
+        for loop in loops for a, b in zip(loop, loop[1:] + loop[:1])
     }
 
     mesh = build_mesh(pts, loops, boundary_spec)
@@ -363,12 +368,9 @@ def generate_grid(nx, ny, boundary_spec=DIRICHLET):
     xs = np.linspace(0.0, 1.0, nx + 1)
     ys = np.linspace(0.0, 1.0, ny + 1)
     pts = np.array([(x, y) for y in ys for x in xs])
-    loops = []
-    for j in range(ny):
-        for i in range(nx):
-            a = j * (nx + 1) + i
-            loops.append([a, a + 1, a + nx + 2, a + nx + 1])
-    return build_mesh(pts, loops, boundary_spec)
+    a = (np.arange(ny)[:, None] * (nx + 1) + np.arange(nx)).ravel()  # lower left corners
+    loops = np.column_stack((a, a + 1, a + nx + 2, a + nx + 1)).ravel()
+    return build_mesh(pts, (loops, np.full(nx * ny, 4)), boundary_spec)
 
 
 def generate_polygonal(nx, ny, jitter=0.2, seed=0, merge_fraction=0.3, boundary_spec=DIRICHLET):
@@ -389,14 +391,10 @@ def generate_polygonal(nx, ny, jitter=0.2, seed=0, merge_fraction=0.3, boundary_
             pts[k, 0] += rng.uniform(-jitter, jitter) * hx
             pts[k, 1] += rng.uniform(-jitter, jitter) * hy
 
-    loops = {}
-    for j in range(ny):
-        for i in range(nx):
-            a = j * (nx + 1) + i
-            loops[(i, j)] = [a, a + 1, a + nx + 2, a + nx + 1]
-
+    loops = {(i, j): [a, a + 1, a + nx + 2, a + nx + 1]
+             for j in range(ny) for i in range(nx) for a in [j * (nx + 1) + i]}
     merged = set()
-    cells = [(i, j) for j in range(ny) for i in range(nx)]
+    cells = list(loops)
     rng.shuffle(cells)
     out = []
     for cell in cells:
@@ -405,39 +403,25 @@ def generate_polygonal(nx, ny, jitter=0.2, seed=0, merge_fraction=0.3, boundary_
         i, j = cell
         neighbours = [(i + 1, j), (i, j + 1)]
         rng.shuffle(neighbours)
-        did = False
-        if rng.random() < merge_fraction:
-            for nb in neighbours:
-                if nb in loops and nb not in merged:
-                    out.append(_merge_loops(loops[cell], loops[nb]))
-                    merged.add(cell)
-                    merged.add(nb)
-                    did = True
-                    break
-        if not did:
+        free = [nb for nb in neighbours if nb in loops and nb not in merged]
+        if rng.random() < merge_fraction and free:
+            out.append(_merge_loops(loops[cell], loops[free[0]]))
+            merged.add(free[0])
+        else:
             out.append(loops[cell])
-            merged.add(cell)
-
+        merged.add(cell)
     out.sort()
-    mesh = build_mesh(pts, out, boundary_spec)
-    return mesh
+    return build_mesh(pts, out, boundary_spec)
 
 
 def _merge_loops(loop_a, loop_b):
-    """Union of two CCW loops sharing exactly one edge."""
-    edges_a = {(loop_a[i], loop_a[(i + 1) % len(loop_a)]) for i in range(len(loop_a))}
-    shared = None
-    for i in range(len(loop_b)):
-        a, b = loop_b[i], loop_b[(i + 1) % len(loop_b)]
-        if (b, a) in edges_a:
-            shared = (b, a)
-            break
-    if shared is None:
+    """Union of two CCW loops sharing exactly one edge, u -> v in loop_a."""
+    reversed_b = set(zip(loop_b[1:] + loop_b[:1], loop_b))
+    shared = [edge for edge in zip(loop_a, loop_a[1:] + loop_a[:1]) if edge in reversed_b]
+    if not shared:
         raise InvalidTopology("loops share no edge")
-    u, v = shared  # appears as u->v in loop_a, v->u in loop_b
-    ia = loop_a.index(u)
-    ib = loop_b.index(v)
-    na, nb = len(loop_a), len(loop_b)
-    part_a = [loop_a[(ia + 1 + k) % na] for k in range(na - 1)]  # v ... up to u
-    part_b = [loop_b[(ib + 1 + k) % nb] for k in range(nb - 1)]  # u ... up to v
-    return part_a + part_b
+    u, v = shared[0]
+    # loop_a from v on to just before u, then loop_b from u on to just before v.
+    part_a = loop_a[loop_a.index(v):] + loop_a[:loop_a.index(v)]
+    part_b = loop_b[loop_b.index(u):] + loop_b[:loop_b.index(u)]
+    return part_a[:-1] + part_b[:-1]

@@ -20,7 +20,8 @@ from itertools import islice
 import numpy as np
 
 from .errors import CutMissesPolygon, NonSimpleResult
-from .geometry import SNAP_TOL, split_polygons, symmetric_eig_2x2
+from .geometry import (SNAP_TOL, block_pairs, loop_successors, split_polygons,
+                       symmetric_eig_2x2)
 from .indicator import eta_global
 from .mesh import INTERIOR, build_mesh
 
@@ -63,9 +64,9 @@ class RefineConfig:
 
 @dataclass
 class RefinementStep:
-    parent_of: list  # new element id -> id of the element it came from in the old mesh
+    parent_of: np.ndarray  # new element id -> id of the element it came from in the old mesh
     parent_children: dict  # parent element id -> (child id, child id) in the new mesh
-    new_nodes: list
+    new_nodes: np.ndarray
     directions: dict  # parent element id -> unit cut-line direction
     skipped: list = field(default_factory=list)
 
@@ -73,7 +74,7 @@ class RefinementStep:
 def mark(report, n_elements, factor=0.9):
     """Equidistribution marking: {K : eta_K > factor * eta^2 / n}."""
     threshold = factor * report.eta_global ** 2 / n_elements
-    return {i for i, val in enumerate(report.eta_local) if val > threshold}
+    return set(np.flatnonzero(np.asarray(report.eta_local) > threshold).tolist())
 
 
 def cut_directions(loops, grams, strategy):
@@ -112,23 +113,17 @@ def _bisections(loops, grams, strategy):
     once more, together, in the orthogonal direction.  Failures other than
     a missed cut or a non-simple piece propagate.
     """
-    first = cut_directions(loops, grams, strategy)
-    outcomes, _ = split_polygons(loops, loops.centroid, first)
+    d = cut_directions(loops, grams, strategy)
+    outcomes, _ = split_polygons(loops, loops.centroid, d)
     retry = [k for k, out in enumerate(outcomes) if isinstance(out, _CUT_FAILURES)]
-    second = np.column_stack((-first[retry, 1], first[retry, 0]))
-    retried, _ = split_polygons(loops.take(retry), loops.centroid[retry], second)
-    fallback = dict(zip(retry, zip(second, retried)))
-    for k, out in enumerate(outcomes):
-        d = first[k]
-        if k in fallback:
-            d, again = fallback[k]
-            if isinstance(again, _CUT_FAILURES):
-                yield None, f"{out}; {again}"
-                continue
-            out = again
+    d[retry] = np.column_stack((-d[retry, 1], d[retry, 0]))
+    retried, _ = split_polygons(loops.take(retry), loops.centroid[retry], d[retry])
+    for k, again in zip(retry, retried):
+        outcomes[k] = f"{outcomes[k]}; {again}" if isinstance(again, _CUT_FAILURES) else again
+    for direction, out in zip(d, outcomes):
         if isinstance(out, Exception):
             raise out
-        yield d, out[1]
+        yield (None, out) if isinstance(out, str) else (direction, out[1])
 
 
 def refine(mesh, marked, strategy=ISOTROPIC, report=None):
@@ -141,106 +136,104 @@ def refine(mesh, marked, strategy=ISOTROPIC, report=None):
     """
     if strategy not in (UNIFORM, ISOTROPIC, ANISOTROPIC):
         raise ValueError(f"unknown strategy {strategy!r}")
+    count = mesh.n_elements
     if strategy == UNIFORM:
-        marked = set(range(mesh.n_elements))
-    bad = sorted(eid for eid in marked if not 0 <= eid < mesh.n_elements)
+        marked = set(range(count))
+    bad = sorted(eid for eid in marked if not 0 <= eid < count)
     if bad:
-        raise ValueError(f"marked element ids {bad} outside [0, {mesh.n_elements})")
+        raise ValueError(f"marked element ids {bad} outside [0, {count})")
 
-    new_points = []  # coordinates of nodes n_nodes, n_nodes + 1, ...
-    inserted = {}  # canonical edge key -> list of (t, node id)
-    cut_ends = {}  # split parent id -> node ids of its two cut ends
-    directions = {}
-    skipped = []
-
-    def register_cut_node(el, end):
-        """Node id of a cut end: its loop vertex, or the node at parameter s
-        along a parent edge, created or reused."""
-        loop = el.vertex_loop
-        if end[0] == "v":
-            return loop[end[1]]
-        _, i, s = end
-        a, b = loop[i], loop[(i + 1) % len(loop)]
-        key = (a, b) if a < b else (b, a)
-        t = s if a < b else 1.0 - s
-        (xa, ya), (xb, yb) = mesh.points[key[0]].tolist(), mesh.points[key[1]].tolist()
-        entries = inserted.setdefault(key, [])
-        if entries:
-            length = float(np.hypot(xb - xa, yb - ya))
-            tol_t = SNAP_TOL * diameter[el.id] / max(length, 1e-300)
-            for t_old, nid in entries:
-                if abs(t_old - t) <= tol_t:
-                    return nid
-        # Coordinates from the canonical parameter so both elements sharing
-        # the edge resolve to bitwise identical positions.
-        nid = mesh.n_nodes + len(new_points)
-        new_points.append((xa + t * (xb - xa), ya + t * (yb - ya)))
-        entries.append((t, nid))
-        return nid
-
+    geom, nodes, n = mesh.geometry, mesh.loop_nodes, mesh.n_nodes
     order = sorted(marked)
-    diameter = mesh.geometry.diameter.tolist()
     grams = None if report is None else report.gram[order]
-    bisections = _bisections(mesh.geometry.take(order), grams, strategy)
-    for eid, (d, cut) in zip(order, bisections):
-        el = mesh.elements[eid]
+    skipped, split, ends, directions = [], [], [], {}
+    for eid, (d, cut) in zip(order, _bisections(geom.take(order), grams, strategy)):
         if d is None:
             log.warning("element %d skipped: %s", eid, cut)
             skipped.append(eid)
             continue
-        lo, hi = (register_cut_node(el, end) for end in cut)
-        if lo == hi:
-            log.warning("element %d skipped: both ends resolve to one node", eid)
-            skipped.append(eid)
-            continue
-        cut_ends[eid] = lo, hi
+        split.append(eid)
+        ends += cut
         directions[eid] = d / float(np.hypot(*d))
 
-    chains = {key: [nid for _, nid in sorted(entries)] for key, entries in inserted.items()}
+    # The edge of each loop position, and its twin: the position that runs
+    # the same edge the other way (-1 on the boundary).
+    tail, head = nodes, nodes[geom.succ]
+    key = np.minimum(tail, head) * n + np.maximum(tail, head)
+    loop_edge = np.searchsorted(mesh.edges[:, 0] * n + mesh.edges[:, 1], key)
+    by_edge = np.argsort(loop_edge, kind="stable")
+    pair = np.flatnonzero(loop_edge[by_edge[1:]] == loop_edge[by_edge[:-1]])
+    twin = np.full(len(nodes), -1)
+    twin[by_edge[pair]], twin[by_edge[pair + 1]] = by_edge[pair + 1], by_edge[pair]
 
-    def with_hanging(loop):
-        """``loop`` with the nodes inserted on its edges this level, in order."""
-        ring = []
-        for a, b in zip(loop, loop[1:] + loop[:1]):
-            ring.append(a)
-            ring.extend(chains.get((a, b), ()) if a < b else reversed(chains.get((b, a), ())))
-        return ring
+    # Cut ends, two per split element in ascending id: a loop vertex, or the
+    # point at parameter s along the edge from a loop position.  An edge has
+    # at most two, one per element sharing it: the first in element order
+    # makes a node, and the second reuses it when within SNAP_TOL of its
+    # element's diameter.  Coordinates run from the edge's lower node, so
+    # both sides of an edge resolve to identical positions.
+    at = np.repeat(geom.starts[split], 2) + np.array([end[1] for end in ends], dtype=np.int64)
+    on_edge = np.array([end[0] == "cut" for end in ends], dtype=bool)
+    p = at[on_edge]
+    s = np.array([end[2] for end in ends if end[0] == "cut"], dtype=float)
+    t = np.where(tail[p] < head[p], s, 1.0 - s)
+    edge = loop_edge[p]
+    pa, pb = mesh.points[mesh.edges[edge, 0]], mesh.points[mesh.edges[edge, 1]]
+    by_edge = np.argsort(edge, kind="stable")
+    pair = np.flatnonzero(edge[by_edge[1:]] == edge[by_edge[:-1]])
+    first, second = by_edge[pair], by_edge[pair + 1]
+    diameter = geom.diameter[np.repeat(np.asarray(split, dtype=np.int64), 2)[on_edge]]
+    length = np.hypot(pb[:, 0] - pa[:, 0], pb[:, 1] - pa[:, 1])
+    snap = np.abs(t[first] - t[second]) <= SNAP_TOL * diameter[second] / np.maximum(
+        length[second], 1e-300)
+    made = np.ones(len(p), dtype=bool)
+    made[second[snap]] = False
+    cut_node = n + np.cumsum(made) - 1
+    cut_node[second[snap]] = cut_node[first[snap]]
+    end_node = nodes[at]
+    end_node[on_edge] = cut_node
+    points = np.concatenate([mesh.points, (pa + t[:, None] * (pb - pa))[made]])
+
+    # Rings: each loop with the nodes made on its edges inserted, ordered by
+    # loop position, then by parameter along it.
+    p, s, new = p[made], s[made], cut_node[made]
+    other = twin[p] >= 0
+    seg = np.concatenate([np.arange(len(nodes)), p, twin[p][other]])
+    order = np.lexsort((np.concatenate([np.zeros(len(nodes)), s, 1.0 - s[other]]), seg))
+    ring, seg = np.concatenate([nodes, new, new[other]])[order], seg[order]
+    ring_size = np.bincount(geom.owner[seg], minlength=count)
+    ring_start = np.cumsum(ring_size) - ring_size
 
     # A split element's children are the two arcs of its ring between the
-    # cut ends; each closes along the cut chord.
-    new_loops = []
-    parent_of_loop = []
-    parent_children = {}
-    for el in mesh.elements:
-        ring = with_hanging(el.vertex_loop)
-        if el.id not in cut_ends:
-            new_loops.append(ring)
-            parent_of_loop.append(el.id)
-            continue
-        lo, hi = cut_ends[el.id]
-        i = ring.index(lo)
-        ring = ring[i:] + ring[:i]
-        k = ring.index(hi)
-        parent_children[el.id] = (len(new_loops), len(new_loops) + 1)
-        new_loops += [ring[:k + 1], ring[k:] + ring[:1]]
-        parent_of_loop += [el.id, el.id]
+    # cut ends, lo to hi and hi to lo; each closes along the cut chord.
+    is_split = np.zeros(count, dtype=bool)
+    is_split[split] = True
+    lo, hi = np.full((2, count), -1)
+    lo[split], hi[split] = end_node[0::2], end_node[1::2]
+    pl = np.flatnonzero(ring == lo[geom.owner[seg]])
+    ph = np.flatnonzero(ring == hi[geom.owner[seg]])
+    parent_of = np.repeat(np.arange(count), 1 + is_split)
+    base, size = ring_start[parent_of], ring_size[parent_of]
+    begin, length = base.copy(), size.copy()
+    child_a, child_b = np.flatnonzero(is_split[parent_of]).reshape(-1, 2).T
+    begin[child_a], length[child_a] = pl, (ph - pl) % ring_size[split] + 1
+    begin[child_b], length[child_b] = ph, (pl - ph) % ring_size[split] + 1
+    row, index = block_pairs(np.arange(len(parent_of)), begin, length)
+    new_loops = ring[base[row] + (index - base[row]) % size[row]]
 
-    # Boundary tags: each boundary edge's chain of inserted nodes splits it
-    # into consecutive pairs that inherit its tag.
-    boundary_spec = {}
-    for k in np.flatnonzero(mesh.edge_tags != INTERIOR):
-        a, b = mesh.edges[k].tolist()
-        tag = int(mesh.edge_tags[k])
-        chain = [a, *chains.get((a, b), ()), b]
-        boundary_spec.update((pair, tag) for pair in zip(chain, chain[1:]))
+    # Boundary tags: each piece of a ring lies on the edge of its loop
+    # position, whose tag it inherits.
+    tag = mesh.edge_tags[loop_edge[seg]]
+    on = np.flatnonzero(tag != INTERIOR)
+    succ = loop_successors(ring_start, ring_size)[on]
+    boundary_spec = dict(zip(zip(ring[on].tolist(), ring[succ].tolist()), tag[on].tolist()))
 
-    points = np.concatenate([mesh.points, np.reshape(new_points, (-1, 2))])
-    new_mesh = build_mesh(points, new_loops, boundary_spec, check_simple=False)
+    new_mesh = build_mesh(points, (new_loops, length), boundary_spec, check_simple=False)
 
     step = RefinementStep(
-        parent_of=parent_of_loop,
-        parent_children=parent_children,
-        new_nodes=list(range(mesh.n_nodes, len(points))),
+        parent_of=parent_of,
+        parent_children=dict(zip(split, zip(child_a.tolist(), child_b.tolist()))),
+        new_nodes=np.arange(n, len(points)),
         directions=directions,
         skipped=skipped,
     )
@@ -268,11 +261,8 @@ def _adaptive_levels(mesh, fld, config):
         if not marked:
             return
         mesh, step = refine(mesh, marked, config.strategy, report)
-        carried = {
-            child: report.gram[parent]
-            for child, parent in enumerate(step.parent_of)
-            if parent not in step.parent_children
-        }
+        kept = np.flatnonzero(np.bincount(step.parent_of)[step.parent_of] == 1)  # parent not split
+        carried = kept, report.gram[step.parent_of[kept]]
 
 
 def adaptive_loop(initial, fld, config):

@@ -13,7 +13,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .geometry import Loops, map_polygon, point_set_diameter, polygons_of
+from .geometry import Loops, loop_error, loop_moments, map_polygon, point_set_diameter
 
 __all__ = [
     "ElementRegularity",
@@ -69,9 +69,8 @@ class RegularityAudit:
 
     @cached_property
     def mapped_elements(self):
-        polys = [self.geometry.polygon(k) for k in range(len(self.geometry.sizes))]
-        images = [poly.refmap.apply(poly.vertices) for poly in polys]
-        return _mapped_records(range(len(polys)), images, self.geometry.alpha)[0]
+        g = self.geometry
+        return _mapped_records(range(len(g.sizes)), g, _reference_maps(g), g.alpha)[0]
 
     @property
     def max_aspect(self):
@@ -231,10 +230,29 @@ def audit_element(poly, eid=0):
             _element_record(eid, mapped, mapped.spectrum.ratio, refmap.alpha))
 
 
-def _mapped_records(ids, images, alphas):
-    """Records of the elements ``ids`` mapped to the vertex arrays ``images`` by
-    maps of these alphas, and the ``Loops`` batch of the images."""
-    mapped = polygons_of(images).full_rank()
+def _reference_maps(loops):
+    """The matrices A (n, 2, 2) of ``reference_map`` of every loop of a ``Loops``
+    batch: its products, stacked, and its powers from Python's ``**``, whose
+    bits a numpy array power need not reproduce."""
+    g = loops.full_rank()
+    inv_sqrt = [x ** -0.5 for x in np.column_stack((g.lambda1, g.lambda2)).ravel().tolist()]
+    return (g.alpha[:, None, None] * (np.reshape(inv_sqrt, (-1, 2, 1)) * np.eye(2))) @ g.u
+
+
+def _mapped_records(ids, loops, maps, alphas):
+    """Records of the elements ``ids`` (the batch ``loops``) mapped by the
+    matrices ``maps`` of these alphas, and the ``Loops`` batch of the images.
+    Loops of one size share a stacked matmul: the BLAS call, and rounding, of
+    ``ReferenceMap.apply`` on each."""
+    images = np.empty_like(loops.vertices)
+    for m in np.unique(loops.sizes).tolist():
+        rows = np.flatnonzero(loops.sizes == m)
+        at = loops.starts[rows, None] + np.arange(m)
+        images[at] = loops.vertices[at] @ maps[rows].transpose(0, 2, 1)
+    mapped = loop_moments(images, loops.sizes)
+    for k in np.flatnonzero(mapped.error)[:1].tolist():
+        raise loop_error(mapped, k)
+    mapped.full_rank()
     ratio = mapped.lambda1 / mapped.lambda2
     return [_element_record(k, mapped.polygon(i), ratio[i], alphas[i])
             for i, k in enumerate(ids)], mapped
@@ -288,13 +306,12 @@ def audit_mapped_patch(mesh, eid):
     of the mapped patch, the mapped patch diameter, and max |K'|/|K| over the
     patch.
     """
-    el = mesh.elements[eid]
-    rm = el.polygon.refmap
+    g = mesh.geometry
     patch = sorted(mesh.element_patch(eid))
-    polys = [mesh.elements[other].polygon for other in patch]
-    records, images = _mapped_records(patch, [rm.apply(poly.vertices) for poly in polys],
-                                      [rm.alpha] * len(patch))
-    max_ratio = max(poly.area / el.polygon.area for poly in polys)
+    polys = g.take(patch)
+    maps = np.repeat(_reference_maps(g.take([eid])), len(patch), axis=0)
+    records, images = _mapped_records(patch, polys, maps, np.repeat(g.alpha[eid], len(patch)))
+    max_ratio = max((polys.area / g.area[eid]).tolist())
     return records, point_set_diameter(images.vertices), max_ratio
 
 

@@ -54,11 +54,6 @@ def render_svg(mesh, element_values=None, size=640, viewport=None, timestamp=Tru
     height = span[1] * sc
     margin = 0.01 * size
 
-    def to_px(p):
-        x = (p[0] - lo[0]) * sc + margin
-        y = height - (p[1] - lo[1]) * sc + margin  # flip y for SVG
-        return x, y
-
     if element_values is not None:
         vals = np.asarray(element_values, dtype=float)
         vmin, vmax = float(vals.min()), float(vals.max())
@@ -75,11 +70,14 @@ def render_svg(mesh, element_values=None, size=640, viewport=None, timestamp=Tru
         f'viewBox="0 0 {width + 2 * margin:.2f} {height + 2 * margin:.2f}">'
     )
     stroke_w = max(0.4, size / 3200.0)
-    for el in mesh.elements:
-        coords = [to_px(pts[i]) for i in el.vertex_loop]
-        d = "M " + " L ".join(f"{x:.3f} {y:.3f}" for x, y in coords) + " Z"
+    # Pixel coordinates of every loop vertex; y flipped for SVG.
+    px = (pts[mesh.loop_nodes] - lo) * sc
+    coords = list(zip((px[:, 0] + margin).tolist(), (height - px[:, 1] + margin).tolist()))
+    g = mesh.geometry
+    for k, (a, n) in enumerate(zip(g.starts.tolist(), g.sizes.tolist())):
+        d = "M " + " L ".join(f"{x:.3f} {y:.3f}" for x, y in coords[a:a + n]) + " Z"
         if element_values is not None:
-            fill = color_ramp((vals[el.id] - vmin) / vspan)
+            fill = color_ramp((vals[k] - vmin) / vspan)
         else:
             fill = "none"
         lines.append(f'<path d="{d}" fill="{fill}" stroke="#000000" stroke-width="{stroke_w:.3f}"/>')

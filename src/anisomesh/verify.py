@@ -92,7 +92,7 @@ def check_trace(poly, edge, fld, context=""):
 def check_poincare(mesh, patch, eid, fld, context=""):
     """Patch deviation from its mean against the scaled gradient norm."""
     polys = mesh.geometry.take(sorted(patch))
-    rm = mesh.elements[eid].polygon.refmap
+    rm = mesh.geometry.polygon(eid).refmap
     total, scale, _, rhs = (sum(col) for col in _integrals(polys, fld, rm).T.tolist())
     mean = total / sum(polys.area.tolist())
     lhs = sum(_integrals(polys, fld, rm, mean)[:, 1].tolist())

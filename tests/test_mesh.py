@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from anisomesh.errors import InvalidTopology, ParseError
+from anisomesh.fields import tanh_layer
 from anisomesh.mesh import (
     DIRICHLET,
     INTERIOR,
@@ -14,6 +15,7 @@ from anisomesh.mesh import (
     load_mesh,
     save_mesh,
 )
+from anisomesh.refine import ISOTROPIC, RefineConfig, adaptive_loop
 
 UNIT_SQUARE_NODES = [(0.0, 0.0), (1.0, 0.0), (1.0, 1.0), (0.0, 1.0)]
 
@@ -54,6 +56,9 @@ class TestBuildMesh:
     def test_hanging_node(self):
         mesh = hanging_node_mesh()
         assert len(mesh.elements[2].vertex_loop) == 5
+        # Element views read the flat loops; they cannot write them.
+        assert not mesh.elements[2].vertex_loop.flags.writeable
+        assert np.shares_memory(mesh.elements[2].vertex_loop, mesh.loop_nodes)
         mesh.validate()
         # The hanging node (id 4) belongs to all three elements.
         assert mesh.node_patch(4) == {0, 1, 2}
@@ -101,7 +106,8 @@ class TestValidate:
 
     @staticmethod
     def corrupt_node_patch(mesh):
-        mesh._node_elems[5].pop()
+        # Node 5 loses the last element of its patch to node 6's.
+        mesh.patch_starts[6] -= 1
 
     @pytest.mark.parametrize("corrupt", ["corrupt_edge_row", "corrupt_boundary_tag",
                                          "corrupt_node_patch"])
@@ -142,6 +148,27 @@ class TestPatches:
         for el in mesh.elements:
             assert el.id in mesh.element_patch(el.id)
 
+    def test_patches_are_csr_of_the_loops(self):
+        mesh = hanging_node_mesh()
+        assert mesh.patch_starts.tolist() == [0, 1, 3, 4, 6, 9, 11, 12, 13]
+        assert mesh.patch_elements.tolist() == [0, 0, 1, 1, 0, 2, 0, 1, 2, 1, 2, 2, 2]
+        assert mesh.edge_patch((1, 4)) == {0, 1, 2}
+        assert mesh.element_patch(0) == {0, 1, 2}
+
+    def test_neighbour_pairs_match_set_reference(self):
+        # Every pair of elements sharing a node, from per-node sets.
+        mesh = adaptive_loop(generate_grid(3, 3), tanh_layer(),
+                             RefineConfig(strategy=ISOTROPIC, max_levels=2))[-1][0]
+        assert any(len(el.vertex_loop) > 4 for el in mesh.elements)
+        node_elems = [set() for _ in range(mesh.n_nodes)]
+        for el in mesh.elements:
+            for i in el.vertex_loop.tolist():
+                node_elems[i].add(el.id)
+        pairs = {(a, b) for elems in node_elems for a in elems for b in elems if a < b}
+        assert mesh.neighbour_pairs() == sorted(pairs)
+        assert mesh.max_elements_per_node() == max(map(len, node_elems))
+        assert [mesh.node_patch(i) for i in range(mesh.n_nodes)] == node_elems
+
     def test_patch_symmetry(self):
         mesh = hanging_node_mesh()
         for i in range(mesh.n_nodes):
@@ -158,8 +185,8 @@ class TestIO:
         assert back.n_nodes == mesh.n_nodes
         assert np.array_equal(back.points, mesh.points)
         assert np.array_equal(back.node_tags, mesh.node_tags)
-        assert [el.vertex_loop for el in back.elements] == [
-            el.vertex_loop for el in mesh.elements
+        assert [el.vertex_loop.tolist() for el in back.elements] == [
+            el.vertex_loop.tolist() for el in mesh.elements
         ]
         # Second round trip is byte identical.
         path2 = tmp_path / "mesh2.txt"
@@ -228,7 +255,8 @@ class TestGenerators:
         a = generate_polygonal(4, 4, jitter=0.25, seed=11)
         b = generate_polygonal(4, 4, jitter=0.25, seed=11)
         assert np.array_equal(a.points, b.points)
-        assert [el.vertex_loop for el in a.elements] == [el.vertex_loop for el in b.elements]
+        assert np.array_equal(a.loop_nodes, b.loop_nodes)
+        assert np.array_equal(a.geometry.sizes, b.geometry.sizes)
         c = generate_polygonal(4, 4, jitter=0.25, seed=12)
         assert not np.array_equal(a.points, c.points)
 

@@ -344,6 +344,22 @@ class TestAdaptiveLoop:
         assert all(v <= cap for v in valences)
 
 
+@pytest.mark.parametrize("strategy,levels", [(ANISOTROPIC, 12), (ISOTROPIC, 14), (UNIFORM, 9)])
+def test_refined_topology_equals_the_mesh_rebuilt_from_its_loops(strategy, levels):
+    # Refinement hands build_mesh flat loops; the same loops as nested lists,
+    # with the refined boundary tags, must give the same arrays.
+    cfg = RefineConfig(strategy=strategy, max_levels=levels)
+    for mesh, _ in adaptive_loop(generate_grid(4, 4), tanh_layer(), cfg)[1:]:
+        tagged = mesh.edge_tags != INTERIOR
+        spec = dict(zip(map(tuple, mesh.edges[tagged].tolist()), mesh.edge_tags[tagged].tolist()))
+        rebuilt = build_mesh(mesh.points, [el.vertex_loop.tolist() for el in mesh.elements], spec)
+        assert np.array_equal(mesh.geometry.sizes, rebuilt.geometry.sizes)
+        for name in ("loop_nodes", "edges", "edge_tags", "node_tags", "patch_starts",
+                     "patch_elements"):
+            mine, theirs = getattr(mesh, name), getattr(rebuilt, name)
+            assert mine.dtype == theirs.dtype and np.array_equal(mine, theirs), name
+
+
 class TestRefineConfig:
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -385,7 +401,7 @@ def test_refinement_invariants_on_polygonal_meshes(seed, cells, jitter, strategy
         # Loop membership of every undirected edge: two loops inside, one on the boundary.
         members = Counter(
             (min(a, b), max(a, b))
-            for loop in (el.vertex_loop for el in mesh.elements)
+            for loop in (el.vertex_loop.tolist() for el in mesh.elements)
             for a, b in zip(loop, loop[1:] + loop[:1])
         )
         assert sorted(members) == [tuple(e) for e in mesh.edges.tolist()]
@@ -436,11 +452,11 @@ def test_children_are_arcs_of_the_parent_ring(seed, cells, jitter, strategy, lev
     for _ in range(levels):
         report = eta_global(mesh, fld)
         child, step = refine(mesh, mark(report, mesh.n_elements), strategy, report)
-        loops = [el.vertex_loop for el in child.elements]
+        loops = [el.vertex_loop.tolist() for el in child.elements]
         for el in mesh.elements:
-            ring = edge_ring(mesh, child, el.vertex_loop)
+            ring = edge_ring(mesh, child, el.vertex_loop.tolist())
             if el.id not in step.parent_children:
-                assert loops[step.parent_of.index(el.id)] == ring
+                assert loops[step.parent_of.tolist().index(el.id)] == ring
                 continue
             a, b = (loops[c] for c in step.parent_children[el.id])
             lo, hi = a[0], a[-1]

@@ -6,9 +6,12 @@ import numpy as np
 import pytest
 from scipy.optimize import linprog
 
-from anisomesh.geometry import Polygon, map_polygon
+from anisomesh.fields import tanh_layer
+from anisomesh.geometry import Polygon, map_polygon, point_set_diameter
 from anisomesh.mesh import build_mesh, generate_grid, generate_polygonal
+from anisomesh.refine import ANISOTROPIC, RefineConfig, adaptive_loop
 from anisomesh.regularity import (
+    _element_record,
     _kernel_region,
     audit_element,
     audit_mapped_patch,
@@ -307,6 +310,28 @@ class TestMeshAudit:
         want = SimpleNamespace(elements=[a for a, _ in alone],
                                mapped_elements=[b for _, b in alone])
         assert record_bits(audit_mesh(mesh)) == record_bits(want)
+
+    def test_mapped_records_match_per_element_maps(self):
+        # The batch's stacked maps and products round as each element's own
+        # ``refmap`` does, also on axis-aligned frames (zero and negative-zero
+        # components) and on loops with hanging nodes.
+        mesh = adaptive_loop(generate_grid(3, 3), tanh_layer(),
+                             RefineConfig(strategy=ANISOTROPIC, max_levels=3))[-1][0]
+        assert any(len(el.vertex_loop) > 4 for el in mesh.elements)
+        alone = [audit_element(el.polygon, el.id)[1] for el in mesh.elements]
+        assert record_bits(SimpleNamespace(elements=[], mapped_elements=alone)) == \
+            record_bits(SimpleNamespace(elements=[], mapped_elements=audit_mesh(mesh).mapped_elements))
+        for el in mesh.elements:
+            rm = el.polygon.refmap
+            patch = sorted(mesh.element_patch(el.id))
+            images = [map_polygon(mesh.elements[k].polygon, rm) for k in patch]
+            want = [_element_record(k, img, img.spectrum.ratio, rm.alpha)
+                    for k, img in zip(patch, images)]
+            recs, h_patch, ratio = audit_mapped_patch(mesh, el.id)
+            assert record_bits(SimpleNamespace(elements=recs, mapped_elements=[])) == \
+                record_bits(SimpleNamespace(elements=want, mapped_elements=[]))
+            assert h_patch == point_set_diameter(np.concatenate([img.vertices for img in images]))
+            assert ratio == max(mesh.elements[k].polygon.area / el.polygon.area for k in patch)
 
     def test_global_maxima_match_records(self):
         mesh = generate_polygonal(3, 3, jitter=0.2, seed=9)

@@ -67,3 +67,21 @@ def test_return_attributes_read_by_tracer():
         "refine.nodes_added": 3,
         "mesh.elements_built": 4,
     }
+
+
+def test_refine_builds_its_mesh_through_the_traced_name(monkeypatch):
+    # The tracer spans build_mesh by replacing the name in every anisomesh
+    # module, refine's included.  A refine that built its mesh another way
+    # would leave mesh.build_mesh_s and mesh.elements_built at 0.
+    import anisomesh.refine
+
+    calls = []
+    original = anisomesh.refine.build_mesh
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(anisomesh.refine, "build_mesh", counted)
+    refine(generate_grid(2, 1), set(), strategy=UNIFORM)
+    assert len(calls) == 1
