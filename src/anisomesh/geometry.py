@@ -29,6 +29,7 @@ __all__ = [
     "map_polygon",
     "split_polygon_detailed",
     "split_polygons",
+    "CutEnds",
     "loop_moments",
     "loops_simple",
     "polygons_of",
@@ -495,21 +496,30 @@ def polygons_of(vertex_arrays):
     return loops
 
 
+class CutEnds(NamedTuple):
+    """The two ends of each polygon's cut in a ``split_polygons`` pass, as
+    (n, 2) arrays of the lo end and the hi end."""
+
+    at: np.ndarray  # ring position: 2j is vertex j, 2j + 1 a point on edge j; -1 without a cut
+    s: np.ndarray  # parameter in (0, 1) along edge j of an end on it
+    points: np.ndarray  # (n, 2, 2) coordinates: the cut segment
+
+
 def split_polygons(loops, points, directions):
     """Split every polygon of a ``Loops`` batch by the line through its point
     along its direction.
 
     One array pass over all polygons' edges, with an owner index.  Returns
-    (outcomes, pieces).  ``outcomes[k]`` is the exception polygon k's split
-    raises (``CutMissesPolygon``, ``NonSimpleResult``, or the
-    ``DegenerateElement`` of a piece), or its (cut_segment, (lo_end,
-    hi_end)) as ``split_polygon_detailed`` returns them.  Rows 2k and 2k + 1
-    of the ``Loops`` ``pieces`` (None for no polygons) are its two pieces
-    when it splits.
+    (outcomes, pieces, ends).  ``outcomes[k]`` is the exception polygon k's
+    split raises (``CutMissesPolygon``, ``NonSimpleResult``, or the
+    ``DegenerateElement`` of a piece), or None when it splits; then row k of
+    the ``CutEnds`` ``ends`` holds its cut, and rows 2k and 2k + 1 of the
+    ``Loops`` ``pieces`` (None for no polygons) are its two pieces.
     """
     count = len(loops.sizes)
     if not count:
-        return [], None
+        return [], None, CutEnds(np.zeros((0, 2), dtype=int), np.zeros((0, 2)),
+                                 np.zeros((0, 2, 2)))
     v, sizes, starts, owner = loops.vertices, loops.sizes, loops.starts, loops.owner
     h = loops.diameter
     w = v[loops.succ]  # edge g runs from v[g] to w[g]
@@ -623,10 +633,8 @@ def split_polygons(loops, points, directions):
     total = pieces.area[rows[:, 0]] + pieces.area[rows[:, 1]]
     parent = loops.area[co]
     short = np.abs(total - parent) > 1e-9 * parent
-    ends = [("v", at >> 1) if at % 2 == 0 else ("cut", at >> 1, s_)
-            for at, s_ in zip(np.stack([lo_at, hi_at], 1).ravel().tolist(),
-                              np.stack([lo_s, hi_s], 1).ravel().tolist())]
-    for i, k in enumerate(co.tolist()):
+    for i in np.flatnonzero(failed | short).tolist():
+        k = co[i]
         if outcomes[k] is not None:
             continue
         if failed[i]:
@@ -639,12 +647,15 @@ def split_polygons(loops, points, directions):
                 error = loop_error(pieces, row[i])
                 outcomes[k] = (NonSimpleResult(f"cut produced an invalid piece: {error}")
                                if isinstance(error, ValueError) else error)
-        elif short[i]:
+        else:
             outcomes[k] = NonSimpleResult(
                 f"piece areas {total[i]:.17g} do not sum to parent area {parent[i]:.17g}")
-        else:
-            outcomes[k] = ((lo_pt[i], hi_pt[i]), (ends[2 * i], ends[2 * i + 1]))
-    return outcomes, pieces
+    ends = CutEnds(np.full((count, 2), -1), np.zeros((count, 2)), np.zeros((count, 2, 2)))
+    ends.at[co] = np.stack([lo_at, hi_at], axis=1)
+    ends.s[co] = np.stack([lo_s, hi_s], axis=1)
+    ends.points[co] = np.stack([lo_pt, hi_pt], axis=1)
+    ends.at[[k for k, out in enumerate(outcomes) if out is not None]] = -1
+    return outcomes, pieces, ends
 
 
 def split_polygon_detailed(poly, point, direction):
@@ -660,7 +671,9 @@ def split_polygon_detailed(poly, point, direction):
     interval containing the anchor point is used (longest interval if the
     anchor is outside).
     """
-    (outcome,), pieces = split_polygons(poly.batch(), [point], [direction])
+    (outcome,), pieces, ends = split_polygons(poly.batch(), [point], [direction])
     if isinstance(outcome, Exception):
         raise outcome
-    return pieces.polygon(0), pieces.polygon(1), *outcome
+    cut = [("v", at >> 1) if at % 2 == 0 else ("cut", at >> 1, s)
+           for at, s in zip(ends.at[0].tolist(), ends.s[0].tolist())]
+    return pieces.polygon(0), pieces.polygon(1), tuple(ends.points[0]), tuple(cut)

@@ -9,8 +9,13 @@ which equals the squared L2 norm of A_K^{-T} grad v over the element.  Gram
 matrices are assembled once per element and reused for marking and for the
 anisotropic split direction.  A level's Grams are one ``quadrature.integrals``
 call, whose integrand writes the three weighted gradient products in place;
-they are contracted at once, reading the mesh's geometry batch.  ``eta_local``
-is a batch of one.
+they are contracted at once, reading the mesh's geometry batch.  Unless the
+depth is fixed, each Gram's depth is chosen on eta_K, against the mean eta_K
+of the whole mesh, the scale that marking compares against; the depths are
+reported and carried with the Grams, with the last change of eta_K that the
+rule measured.  The mean falls as a mesh refines, so a carried Gram whose
+change exceeds the tolerance of the current mean is integrated anew.
+``eta_local`` is a batch of one.
 """
 
 from __future__ import annotations
@@ -20,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .quadrature import integrals
+from .quadrature import MAX_DEPTH, TOL, integrals
 
 __all__ = [
     "IndicatorReport",
@@ -38,6 +43,8 @@ class IndicatorReport:
     eta_global: float
     gram: np.ndarray  # (n, 2, 2)
     marked: set
+    depth: np.ndarray = None  # (n,) quadrature depth of each Gram
+    step: np.ndarray = None  # (n,) change of eta_K over the last depth step; NaN at fixed depths
 
     def to_csv(self, mesh, fh):
         geom = mesh.geometry.full_rank()
@@ -59,8 +66,16 @@ class HessianTerms:
 
 
 def gram_elements(loops, fld, depth=None):
-    """Gram matrices int grad v grad v^T of the polygons of a ``Loops`` batch, (n, 2, 2):
-    ``integrals`` of the three weighted products, one ``fld.gradient`` call per slice."""
+    """Gram matrices int grad v grad v^T of the polygons of a ``Loops`` batch, (n, 2, 2)."""
+    return _grams(loops, fld, depth)[0]
+
+
+def _grams(loops, fld, depth=None, others=(0.0, 0)):
+    """Gram matrices (n, 2, 2) of a ``Loops`` batch, the depth (n,) of each and
+    its last step (n,): ``integrals`` of the three weighted products, one
+    ``fld.gradient`` call per slice.  Chosen depths compare eta_K against the
+    mean eta over the batch and ``others``, the (sum, count) of the indicators
+    of the rest of the mesh."""
 
     def products(pts, w, out):  # w gx gx, w gx gy, w gy gy
         gx, gy = fld.gradient(pts).T
@@ -69,7 +84,13 @@ def gram_elements(loops, fld, depth=None):
         np.multiply(wgx, gy, out=out[1])
         np.multiply(w * gy, gy, out=out[2])
 
-    return integrals(loops, products, 3, depth)[:, [[0, 1], [1, 2]]]
+    def etas(values):
+        eta = _contract(loops, values[:, [[0, 1], [1, 2]]])
+        return eta[:, None], (eta.sum() + others[0]) / (len(eta) + others[1])
+
+    values, depths, steps = integrals(loops, products, 3, depth, etas)
+    steps = np.full(len(depths), np.nan) if steps is None else steps[:, 0]
+    return values[:, [[0, 1], [1, 2]]], depths, steps
 
 
 def _contract(loops, grams):
@@ -97,33 +118,53 @@ def eta_local_direct(poly, fld, depth=None):
         mapped = fld.gradient(pts) @ a_inv_t.T
         np.multiply(w, (mapped * mapped).sum(axis=1), out=out[0])
 
-    return float(integrals(poly.batch(), integrand, 1, depth)[0, 0])
+    return float(integrals(poly.batch(), integrand, 1, depth).values[0, 0])
 
 
 def eta_global(mesh, fld, depth=None, carried=None):
     """Aggregate the local indicators into a report (marking left empty).
 
-    ``carried`` is a pair (ids, grams) of element ids and the (k, 2, 2) Gram
-    matrices already known for them, such as those of elements whose parent
-    was not split at the last refinement; they are used as given.  The
-    Grams of all other elements come from one ``gram_elements`` call.
+    ``depth`` fixes one quadrature depth, or one per element; None chooses
+    them.  ``carried`` is a tuple (ids, grams, depths, steps) of element ids
+    and the Gram matrices (k, 2, 2), depths and steps already known for them,
+    such as those of elements whose parent was not split at the last
+    refinement; they are used as given, unless a chosen depth no longer meets
+    the tolerance of this mesh's mean indicator.  The Grams of all other
+    elements come from one ``integrals`` call.
     """
     geom = mesh.geometry
-    grams = np.empty((mesh.n_elements, 2, 2))
+    grams = np.zeros((mesh.n_elements, 2, 2))
+    depths = np.zeros(mesh.n_elements, dtype=int)
+    steps = np.full(mesh.n_elements, np.nan)
     fresh = np.ones(mesh.n_elements, dtype=bool)
     if carried is not None:
-        ids, known = carried
-        grams[ids] = known
+        ids, *known = carried
+        grams[ids], depths[ids], steps[ids] = known
         fresh[ids] = False
-    fresh = np.flatnonzero(fresh)
-    grams[fresh] = gram_elements(geom.take(fresh), fld, depth)
+    _integrate(geom, fld, depth, np.flatnonzero(fresh), grams, depths, steps)
     etas = _contract(geom, grams)
+    # NaN steps (fixed depths) compare False.
+    stale = np.flatnonzero(~fresh & (depths < MAX_DEPTH) & (steps > TOL * (etas + etas.mean())))
+    if len(stale):
+        _integrate(geom, fld, depth, stale, grams, depths, steps)
+        etas = _contract(geom, grams)
     return IndicatorReport(
         eta_local=etas,
         eta_global=math.sqrt(float(etas.sum())),
         gram=grams,
         marked=set(),
+        depth=depths,
+        step=steps,
     )
+
+
+def _integrate(geom, fld, depth, ids, grams, depths, steps):
+    """Integrate the Grams of elements ``ids`` of a mesh's geometry into rows
+    ``ids`` of its Grams, depths and steps, against the others' indicators."""
+    grams[ids] = 0.0  # so these rows contract to 0 in the others' sum
+    others = _contract(geom, grams).sum(), len(grams) - len(ids)
+    depth = depth if np.ndim(depth) == 0 else np.asarray(depth)[ids]
+    grams[ids], depths[ids], steps[ids] = _grams(geom.take(ids), fld, depth, others)
 
 
 def hessian_terms(poly, fld, depth=None):
@@ -142,7 +183,7 @@ def hessian_terms(poly, fld, depth=None):
         proj = np.einsum("ia,kab,jb->kij", u, fld.hessian(pts), u)
         np.multiply(w, (proj * proj).reshape(-1, 4).T, out=out)
 
-    lmat = integrals(poly.batch(), squares, 4, depth)[0].reshape(2, 2)
+    lmat = integrals(poly.batch(), squares, 4, depth).values[0].reshape(2, 2)
     lam = np.array([s.lambda1, s.lambda2])
     alpha = poly.refmap.alpha
     weighted = float((lam[:, None] * lam[None, :] * lmat).sum())

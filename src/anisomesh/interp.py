@@ -23,13 +23,15 @@ each basis is bit-identical whatever else shares its pass, and a
 ``BasisCache`` builds all the keys it misses in one such batch.
 
 CLEMENT's node-patch means take the element integrals of the field from
-one ``quadrature.integrals`` call, the kernel of the Gram matrices, and sum
+one ``quadrature.integrals`` call, the kernel of the Gram matrices, whose
+depths are chosen on each element integral itself unless fixed, and sum
 them and the element areas over the element-node incidence with two
 ``bincount``s, so each patch is summed in ascending element id.
 
 ``l2_error`` integrates a level per similarity key: each call builds one
-quadrature table per key from the cached unit basis (rule points as
-coordinate planes, weights, basis values), and each chunk of the key's
+quadrature table per key from the cached unit basis (the points of the
+9-point order-5 ``L2_RULE`` on every sub-triangle as coordinate planes,
+weights, basis values), and each chunk of the key's
 elements evaluates the field once for every interpolant of the call.
 """
 
@@ -48,7 +50,7 @@ from scipy.spatial import Delaunay, QhullError
 from .errors import NoAdmissibleEdge, SolveFailed, TriangulationFailed
 from .geometry import _hypot, block_pairs, loop_successors, points_in_loops, polygons_of
 from .mesh import DIRICHLET
-from .quadrature import CHUNK, RULE, chunks, integrals, integrate_on_edge
+from .quadrature import CHUNK, chunks, integrals, integrate_on_edge, triangle_rule
 
 __all__ = [
     "POINTWISE",
@@ -576,7 +578,7 @@ def coefficients(mesh, fld, scheme, depth=None):
     if scheme == CLEMENT:
         geom = mesh.geometry
         totals = integrals(geom, lambda p, w, out: np.multiply(w, fld.value(p), out=out[0]), 1,
-                           depth)[:, 0]
+                           depth).values[:, 0]
         # Over the incidence in element order, each node's patch sums in ascending id.
         num = np.bincount(mesh.loop_nodes, totals[geom.owner], minlength=n)
         den = np.bincount(mesh.loop_nodes, geom.area[geom.owner], minlength=n)
@@ -607,24 +609,26 @@ def coefficients(mesh, fld, scheme, depth=None):
     raise ValueError(f"unknown scheme {scheme!r}")
 
 
-_BARY = np.column_stack([1.0 - RULE.points[:, 0] - RULE.points[:, 1], RULE.points])  # (Q, 3)
+# v_h is linear on each sub-triangle: 9 points of order 5 resolve (v - v_h)^2 there.
+L2_RULE = triangle_rule(5)
+_BARY = np.column_stack([1.0 - L2_RULE.points[:, 0] - L2_RULE.points[:, 1], L2_RULE.points])
 # Right factor of every table product: a coordinate's values at the three corners
 # give its values at the Q rule points and the two edge differences.
 _MAP = np.column_stack([_BARY.T, [[-1.0, -1.0], [1.0, 0.0], [0.0, 1.0]]])
 
 
 def _table(basis):
-    """The quadrature table of ``basis``, from two 2-D products: the ``RULE``
+    """The quadrature table of ``basis``, from two 2-D products: the ``L2_RULE``
     points on its sub-triangles as coordinate planes (2, P), their weights
     |J| w_q (P,), and every basis function's value at them (n_loop, P)."""
-    q = len(RULE.weights)
+    q = len(L2_RULE.weights)
     tri = basis.triangles
     t = len(tri)
     xy = basis.points.T.take(tri, axis=1).reshape(-1, 3) @ _MAP  # x rows, then y rows
     ex, ey = xy[:t, q:], xy[t:, q:]
     jac = np.abs(ex[:, 0] * ey[:, 1] - ex[:, 1] * ey[:, 0])
     phi = basis.psi.take(tri, axis=1).reshape(-1, 3) @ _MAP[:, :q]
-    return (xy[:, :q].reshape(2, -1), np.multiply.outer(jac, RULE.weights).ravel(),
+    return (xy[:, :q].reshape(2, -1), np.multiply.outer(jac, L2_RULE.weights).ravel(),
             phi.reshape(len(basis.psi), -1))
 
 

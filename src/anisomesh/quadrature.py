@@ -1,42 +1,60 @@
 """Triangle quadrature and polygon integration.
 
 Rules are conical products of Gauss-Jacobi and Gauss-Legendre lines, so the
-weights are positive at every exactness degree.  Every element integral uses
-the one order-7 rule ``RULE``, and every edge integral the order-7 Gauss line.
+weights are positive at every exactness degree.  Every polygon integral uses
+the one order-7 rule ``RULE``, and every edge integral the order-7 Gauss line
+(the L2 pass in ``interp`` takes its own order-5 rule from ``triangle_rule``).
 Polygons are integrated by fanning into triangles around an interior star
-point and subdividing each fan triangle uniformly.  ``integrals`` is the one
-function that integrates over polygons: it integrates a batch in chunks of
-at most ``CHUNK`` points of whole polygons (a larger polygon is a chunk of
-its own, passed in slices), its integrand writes k weighted rows in place,
-and one ``reduceat`` segment per polygon sums each row, so an integral does
-not depend on what else shares its chunk.  Points are mapped as (fan
-triangle, reference point) planes, one coordinate at a time, bit-identical
-to a per-triangle affine map.
+point and subdividing each fan triangle uniformly into 4^depth copies of
+``RULE``.  ``integrals`` is the one function that integrates over polygons:
+it fans a batch once, integrates it in chunks of at most ``CHUNK`` points of
+whole polygons (a larger polygon is a chunk of its own, passed in slices),
+its integrand writes k weighted rows in place, and one ``reduceat`` segment
+per polygon and slice sums each row, the slices of a polygon adding in order;
+so an integral depends only on its polygon and its depth, not on what else
+shares its chunk.  Points are mapped as (fan triangle, reference point)
+planes, one coordinate at a time, bit-identical to a per-triangle affine map.
+
+Depths are error-controlled unless the caller fixes them.  Each polygon is
+integrated at depths d and d + 1, from d = 0; the depth-(d + 1) integral is
+kept once every compared quantity m satisfies
+
+    |m_d - m_{d+1}| <= TOL (|m_{d+1}| + mean |m|),   TOL = 1e-6,
+
+and depth ``MAX_DEPTH`` = 6 is kept in any case.  By default m is each
+integral and the mean runs over the batch; a caller may compare another
+quantity (the indicator compares eta_K, with its mean over the whole mesh).
+The rules at depths d and d + 1 are not nested, so both are evaluated.
+Reference rules are kept up to depth 5; depth 6's (1.5 MB) is made slice
+by slice.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from functools import lru_cache
+from typing import NamedTuple
 
 import numpy as np
 from scipy.special import roots_jacobi
 
 from .errors import TriangulationFailed
+from .geometry import block_pairs
 
 __all__ = [
     "QuadratureRule",
     "triangle_rule",
     "integrals",
+    "Integrals",
     "integrate_on_polygon",
     "polygon_sample_points",
     "polygon_fans",
     "integrate_on_edge",
-    "default_depth",
     "RULE",
     "EDGE_RULE",
     "CHUNK",
+    "TOL",
+    "MAX_DEPTH",
 ]
 
 
@@ -84,46 +102,53 @@ EDGE_RULE[0].setflags(write=False)
 EDGE_RULE[1].setflags(write=False)
 
 CHUNK = 8192  # quadrature points per array pass of a level-wide integral
+TOL = 1e-6  # relative tolerance of the error-controlled depth rule
+MAX_DEPTH = 6  # the depth the rule keeps when no coarser one converged
 
 
 @lru_cache(maxsize=64)
-def _subdivided_reference(depth):
-    """``RULE`` replicated over the 4^depth uniform sub-triangles.
-
-    Returns (xi, eta, weights): point coordinates in the reference triangle,
-    one contiguous array each, and weights that still sum to 1/2.
-    """
+def _sub_triangles(depth):
+    """Origins and edge vectors, (T, 2) each, of the 4^depth uniform
+    sub-triangles of the reference triangle, in order."""
     m = 2 ** depth
-    corners = []
+    corners = np.empty((4 ** depth, 3, 2))
+    t = 0
     for i in range(m):
         for j in range(m - i):
-            a = np.array([i, j], dtype=float) / m
-            b = np.array([i + 1, j], dtype=float) / m
-            c = np.array([i, j + 1], dtype=float) / m
-            corners.append((a, b, c))
+            corners[t] = (i, j), (i + 1, j), (i, j + 1)
+            t += 1
             if i + j < m - 1:
-                d = np.array([i + 1, j + 1], dtype=float) / m
-                corners.append((b, d, c))
-    corners = np.asarray(corners)  # (T, 3, 2)
+                corners[t] = (i + 1, j), (i + 1, j + 1), (i, j + 1)
+                t += 1
+    corners /= m
     origin = corners[:, 0, :]
     e1 = corners[:, 1, :] - origin
     e2 = corners[:, 2, :] - origin
+    for a in (origin, e1, e2):
+        a.setflags(write=False)
+    return origin, e1, e2
+
+
+def _reference_part(depth, first, stop):
+    """``RULE`` on sub-triangles ``first`` to ``stop`` of depth ``depth``:
+    (xi, eta, weights), point coordinates in the reference triangle, one
+    contiguous array each, and weights that sum to 1/2 over all 4^depth."""
+    origin, e1, e2 = (a[first:stop] for a in _sub_triangles(depth))
     xi, eta = (
         (origin[:, k, None] + RULE.points[:, 0] * e1[:, k, None]
          + RULE.points[:, 1] * e2[:, k, None]).ravel()
         for k in (0, 1)
     )
-    w = np.tile(RULE.weights, len(corners)) / (m * m)
-    for a in (xi, eta, w):
+    return xi, eta, np.tile(RULE.weights, len(origin)) / 4 ** depth
+
+
+@lru_cache(maxsize=64)
+def _subdivided_reference(depth):
+    """``RULE`` replicated over all 4^depth uniform sub-triangles, read-only."""
+    ref = _reference_part(depth, 0, 4 ** depth)
+    for a in ref:
         a.setflags(write=False)
-    return xi, eta, w
-
-
-def default_depth(h):
-    """Subdivision depth, from 2 to 6, resolving features of width 1/60 on diameter h."""
-    if h <= 0.0:
-        return 2
-    return int(min(6, max(2, math.ceil(math.log2(max(60.0 * h, 1.0 + 1e-12))))))
+    return ref
 
 
 def polygon_fans(loops):
@@ -209,60 +234,123 @@ def _any_point_in_triangle(pts, a, b, c):
 
 
 def fan_slices(tris, depth):
-    """(offset, points (m, 2), weights (m,)) of fan triangles, in order, in slices
-    of at most ``CHUNK`` points: whole triangles, or parts of one that has more.
+    """(points (m, 2), weights (m,)) of fan triangles, in order, in slices of at
+    most ``CHUNK`` points: whole triangles, or parts of one that has more.
     Coordinates are mapped as (triangle, reference point) planes."""
-    xi, eta, ref_w = _subdivided_reference(depth)
-    r = len(xi)
-    step = max(1, CHUNK // r)
-    for s in range(0, len(tris), step):
-        t = tris[s:s + step]
-        origin = t[:, 0, :]
-        e1 = t[:, 1, :] - origin
-        e2 = t[:, 2, :] - origin
-        jac = np.abs(e1[:, 0] * e2[:, 1] - e1[:, 1] * e2[:, 0])  # 2 * triangle area
-        for j in range(0, r, CHUNK):
-            ref = slice(j, j + CHUNK)
-            pts = np.empty((len(t), len(xi[ref]), 2))
-            for k in (0, 1):
-                np.add(origin[:, k, None] + xi[ref] * e1[:, k, None], eta[ref] * e2[:, k, None],
-                       out=pts[:, :, k])
-            yield s * r + j, pts.reshape(-1, 2), (jac[:, None] * ref_w[None, ref]).reshape(-1)
+    subs = 4 ** depth
+    per = CHUNK // len(RULE.weights)  # sub-triangles in a slice
+    if subs <= per:
+        ref = _subdivided_reference(depth)
+        for s in range(0, len(tris), per // subs):
+            yield _mapped(tris[s:s + per // subs], *ref)
+    else:
+        for s in range(len(tris)):
+            for a in range(0, subs, per):
+                yield _mapped(tris[s:s + 1], *_reference_slice(depth, a, a + per))
+
+
+def _reference_slice(depth, first, stop):
+    """``_reference_part(depth, first, stop)``, as a view of the kept rule of
+    at most two chunks of points, or made anew for a larger one."""
+    q = len(RULE.weights)
+    if 4 ** depth * q > 2 * CHUNK:
+        return _reference_part(depth, first, stop)
+    return tuple(a[first * q:stop * q] for a in _subdivided_reference(depth))
+
+
+def _mapped(t, xi, eta, ref_w):
+    """Points and weights of reference points (xi, eta) with weights ``ref_w``
+    on each of the triangles ``t`` (T, 3, 2)."""
+    origin = t[:, 0, :]
+    e1 = t[:, 1, :] - origin
+    e2 = t[:, 2, :] - origin
+    jac = np.abs(e1[:, 0] * e2[:, 1] - e1[:, 1] * e2[:, 0])  # 2 * triangle area
+    pts = np.empty((len(t), len(xi), 2))
+    for k in (0, 1):
+        np.add(origin[:, k, None] + xi * e1[:, k, None], eta * e2[:, k, None], out=pts[:, :, k])
+    return pts.reshape(-1, 2), (jac[:, None] * ref_w[None, :]).reshape(-1)
 
 
 def polygon_sample_points(poly, depth=2):
     """Quadrature points (M, 2) and physical weights (M,) covering the polygon;
     sum(weights) equals the polygon area up to roundoff."""
-    _, pts, w = zip(*fan_slices(polygon_fans(poly.batch())[0], depth))
+    pts, w = zip(*fan_slices(polygon_fans(poly.batch())[0], depth))
     return np.concatenate(pts), np.concatenate(w)
 
 
-def integrals(loops, f, k, depth=None):
-    """Integrals (n, k) of k quantities over each polygon of a ``Loops`` batch.
+class Integrals(NamedTuple):
+    """What ``integrals`` returns for a batch of n polygons."""
+
+    values: np.ndarray  # (n, k) integrals
+    depths: np.ndarray  # (n,) depth each was taken at
+    steps: np.ndarray  # (n, r) |m_{d-1} - m_d| at chosen depths d; None at fixed depths
+
+
+def _each_row(values):
+    """The default compared quantity: every integral, against its row's mean magnitude.
+    A copy, since ``integrals`` overwrites ``values`` at the next depth."""
+    return values.copy(), np.abs(values).mean(axis=0)
+
+
+def integrals(loops, f, k, depth=None, measure=_each_row):
+    """``Integrals`` of k quantities over each polygon of a ``Loops`` batch.
 
     ``f(points, weights, out)`` gets m points (m, 2) and their weights (m,)
     and writes the k weighted values at them into the rows of ``out`` (k, m).
-    Per quadrature depth (``depth``, else each polygon's ``default_depth``)
-    one ``polygon_fans`` call fans the polygons; ``f`` sees each chunk of
-    whole polygons in ``fan_slices``, and one ``reduceat`` segment per
-    polygon sums its rows.
+    ``depth`` is one depth for every polygon, or one per polygon; None
+    chooses them by the module's rule, where ``measure(values)`` maps the
+    integrals (n, k) known so far to new arrays of the compared quantities
+    m (n, r) and their mean magnitude (r,).  One ``polygon_fans`` call fans
+    the batch.
     """
-    out = np.empty((len(loops.sizes), k))
-    depths = (np.array([default_depth(h) for h in loops.diameter.tolist()]) if depth is None
-              else np.full(len(loops.sizes), depth))
-    for d in np.unique(depths).tolist():
-        members = np.flatnonzero(depths == d)
-        tris, counts = polygon_fans(loops.take(members))
-        first = np.cumsum(counts) - counts  # first fan triangle of each polygon
-        r = len(_subdivided_reference(d)[0])  # points per fan triangle
-        for a, b in chunks(counts * r):
-            t0, t1 = first[a], first[b - 1] + counts[b - 1]
-            rows = np.empty((k, (t1 - t0) * r))
-            for at, pts, w in fan_slices(tris[t0:t1], d):
-                f(pts, w, rows[:, at:at + len(w)])
+    n = len(loops.sizes)
+    if not n:
+        return Integrals(np.empty((0, k)), np.zeros(0, dtype=int), None)
+    tris, counts = polygon_fans(loops)
+    first = np.cumsum(counts) - counts  # first fan triangle of each polygon
+    out = np.empty((n, k))
+    if depth is not None:
+        depths = np.broadcast_to(np.asarray(depth, dtype=int), (n,))
+        for d in np.unique(depths).tolist():
+            members = np.flatnonzero(depths == d)
+            out[members] = _fixed_depth(tris, first, counts, members, f, k, d)
+        return Integrals(out, depths, None)
+    active, depths = np.arange(n), np.zeros(n, dtype=int)
+    out[:] = _fixed_depth(tris, first, counts, active, f, k, 0)
+    m, _ = measure(out)
+    steps = np.empty_like(m)
+    for d in range(1, MAX_DEPTH + 1):
+        out[active] = _fixed_depth(tris, first, counts, active, f, k, d)
+        depths[active] = d
+        finer, mean = measure(out)
+        steps[active] = np.abs(m[active] - finer[active])
+        active = active[~np.all(steps[active] <= TOL * (np.abs(finer[active]) + mean), axis=1)]
+        m = finer
+        if not len(active):
+            break
+    return Integrals(out, depths, steps)
+
+
+def _fixed_depth(tris, first, counts, members, f, k, depth):
+    """``integrals`` (len(members), k) of polygons ``members`` at one depth, given the
+    fan triangles of the whole batch and each polygon's first one and count."""
+    counts = counts[members]
+    tris = tris[block_pairs(np.arange(len(members)), first[members], counts)[1]]
+    start = np.cumsum(counts) - counts
+    r = len(RULE.weights) * 4 ** depth  # points per fan triangle
+    out = np.empty((len(members), k))
+    for a, b in chunks(counts * r):
+        t0, t1 = start[a], start[b - 1] + counts[b - 1]
+        sums = None
+        for pts, w in fan_slices(tris[t0:t1], depth):
+            rows = np.empty((k, len(w)))
+            f(pts, w, rows)
             # One segment per polygon fixes each sum's order whatever shares
-            # the chunk; w @ x or x.sum() would round differently.
-            out[members[a:b]] = np.add.reduceat(rows, (first[a:b] - t0) * r, axis=1).T
+            # the chunk (w @ x or x.sum() would round differently); a polygon
+            # of more than a chunk adds its slices' sums in order.
+            part = np.add.reduceat(rows, (start[a:b] - t0) * r, axis=1)
+            sums = part if sums is None else sums + part
+        out[a:b] = sums.T
     return out
 
 
@@ -270,7 +358,7 @@ def integrate_on_polygon(poly, f, depth=2):
     """Integrate ``f``, which maps (m, 2) points to (m,) values, over the polygon:
     ``integrals`` of its batch of one."""
     return float(integrals(poly.batch(), lambda p, w, out: np.multiply(w, f(p), out=out[0]), 1,
-                           depth)[0, 0])
+                           depth).values[0, 0])
 
 
 def integrate_on_edge(a, b, f, n_seg=8):

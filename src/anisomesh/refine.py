@@ -20,7 +20,7 @@ from itertools import islice
 import numpy as np
 
 from .errors import CutMissesPolygon, NonSimpleResult
-from .geometry import (SNAP_TOL, block_pairs, loop_successors, split_polygons,
+from .geometry import (SNAP_TOL, CutEnds, block_pairs, loop_successors, split_polygons,
                        symmetric_eig_2x2)
 from .indicator import eta_global
 from .mesh import INTERIOR, build_mesh
@@ -51,7 +51,7 @@ class RefineConfig:
     strategy: str = ISOTROPIC
     marking_factor: float = 0.9
     max_levels: int = 1
-    quad_depth: int = None  # None: per-element automatic depth
+    quad_depth: int = None  # None: error-controlled depth per element
 
     def __post_init__(self):
         if not 0.0 < self.marking_factor <= 1.0:
@@ -106,24 +106,27 @@ def cut_directions(loops, grams, strategy):
 
 
 def _bisections(loops, grams, strategy):
-    """Per polygon of a ``Loops`` batch, in order: (direction, cut ends) of
-    its bisection, or (None, the failures of both directions).
+    """The cut directions (n, 2), ``CutEnds`` and outcomes of the bisections of
+    a ``Loops`` batch: None for a split polygon, else the failures of both
+    directions as one message.
 
     All polygons are split in one pass; those whose cut fails are tried
     once more, together, in the orthogonal direction.  Failures other than
     a missed cut or a non-simple piece propagate.
     """
     d = cut_directions(loops, grams, strategy)
-    outcomes, _ = split_polygons(loops, loops.centroid, d)
+    outcomes, _, ends = split_polygons(loops, loops.centroid, d)
     retry = [k for k, out in enumerate(outcomes) if isinstance(out, _CUT_FAILURES)]
     d[retry] = np.column_stack((-d[retry, 1], d[retry, 0]))
-    retried, _ = split_polygons(loops.take(retry), loops.centroid[retry], d[retry])
-    for k, again in zip(retry, retried):
-        outcomes[k] = f"{outcomes[k]}; {again}" if isinstance(again, _CUT_FAILURES) else again
-    for direction, out in zip(d, outcomes):
+    retried, _, again = split_polygons(loops.take(retry), loops.centroid[retry], d[retry])
+    for name in CutEnds._fields:
+        getattr(ends, name)[retry] = getattr(again, name)
+    for k, out in zip(retry, retried):
+        outcomes[k] = f"{outcomes[k]}; {out}" if isinstance(out, _CUT_FAILURES) else out
+    for out in outcomes:
         if isinstance(out, Exception):
             raise out
-        yield (None, out) if isinstance(out, str) else (direction, out[1])
+    return d, ends, outcomes
 
 
 def refine(mesh, marked, strategy=ISOTROPIC, report=None):
@@ -146,15 +149,14 @@ def refine(mesh, marked, strategy=ISOTROPIC, report=None):
     geom, nodes, n = mesh.geometry, mesh.loop_nodes, mesh.n_nodes
     order = sorted(marked)
     grams = None if report is None else report.gram[order]
-    skipped, split, ends, directions = [], [], [], {}
-    for eid, (d, cut) in zip(order, _bisections(geom.take(order), grams, strategy)):
-        if d is None:
-            log.warning("element %d skipped: %s", eid, cut)
-            skipped.append(eid)
-            continue
-        split.append(eid)
-        ends += cut
-        directions[eid] = d / float(np.hypot(*d))
+    d, ends, outcomes = _bisections(geom.take(order), grams, strategy)
+    ok = ends.at[:, 0] >= 0
+    skipped = []
+    for k in np.flatnonzero(~ok).tolist():
+        log.warning("element %d skipped: %s", order[k], outcomes[k])
+        skipped.append(order[k])
+    split = np.asarray(order, dtype=np.int64)[ok]
+    d = d[ok] / np.hypot(d[ok, 0], d[ok, 1])[:, None]
 
     # The edge of each loop position, and its twin: the position that runs
     # the same edge the other way (-1 on the boundary).
@@ -172,17 +174,18 @@ def refine(mesh, marked, strategy=ISOTROPIC, report=None):
     # makes a node, and the second reuses it when within SNAP_TOL of its
     # element's diameter.  Coordinates run from the edge's lower node, so
     # both sides of an edge resolve to identical positions.
-    at = np.repeat(geom.starts[split], 2) + np.array([end[1] for end in ends], dtype=np.int64)
-    on_edge = np.array([end[0] == "cut" for end in ends], dtype=bool)
+    ring_at = ends.at[ok].ravel()  # 2j: vertex j, 2j + 1: on edge j
+    at = np.repeat(geom.starts[split], 2) + (ring_at >> 1)
+    on_edge = ring_at % 2 == 1
     p = at[on_edge]
-    s = np.array([end[2] for end in ends if end[0] == "cut"], dtype=float)
+    s = ends.s[ok].ravel()[on_edge]
     t = np.where(tail[p] < head[p], s, 1.0 - s)
     edge = loop_edge[p]
     pa, pb = mesh.points[mesh.edges[edge, 0]], mesh.points[mesh.edges[edge, 1]]
     by_edge = np.argsort(edge, kind="stable")
     pair = np.flatnonzero(edge[by_edge[1:]] == edge[by_edge[:-1]])
     first, second = by_edge[pair], by_edge[pair + 1]
-    diameter = geom.diameter[np.repeat(np.asarray(split, dtype=np.int64), 2)[on_edge]]
+    diameter = geom.diameter[np.repeat(split, 2)[on_edge]]
     length = np.hypot(pb[:, 0] - pa[:, 0], pb[:, 1] - pa[:, 1])
     snap = np.abs(t[first] - t[second]) <= SNAP_TOL * diameter[second] / np.maximum(
         length[second], 1e-300)
@@ -230,11 +233,12 @@ def refine(mesh, marked, strategy=ISOTROPIC, report=None):
 
     new_mesh = build_mesh(points, (new_loops, length), boundary_spec, check_simple=False)
 
+    split = split.tolist()
     step = RefinementStep(
         parent_of=parent_of,
         parent_children=dict(zip(split, zip(child_a.tolist(), child_b.tolist()))),
         new_nodes=np.arange(n, len(points)),
-        directions=directions,
+        directions=dict(zip(split, d)),
         skipped=skipped,
     )
     return new_mesh, step
@@ -247,7 +251,8 @@ def _adaptive_levels(mesh, fld, config):
     callers take as many levels as they want, and a level is refined only
     when the next one is asked for.  Elements whose parent was not split
     cover the parent's region, so they keep the parent's Gram matrix, also
-    when a neighbour's cut added a hanging node to their loop.
+    when a neighbour's cut added a hanging node to their loop, with its
+    depth and step.
     """
     carried = None
     while True:
@@ -262,7 +267,8 @@ def _adaptive_levels(mesh, fld, config):
             return
         mesh, step = refine(mesh, marked, config.strategy, report)
         kept = np.flatnonzero(np.bincount(step.parent_of)[step.parent_of] == 1)  # parent not split
-        carried = kept, report.gram[step.parent_of[kept]]
+        parents = step.parent_of[kept]
+        carried = kept, report.gram[parents], report.depth[parents], report.step[parents]
 
 
 def adaptive_loop(initial, fld, config):

@@ -73,7 +73,7 @@ def _integrals(loops, fld, refmap, mean=0.0):
         np.multiply(w, (g * g).sum(axis=1), out=out[2])
         np.multiply(w, (mapped * mapped).sum(axis=1), out=out[3])
 
-    return integrals(loops, rows, 4, DEPTH)
+    return integrals(loops, rows, 4, DEPTH).values
 
 
 def check_trace(poly, edge, fld, context=""):

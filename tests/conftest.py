@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from anisomesh.geometry import Polygon
+from anisomesh.quadrature import CHUNK
 
 
 def _spread_angles(rng, n):
@@ -44,6 +45,15 @@ def random_polygon(rng, n_vertices=None, ratio=1.0):
     if rng.random() < 0.5:
         return random_convex_polygon(rng, n_vertices, ratio)
     return random_star_polygon(rng, n_vertices, ratio)
+
+
+def slice_sums(x):
+    """The sum of a polygon's weighted values ``x`` (..., M) as ``quadrature.integrals``
+    takes it: one ``reduceat`` segment per slice of ``CHUNK`` points, slices added in order."""
+    x = np.asarray(x)
+    parts = [np.add.reduceat(np.ascontiguousarray(x[..., a:a + CHUNK]), [0], axis=-1)[..., 0]
+             for a in range(0, x.shape[-1], CHUNK)]
+    return sum(parts[1:], parts[0])
 
 
 def monte_carlo_moments(poly, n_samples, rng, n_chunks=10):

@@ -21,9 +21,9 @@ from anisomesh.indicator import (
     hessian_terms,
 )
 from anisomesh.mesh import build_mesh, generate_grid
-from anisomesh.quadrature import polygon_sample_points
-from anisomesh.refine import ANISOTROPIC, ISOTROPIC, RefineConfig, adaptive_loop, refine
-from conftest import random_polygon
+from anisomesh.quadrature import MAX_DEPTH, TOL, integrals, polygon_sample_points
+from anisomesh.refine import ANISOTROPIC, ISOTROPIC, UNIFORM, RefineConfig, adaptive_loop, refine
+from conftest import random_polygon, slice_sums
 
 UNIT_SQUARE = Polygon([(0, 0), (1, 0), (1, 1), (0, 1)])
 
@@ -76,8 +76,8 @@ class TestGram:
             for depth in (2, 4, 6):
                 pts, w = polygon_sample_points(poly, depth=depth)
                 gx, gy = fld.gradient(pts).T
-                g11, g12, g22 = np.add.reduceat(
-                    [w * gx * gx, w * gx * gy, w * gy * gy], [0], axis=1)[:, 0]
+                # One segment below CHUNK points; at depths 4 and 6, one per slice.
+                g11, g12, g22 = slice_sums([w * gx * gx, w * gx * gy, w * gy * gy])
                 got = gram_elements(poly.batch(), fld, depth=depth)[0]
                 assert np.array_equal(got, np.array([[g11, g12], [g12, g22]]))
 
@@ -194,6 +194,72 @@ class TestEtaGlobal:
         lines = path.read_text().splitlines()
         assert lines[0] == "element_id,eta,g11,g12,g22,lambda1,lambda2,alpha"
         assert len(lines) == 5
+
+
+HISTORIES = [(ANISOTROPIC, 12), (ISOTROPIC, 14), (UNIFORM, 9)]
+
+
+@pytest.fixture(scope="module")
+def histories():
+    fld = tanh_layer()
+    return {(strategy, levels): adaptive_loop(generate_grid(4, 4), fld,
+                                              RefineConfig(strategy=strategy, max_levels=levels))
+            for strategy, levels in HISTORIES}
+
+
+def assert_close_to(report, ref):
+    """Global eta within 1e-8 relative of ``ref``'s, and each eta_K within
+    2e-6 (eta_K + mean) of its own, the scale marking compares against."""
+    assert abs(report.eta_global - ref.eta_global) <= 1e-8 * ref.eta_global
+    scale = ref.eta_local + ref.eta_local.mean()
+    assert np.all(np.abs(report.eta_local - ref.eta_local) <= 2e-6 * scale)
+
+
+# Levels checked against depth 6 on every element, which takes about 0.01 s
+# per element; all levels are checked two depths finer than chosen.
+AT_DEPTH_6 = {(ANISOTROPIC, 12): (6, 12), (ISOTROPIC, 14): (3, 6), (UNIFORM, 9): (3, 4)}
+
+
+class TestChosenDepths:
+    @pytest.mark.parametrize("history", HISTORIES)
+    def test_levels_against_depth_6(self, histories, history):
+        fld = tanh_layer()
+        for level in AT_DEPTH_6[history]:
+            mesh, report = histories[history][level]
+            assert_close_to(report, eta_global(mesh, fld, depth=MAX_DEPTH))
+
+    @pytest.mark.parametrize("history", HISTORIES)
+    def test_element_means_against_depth_6(self, histories, history):
+        # CLEMENT's element integrals compare each integral itself: the layer
+        # needs depths above 1 (depth 1 everywhere misses the bound by 4x and
+        # 6x on the ISOTROPIC and UNIFORM levels), and each lands within
+        # 2 TOL (|v_K| + mean) of depth 6.
+        fld = tanh_layer()
+
+        def value(p, w, out):
+            np.multiply(w, fld.value(p), out=out[0])
+
+        geom = histories[history][AT_DEPTH_6[history][0]][0].geometry
+        got = integrals(geom, value, 1)
+        want = integrals(geom, value, 1, MAX_DEPTH).values
+        assert got.depths.max() > 1
+        scale = np.abs(want) + np.abs(want).mean()
+        assert np.all(np.abs(got.values - want) <= 2 * TOL * scale)
+
+    @pytest.mark.parametrize("history", HISTORIES)
+    def test_every_level_against_two_depths_finer(self, histories, history):
+        # Carried Grams keep the depth chosen against an earlier, larger mean;
+        # a wrong depth of either kind shows two depths finer.
+        fld = tanh_layer()
+        for mesh, report in histories[history]:
+            finer = eta_global(mesh, fld, depth=np.minimum(report.depth + 2, MAX_DEPTH))
+            assert_close_to(report, finer)
+
+    def test_fixed_depth_is_kept(self):
+        mesh = generate_grid(4, 4)
+        report = eta_global(mesh, tanh_layer(), depth=3)
+        assert report.depth.tolist() == [3] * mesh.n_elements
+        assert np.isnan(report.step).all()
 
 
 class TestHessianTerms:

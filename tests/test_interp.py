@@ -20,7 +20,7 @@ from anisomesh.interp import (
 )
 from anisomesh.mesh import (DIRICHLET, INTERIOR, NEUMANN, build_mesh, generate_grid,
                             generate_polygonal)
-from anisomesh.quadrature import default_depth, integrate_on_polygon
+from anisomesh.quadrature import integrals, integrate_on_polygon, triangle_rule
 from anisomesh.refine import ANISOTROPIC, ISOTROPIC, RefineConfig, adaptive_loop
 from conftest import random_convex_polygon, random_star_polygon
 
@@ -311,8 +311,11 @@ class TestCoefficients:
         assert (mesh.node_tags == NEUMANN).any()
         patches = [mesh.node_patch(i) for i in range(mesh.n_nodes)]
         assert any(list(p) != sorted(p) for p in patches)
-        totals = [integrate_on_polygon(el.polygon, fld.value, default_depth(el.polygon.diameter))
-                  for el in mesh.elements]
+        # Each element integral at the depth the mesh-wide call chose for it.
+        _, depths, _ = integrals(mesh.geometry,
+                                 lambda p, w, out: np.multiply(w, fld.value(p), out=out[0]), 1)
+        totals = [integrate_on_polygon(el.polygon, fld.value, d)
+                  for el, d in zip(mesh.elements, depths.tolist())]
         want = np.zeros(mesh.n_nodes)
         for i, patch in enumerate(patches):
             if mesh.node_tags[i] == DIRICHLET:
@@ -434,6 +437,24 @@ class TestInterpolantAndError:
 
 
 class TestL2Pass:
+    def test_order_5_rule_against_order_13(self, monkeypatch):
+        # v_h is linear on each sub-triangle, so 9 points of order 5 there
+        # resolve the L2 error of the ANISOTROPIC 12-level mesh, its slivers
+        # included, as 49 points of order 13 do (-5.3e-5 relative).
+        fld = tanh_layer()
+        mesh = adaptive_loop(generate_grid(4, 4), fld,
+                             RefineConfig(strategy=ANISOTROPIC, max_levels=12))[-1][0]
+        coeffs = coefficients(mesh, fld, POINTWISE)
+        cache = BasisCache()
+        assert interp.L2_RULE.order == 5 and len(interp.L2_RULE.weights) == 9
+        got = l2_error(mesh, fld, coeffs, cache=cache)
+        fine = triangle_rule(13)
+        bary = np.column_stack([1.0 - fine.points[:, 0] - fine.points[:, 1], fine.points])
+        monkeypatch.setattr(interp, "L2_RULE", fine)
+        monkeypatch.setattr(interp, "_MAP", np.column_stack([bary.T, interp._MAP[:, -2:]]))
+        want = l2_error(mesh, fld, coeffs, cache=cache)
+        assert got != want and abs(got - want) <= 1e-4 * want
+
     def test_sets_share_one_field_evaluation(self):
         # Every chunk evaluates the field once for all sets; each set's parts
         # are those of its own call, bit for bit.
@@ -465,7 +486,8 @@ class TestL2Pass:
         parts = l2_parts(mesh, fld, coefficients(mesh, fld, POINTWISE), cache=cache)
         basis = cache.store[next(iter(cache.store))]
         assert len(cache.store) == 1
-        assert mesh.n_elements * len(basis.triangles) * len(interp.RULE.weights) > 8 * interp.CHUNK
+        points = mesh.n_elements * len(basis.triangles) * len(interp.L2_RULE.weights)
+        assert points > 8 * interp.CHUNK
         for el, part in zip(mesh.elements, parts):
             lone = build_mesh(mesh.points[el.vertex_loop], [[0, 1, 2, 3]])
             assert np.array_equal(l2_parts(lone, fld, coefficients(lone, fld, POINTWISE),

@@ -8,6 +8,7 @@ L2 parts sum in another order and must agree to 1e-13 relative.
 
 import io
 import math
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -25,7 +26,6 @@ from anisomesh.mesh import build_mesh, generate_grid, generate_polygonal
 from anisomesh.quadrature import (
     CHUNK,
     _ear_clip,
-    default_depth,
     integrals,
     integrate_on_polygon,
     polygon_fans,
@@ -34,7 +34,7 @@ from anisomesh.quadrature import (
 from anisomesh.refine import (ANISOTROPIC, ISOTROPIC, UNIFORM, RefineConfig, adaptive_loop,
                               cut_directions, refine)
 from anisomesh.regularity import audit_mesh, star_kernel
-from conftest import random_convex_polygon, random_star_polygon
+from conftest import random_convex_polygon, random_star_polygon, slice_sums
 
 U_SHAPE = Polygon([(0, 0), (3, 0), (3, 1), (2, 1), (2, 0.1), (1, 0.1), (1, 1), (0, 1)])
 
@@ -113,17 +113,20 @@ def assert_level_split_matches_single_calls(polys, anchors, directions):
     """Each polygon's outcome in one ``split_polygons`` pass equals its
     ``split_polygon_detailed`` call alone: the same cut ends and points bit
     for bit and bit-identical piece moments, or the same exception class."""
-    outcomes, pieces = split_polygons(batch(polys), anchors, directions)
+    outcomes, pieces, level_ends = split_polygons(batch(polys), anchors, directions)
     for k, (poly, anchor, d) in enumerate(zip(polys, anchors, directions)):
         try:
             a, b, cut, ends = split_polygon_detailed(poly, anchor, d)
         except Exception as exc:  # noqa: BLE001 - the class is what is compared
             assert type(outcomes[k]) is type(exc)
+            assert level_ends.at[k].tolist() == [-1, -1]
             continue
-        assert not isinstance(outcomes[k], Exception)
-        level_cut, level_ends = outcomes[k]
-        assert level_ends == ends
-        assert all(p.tobytes() == q.tobytes() for p, q in zip(level_cut, cut))
+        assert outcomes[k] is None
+        assert [(at >> 1, at % 2) for at in level_ends.at[k].tolist()] == [
+            (end[1], end[0] == "cut") for end in ends]
+        assert [s for s, end in zip(level_ends.s[k].tolist(), ends) if end[0] == "cut"] == [
+            end[2] for end in ends if end[0] == "cut"]
+        assert all(p.tobytes() == q.tobytes() for p, q in zip(level_ends.points[k], cut))
         for row, piece in zip((2 * k, 2 * k + 1), (a, b)):
             assert pieces.area[row] == piece.area
             assert pieces.centroid[row].tobytes() == piece.centroid.tobytes()
@@ -191,11 +194,12 @@ class TestLevelSplit:
         outcomes = assert_level_split_matches_single_calls(
             list(polys) + grid, list(anchors) + [p.centroid for p in grid],
             list(directions) + [np.array([0.3, 1.0])] * len(grid))
-        for (*_, want), got in zip(cases, outcomes):
+        for (poly, anchor, d, want), got in zip(cases, outcomes):
             if want is CutMissesPolygon:
                 assert isinstance(got, CutMissesPolygon)
             elif want is not None:
-                ends = got[1]
+                # The level pass's ends, as the helper checked.
+                ends = split_polygon_detailed(poly, anchor, d)[3]
                 assert [e[:2] for e in ends] == [e[:2] for e in want]
                 assert [e[2] for e in ends if e[0] == "cut"] == pytest.approx(
                     [e[2] for e in want if e[0] == "cut"], abs=1e-15)
@@ -238,22 +242,38 @@ class TestLevelBases:
             assert_same_basis(basis, build_basis(poly))
 
 
+SLIVER = Polygon([(0.0, 0.0), (1.0, 0.0), (1.0, 0.01), (0.0, 0.01)])
+
+
 class TestGramChunks:
     def test_sliver_larger_than_a_chunk(self, rng):
-        # Unit length: default depth 6, four fan triangles of 65,536 points.
-        sliver = Polygon([(0.0, 0.0), (1.0, 0.0), (1.0, 0.01), (0.0, 0.01)])
-        assert default_depth(sliver.diameter) == 6
-        pts, w = polygon_sample_points(sliver, depth=6)
+        # Depth 6: four fan triangles of 65,536 points, 8 slices each.
+        pts, w = polygon_sample_points(SLIVER, depth=6)
         assert len(w) > CHUNK
         polys = [random_convex_polygon(rng) for _ in range(3)]
-        polys.insert(1, sliver)
+        polys.insert(1, SLIVER)
         fld = tanh_layer()
-        grams = gram_elements(batch(polys), fld)
+        grams = gram_elements(batch(polys), fld, depth=6)
         for poly, gram in zip(polys, grams):
-            assert np.array_equal(gram, gram_elements(poly.batch(), fld)[0])
+            assert np.array_equal(gram, gram_elements(poly.batch(), fld, depth=6)[0])
         gx, gy = fld.gradient(pts).T
-        g11, g12, g22 = np.add.reduceat([w * gx * gx, w * gx * gy, w * gy * gy], [0], axis=1)[:, 0]
+        g11, g12, g22 = slice_sums([w * gx * gx, w * gx * gy, w * gy * gy])
         assert np.array_equal(grams[1], np.array([[g11, g12], [g12, g22]]))
+
+    def test_sliver_gram_allocates_no_whole_row(self):
+        # A depth-6 Gram of the sliver sums slice by slice: its peak allocation
+        # stays below one (3, M) row of its 262,144 points.
+        fld = tanh_layer()
+        loops = SLIVER.batch()
+        gram_elements(loops, fld, depth=6)  # caches the reference rule
+        m = len(polygon_sample_points(SLIVER, depth=6)[1])
+        tracemalloc.start()
+        try:
+            gram_elements(loops, fld, depth=6)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 3 * m * 8 / 4
 
     def test_fixed_depth_matches_single_calls(self, rng):
         polys = [random_star_polygon(rng) for _ in range(12)] + [U_SHAPE]
@@ -264,23 +284,25 @@ class TestGramChunks:
                 assert np.array_equal(gram, gram_elements(poly.batch(), fld, depth=depth)[0])
 
     def test_one_row_integrand_matches_single_calls(self, rng):
-        # A sliver of more than a chunk between small polygons, which take
-        # default depths 2 and 3: two depth groups, and chunks that hold one
-        # polygon, several, or a slice of one.
-        sliver = Polygon([(0.0, 0.0), (1.0, 0.0), (1.0, 0.01), (0.0, 0.01)])
+        # A sliver of more than a chunk between small polygons, at depths 2,
+        # 6 and 3 given per polygon: three depth groups, and chunks that hold
+        # one polygon, several, or a slice of one.  Chosen depths give the
+        # integrals of a batch of one at the same depth.
         small = [random_convex_polygon(rng).vertices for _ in range(3)]
         polys = [Polygon(v * scale) for scale in (0.02, 0.05) for v in small]
-        polys.insert(2, sliver)
-        assert [default_depth(p.diameter) for p in polys] == [2, 2, 6, 2, 3, 3, 3]
+        polys.insert(2, SLIVER)
         fld = tanh_layer()
 
         def value(p, w, out):
             np.multiply(w, fld.value(p), out=out[0])
 
-        got = integrals(batch(polys), value, 1)
-        assert got.shape == (len(polys), 1)
-        for poly, row in zip(polys, got):
-            assert np.array_equal(row, integrals(poly.batch(), value, 1)[0])
+        for depths in ([2, 2, 6, 2, 3, 3, 3], None):
+            got, chosen, _ = integrals(batch(polys), value, 1, depths)
+            assert got.shape == (len(polys), 1)
+            if depths is not None:
+                assert chosen.tolist() == depths
+            for poly, row, d in zip(polys, got, chosen.tolist()):
+                assert np.array_equal(row, integrals(poly.batch(), value, 1, d).values[0])
 
 
 class TestSharedBases:
@@ -304,20 +326,17 @@ class TestFanIntegrals:
         # segment over the element's sample points.
         fld = tanh_layer()
         mesh = generate_polygonal(4, 4, jitter=0.3, seed=1)
-        sliver = Polygon([(0.0, 0.0), (1.0, 0.0), (1.0, 0.01), (0.0, 0.01)])
 
         def value(p, w, out):
             np.multiply(w, fld.value(p), out=out[0])
 
         for depth in (None, 6):
-            got = integrals(mesh.geometry, value, 1, depth)[:, 0]
-            for el, total in zip(mesh.elements, got):
-                d = default_depth(el.polygon.diameter) if depth is None else depth
+            got, depths, _ = integrals(mesh.geometry, value, 1, depth)
+            for el, total, d in zip(mesh.elements, got[:, 0], depths.tolist()):
                 pts, w = polygon_sample_points(el.polygon, depth=d)
-                assert total == np.add.reduceat(w * fld.value(pts), [0])[0]
-        pts, w = polygon_sample_points(sliver, depth=6)
-        assert integrate_on_polygon(sliver, fld.value, depth=6) == np.add.reduceat(
-            w * fld.value(pts), [0])[0]
+                assert total == slice_sums(w * fld.value(pts))
+        pts, w = polygon_sample_points(SLIVER, depth=6)
+        assert integrate_on_polygon(SLIVER, fld.value, depth=6) == slice_sums(w * fld.value(pts))
 
 
 def same_bits(a, b):
@@ -325,15 +344,16 @@ def same_bits(a, b):
     return (a.dtype, a.shape) == (b.dtype, b.shape) and a.tobytes() == b.tobytes()
 
 
-def assert_take_matches_rows(geom, ids, grams, strategy, fld, bases):
+def assert_take_matches_rows(geom, ids, report, strategy, fld, bases):
     """Every level kernel on ``geom.take(ids)`` gives rows ``ids`` of its result
-    on the whole batch ``geom``, bit for bit."""
+    on the whole batch ``geom``, bit for bit; Grams at the depths ``report`` took."""
+    grams = report.gram
     sub = geom.take(ids)
     for name in ("area", "centroid", "second_moment", "diameter", "lambda1", "lambda2", "u",
                  "alpha"):
         assert same_bits(getattr(sub, name), getattr(geom, name)[ids]), name
     assert same_bits(sub.vertices, np.concatenate([geom.polygon(k).vertices for k in ids]))
-    assert same_bits(gram_elements(sub, fld), grams[ids])
+    assert same_bits(gram_elements(sub, fld, depth=report.depth[ids]), grams[ids])
     assert same_bits(indicator._contract(sub, grams[ids]), indicator._contract(geom, grams)[ids])
     assert same_bits(loops_simple(sub), loops_simple(geom)[ids])
     keys = interp._similarity_keys(geom)
@@ -346,14 +366,16 @@ def assert_take_matches_rows(geom, ids, grams, strategy, fld, bases):
     dirs = cut_directions(geom, grams, strategy)
     sub_dirs = cut_directions(sub, grams[ids], strategy)
     assert same_bits(sub_dirs, dirs[ids])
-    outcomes, pieces = split_polygons(geom, geom.centroid, dirs)
-    sub_outcomes, sub_pieces = split_polygons(sub, sub.centroid, sub_dirs)
+    outcomes, pieces, ends = split_polygons(geom, geom.centroid, dirs)
+    sub_outcomes, sub_pieces, sub_ends = split_polygons(sub, sub.centroid, sub_dirs)
+    for name in ("at", "s", "points"):
+        assert same_bits(getattr(sub_ends, name), getattr(ends, name)[ids]), name
     for i, k in enumerate(ids):
         got, want = sub_outcomes[i], outcomes[k]
         if isinstance(want, Exception):
             assert type(got) is type(want)
             continue
-        assert got[1] == want[1] and all(map(same_bits, got[0], want[0]))
+        assert got is None
         for name in ("area", "centroid", "second_moment", "diameter", "alpha"):
             rows = getattr(pieces, name)
             assert same_bits(getattr(sub_pieces, name)[2 * i:2 * i + 2], rows[2 * k:2 * k + 2])
@@ -382,12 +404,13 @@ def test_level_kernels_match_one_element_calls(seed, jitter, strategy, levels, k
         report = eta_global(mesh, fld)
         ids = rng.permutation(mesh.n_elements)[:max(1, round(kept * mesh.n_elements))]
         last = level == len(history) - 1
-        assert_take_matches_rows(mesh.geometry, ids, report.gram, strategy, fld,
+        assert_take_matches_rows(mesh.geometry, ids, report, strategy, fld,
                                  interp.build_bases(mesh.geometry) if last else None)
         for k, poly in enumerate(polys):
-            gram = gram_elements(poly.batch(), fld)[0]
+            depth = report.depth[k]
+            gram = gram_elements(poly.batch(), fld, depth=depth)[0]
             assert np.array_equal(report.gram[k], gram)
-            assert report.eta_local[k] == eta_local(poly, fld)
+            assert report.eta_local[k] == eta_local(poly, fld, depth=depth)
             assert report.eta_local[k] == reference_eta(poly, gram)
         coeffs = coefficients(mesh, fld, POINTWISE)
         parts = interp.l2_parts(mesh, fld, coeffs, cache=BasisCache())
