@@ -72,6 +72,10 @@ def symmetric_eig_2x2(a, b, c):
         # Two algebraically parallel candidates; pick the better-conditioned one.
         x = np.where(half_diff >= 0.0, r + half_diff, b)
         y = np.where(half_diff >= 0.0, b, r - half_diff)
+        # Subnormal candidates lose bits in the norm and the division; a
+        # power-of-two scaling into the normal range is exact.
+        lift = np.where(np.maximum(np.abs(x), np.abs(y)) < 2.0 ** -900, 2.0 ** 600, 1.0)
+        x, y = x * lift, y * lift
         norm = _hypot(x, y)
         axis = tie | (norm == 0.0)
         x, y = np.where(axis, 1.0, x / norm), np.where(axis, 0.0, y / norm)

@@ -10,12 +10,15 @@ matrices are assembled once per element and reused for marking and for the
 anisotropic split direction.  A level's Grams are one ``quadrature.integrals``
 call, whose integrand writes the three weighted gradient products in place;
 they are contracted at once, reading the mesh's geometry batch.  Unless the
-depth is fixed, each Gram's depth is chosen on eta_K, against the mean eta_K
-of the whole mesh, the scale that marking compares against; the depths are
-reported and carried with the Grams, with the last change of eta_K that the
-rule measured.  The mean falls as a mesh refines, so a carried Gram whose
-change exceeds the tolerance of the current mean is integrated anew.
-``eta_local`` is a batch of one.
+depth is fixed, each Gram's sub-triangles are refined on eta_K, whose three
+terms c_ij G_ij are linear in the Gram, against the mean eta_K of the whole
+mesh after the first level, the scale that marking compares against.  The
+report gives each Gram's deepest level, its step (the sum of the accepted
+changes of eta_K), the mean it was integrated against, and the field points
+the Grams took; depths, steps and means are carried with the Grams.  The
+mean falls as a mesh refines, so a carried Gram whose step exceeds the
+tolerance of the current mean is integrated anew.  ``eta_local`` is a batch
+of one.
 """
 
 from __future__ import annotations
@@ -43,8 +46,10 @@ class IndicatorReport:
     eta_global: float
     gram: np.ndarray  # (n, 2, 2)
     marked: set
-    depth: np.ndarray = None  # (n,) quadrature depth of each Gram
-    step: np.ndarray = None  # (n,) change of eta_K over the last depth step; NaN at fixed depths
+    depth: np.ndarray = None  # (n,) deepest subdivision level of each Gram
+    step: np.ndarray = None  # (n,) sum of the accepted changes of eta_K; NaN at fixed depths
+    mean: np.ndarray = None  # (n,) mean eta_K of each Gram's tolerance; NaN at fixed depths
+    points: int = 0  # field points the Grams were integrated at
 
     def to_csv(self, mesh, fh):
         geom = mesh.geometry.full_rank()
@@ -65,17 +70,18 @@ class HessianTerms:
     rhs1: float
 
 
-def gram_elements(loops, fld, depth=None):
+def gram_elements(loops, fld, depth=None, mean=None):
     """Gram matrices int grad v grad v^T of the polygons of a ``Loops`` batch, (n, 2, 2)."""
-    return _grams(loops, fld, depth)[0]
+    return _grams(loops, fld, depth, mean).values
 
 
-def _grams(loops, fld, depth=None, others=(0.0, 0)):
-    """Gram matrices (n, 2, 2) of a ``Loops`` batch, the depth (n,) of each and
-    its last step (n,): ``integrals`` of the three weighted products, one
-    ``fld.gradient`` call per slice.  Chosen depths compare eta_K against the
-    mean eta over the batch and ``others``, the (sum, count) of the indicators
-    of the rest of the mesh."""
+def _grams(loops, fld, depth=None, mean=None, others=(0.0, 0)):
+    """``Integrals`` of the Gram matrices (n, 2, 2) of a ``Loops`` batch: the
+    three weighted products, one ``fld.gradient`` call per slice.  Unless
+    ``depth`` is fixed, sub-triangles are refined on eta_K, a linear map of
+    the Gram, against ``mean``, or else the mean of the level-1 eta over the
+    batch and ``others``, the (sum, count) of the indicators of the rest of
+    the mesh."""
 
     def products(pts, w, out):  # w gx gx, w gx gy, w gy gy
         gx, gy = fld.gradient(pts).T
@@ -84,13 +90,23 @@ def _grams(loops, fld, depth=None, others=(0.0, 0)):
         np.multiply(wgx, gy, out=out[1])
         np.multiply(w * gy, gy, out=out[2])
 
-    def etas(values):
-        eta = _contract(loops, values[:, [[0, 1], [1, 2]]])
-        return eta[:, None], (eta.sum() + others[0]) / (len(eta) + others[1])
+    if depth is not None:
+        res = integrals(loops, products, 3, depth)
+    else:
+        # eta_K = sum_i lam_i u_i.G u_i / alpha^2 = c0 G11 + c1 G12 + c2 G22.
+        ux, uy = np.moveaxis(loops.full_rank().u, 2, 0)  # (n, 2) each: rows u1, u2
+        lam = np.stack([loops.lambda1, loops.lambda2], axis=1) / (loops.alpha ** 2)[:, None]
+        c = np.stack([lam * ux * ux, 2.0 * lam * ux * uy, lam * uy * uy], axis=2).sum(axis=1)
 
-    values, depths, steps = integrals(loops, products, 3, depth, etas)
-    steps = np.full(len(depths), np.nan) if steps is None else steps[:, 0]
-    return values[:, [[0, 1], [1, 2]]], depths, steps
+        def eta(values, rows):
+            return (values * c[rows])[:, None, :]
+
+        if mean is None:
+            def mean(a):
+                return (a.sum(axis=0) + others[0]) / (len(a) + others[1])
+
+        res = integrals(loops, products, 3, None, eta, mean)
+    return res._replace(values=res.values[:, [[0, 1], [1, 2]]])
 
 
 def _contract(loops, grams):
@@ -104,10 +120,10 @@ def _contract(loops, grams):
     return np.where(val < 0.0, 0.0, val)
 
 
-def eta_local(poly, fld, depth=None):
+def eta_local(poly, fld, depth=None, mean=None):
     """Local error measure via the Gram contraction; >= 0, zero for constants."""
     loops = poly.batch()
-    return float(_contract(loops, gram_elements(loops, fld, depth))[0])
+    return float(_contract(loops, gram_elements(loops, fld, depth, mean))[0])
 
 
 def eta_local_direct(poly, fld, depth=None):
@@ -124,29 +140,32 @@ def eta_local_direct(poly, fld, depth=None):
 def eta_global(mesh, fld, depth=None, carried=None):
     """Aggregate the local indicators into a report (marking left empty).
 
-    ``depth`` fixes one quadrature depth, or one per element; None chooses
-    them.  ``carried`` is a tuple (ids, grams, depths, steps) of element ids
-    and the Gram matrices (k, 2, 2), depths and steps already known for them,
+    ``depth`` fixes one quadrature depth, or one per element; None refines
+    each element's sub-triangles by the rule.  ``carried`` is a tuple (ids,
+    grams, depths, steps, means) of element ids and the Gram matrices
+    (k, 2, 2), depths, steps and tolerance means already known for them,
     such as those of elements whose parent was not split at the last
-    refinement; they are used as given, unless a chosen depth no longer meets
+    refinement; they are used as given, unless their steps no longer meet
     the tolerance of this mesh's mean indicator.  The Grams of all other
     elements come from one ``integrals`` call.
     """
     geom = mesh.geometry
-    grams = np.zeros((mesh.n_elements, 2, 2))
-    depths = np.zeros(mesh.n_elements, dtype=int)
-    steps = np.full(mesh.n_elements, np.nan)
-    fresh = np.ones(mesh.n_elements, dtype=bool)
+    n = mesh.n_elements
+    grams = np.zeros((n, 2, 2))
+    depths = np.zeros(n, dtype=int)
+    steps, means = np.full(n, np.nan), np.full(n, np.nan)
+    fresh = np.ones(n, dtype=bool)
     if carried is not None:
         ids, *known = carried
-        grams[ids], depths[ids], steps[ids] = known
+        grams[ids], depths[ids], steps[ids], means[ids] = known
         fresh[ids] = False
-    _integrate(geom, fld, depth, np.flatnonzero(fresh), grams, depths, steps)
+    columns = (grams, depths, steps, means)
+    points = _integrate(geom, fld, depth, np.flatnonzero(fresh), columns)
     etas = _contract(geom, grams)
     # NaN steps (fixed depths) compare False.
     stale = np.flatnonzero(~fresh & (depths < MAX_DEPTH) & (steps > TOL * (etas + etas.mean())))
     if len(stale):
-        _integrate(geom, fld, depth, stale, grams, depths, steps)
+        points += _integrate(geom, fld, depth, stale, columns)
         etas = _contract(geom, grams)
     return IndicatorReport(
         eta_local=etas,
@@ -155,16 +174,24 @@ def eta_global(mesh, fld, depth=None, carried=None):
         marked=set(),
         depth=depths,
         step=steps,
+        mean=means,
+        points=points,
     )
 
 
-def _integrate(geom, fld, depth, ids, grams, depths, steps):
+def _integrate(geom, fld, depth, ids, columns):
     """Integrate the Grams of elements ``ids`` of a mesh's geometry into rows
-    ``ids`` of its Grams, depths and steps, against the others' indicators."""
+    ``ids`` of its ``columns`` (grams, depths, steps, means), against the
+    others' indicators; returns the field points this took."""
+    grams, depths, steps, means = columns
     grams[ids] = 0.0  # so these rows contract to 0 in the others' sum
     others = _contract(geom, grams).sum(), len(grams) - len(ids)
     depth = depth if np.ndim(depth) == 0 else np.asarray(depth)[ids]
-    grams[ids], depths[ids], steps[ids] = _grams(geom.take(ids), fld, depth, others)
+    res = _grams(geom.take(ids), fld, depth, others=others)
+    grams[ids], depths[ids] = res.values, res.depths
+    if res.steps is not None:
+        steps[ids], means[ids] = res.steps[:, 0], res.mean[0]
+    return res.points
 
 
 def hessian_terms(poly, fld, depth=None):

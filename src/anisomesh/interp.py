@@ -23,8 +23,8 @@ each basis is bit-identical whatever else shares its pass, and a
 ``BasisCache`` builds all the keys it misses in one such batch.
 
 CLEMENT's node-patch means take the element integrals of the field from
-one ``quadrature.integrals`` call, the kernel of the Gram matrices, whose
-depths are chosen on each element integral itself unless fixed, and sum
+one ``quadrature.integrals`` call, the kernel of the Gram matrices, which
+refines sub-triangles on each element integral itself unless fixed, and sum
 them and the element areas over the element-node incidence with two
 ``bincount``s, so each patch is summed in ascending element id.
 

@@ -149,8 +149,13 @@ class PolyMesh:
         patches = _node_patch_csr(self.loop_nodes, g.owner, self.n_nodes)
         if not all(map(np.array_equal, patches, (self.patch_starts, self.patch_elements))):
             raise InvalidTopology("node patches do not match the element loops")
+        return self._validate_loops(check_simple)
+
+    def _validate_loops(self, check_simple):
+        """The checks that need no table rebuilt: simple element loops (unless
+        ``check_simple`` is False) and element areas that sum to the domain's."""
         if check_simple:
-            if not loops_simple(g).all():
+            if not loops_simple(self.geometry).all():
                 raise NonSimpleResult("polygon boundary self-intersects")
         total = self.total_area()
         if abs(total - self.domain_area) > 1e-10 * self.domain_area:
@@ -262,7 +267,8 @@ def build_mesh(points, element_loops, boundary_spec=DIRICHLET, check_simple=True
 
     flat.setflags(write=False)
     mesh = PolyMesh(pts, node_tags, geometry, flat, edges, edge_tags, domain_area)
-    mesh.validate(check_simple=check_simple)
+    # The tables were just built from these loops; ``validate`` rebuilds them.
+    mesh._validate_loops(check_simple)
     return mesh
 
 

@@ -5,28 +5,40 @@ weights are positive at every exactness degree.  Every polygon integral uses
 the one order-7 rule ``RULE``, and every edge integral the order-7 Gauss line
 (the L2 pass in ``interp`` takes its own order-5 rule from ``triangle_rule``).
 Polygons are integrated by fanning into triangles around an interior star
-point and subdividing each fan triangle uniformly into 4^depth copies of
-``RULE``.  ``integrals`` is the one function that integrates over polygons:
-it fans a batch once, integrates it in chunks of at most ``CHUNK`` points of
+point.  ``integrals`` is the one function that integrates over polygons: it
+fans a batch once, and its integrand writes k weighted rows in place.  At a
+fixed depth each fan triangle is subdivided uniformly into 4^depth copies of
+``RULE``; the batch is integrated in chunks of at most ``CHUNK`` points of
 whole polygons (a larger polygon is a chunk of its own, passed in slices),
-its integrand writes k weighted rows in place, and one ``reduceat`` segment
-per polygon and slice sums each row, the slices of a polygon adding in order;
-so an integral depends only on its polygon and its depth, not on what else
-shares its chunk.  Points are mapped as (fan triangle, reference point)
-planes, one coordinate at a time, bit-identical to a per-triangle affine map.
+and one ``reduceat`` segment per polygon and slice sums each row, the slices
+of a polygon adding in order; so an integral depends only on its polygon and
+its depth, not on what else shares its chunk.  Points are mapped as (fan
+triangle, reference point) planes, one coordinate at a time, bit-identical
+to a per-triangle affine map.
 
-Depths are error-controlled unless the caller fixes them.  Each polygon is
-integrated at depths d and d + 1, from d = 0; the depth-(d + 1) integral is
-kept once every compared quantity m satisfies
+Unless the caller fixes a depth, each fan triangle is refined where its
+integral still changes, level by level.  Every fan triangle starts as one
+active sub-triangle tau; at each level, each active tau's ``RULE`` integral
+I is compared with S, the sum of ``RULE`` over its four uniform children.
+The compared quantities m are per-row linear maps of the integrals, each a
+sum of terms (by default each integral is one term), and the change of tau
+is the sum over terms of |term(S) - term(I)|, so terms that cancel do not
+hide a change.  tau is accepted, and S kept, when every change satisfies
 
-    |m_d - m_{d+1}| <= TOL (|m_{d+1}| + mean |m|),   TOL = 1e-6,
+    change <= TOL (|m_K| + mean) |tau| / |K|,   TOL = 1e-6,
 
-and depth ``MAX_DEPTH`` = 6 is kept in any case.  By default m is each
-integral and the mean runs over the batch; a caller may compare another
-quantity (the indicator compares eta_K, with its mean over the whole mesh).
-The rules at depths d and d + 1 are not nested, so both are evaluated.
-Reference rules are kept up to depth 5; depth 6's (1.5 MB) is made slice
-by slice.
+with m_K the element's current total and |tau| / |K| tau's share of the
+element's area; otherwise its children are active at the next level, with
+their integrals known.  Everything is accepted at level ``MAX_DEPTH`` = 6
+(children of depth 6).  ``mean`` is frozen after level 1: by default the
+mean |m| of the batch's level-1 totals, or a scalar the caller gives or
+computes from them.  So an element's integral depends only on itself and
+that scalar, not on its batch.  A level runs in passes of at most ``PASS``
+sub-triangles of whole elements, with the field called on at most ``CHUNK``
+points at once, and keeps the children of only the sub-triangles that may
+fail.  An element's depth is its deepest level, and its step the sum of its
+accepted changes.  Reference rules are kept up to depth 5; depth 6's (1.5
+MB) is made slice by slice.
 """
 
 from __future__ import annotations
@@ -102,8 +114,9 @@ EDGE_RULE[0].setflags(write=False)
 EDGE_RULE[1].setflags(write=False)
 
 CHUNK = 8192  # quadrature points per array pass of a level-wide integral
-TOL = 1e-6  # relative tolerance of the error-controlled depth rule
-MAX_DEPTH = 6  # the depth the rule keeps when no coarser one converged
+TOL = 1e-6  # relative tolerance of the sub-triangle refinement rule
+MAX_DEPTH = 6  # the level at which the rule accepts every sub-triangle
+PASS = 2048  # sub-triangles per bookkeeping pass of the rule, of whole polygons
 
 
 @lru_cache(maxsize=64)
@@ -151,6 +164,13 @@ def _subdivided_reference(depth):
     return ref
 
 
+# The reference points of one level of refinement: ``RULE`` on the four
+# children of a triangle, and before them on the triangle itself.
+_LEVEL_RULES = {False: _subdivided_reference(1),
+                True: tuple(np.concatenate(a) for a in zip(_subdivided_reference(0),
+                                                           _subdivided_reference(1)))}
+
+
 def polygon_fans(loops):
     """Fan triangles (T, 3, 2) of a ``Loops`` batch, and their counts (n,), without zero-area
     ones: around the centroid when it sees every edge (always for convex elements), else
@@ -184,13 +204,13 @@ def polygon_fans(loops):
     return tris, np.bincount(owner, minlength=len(loops.sizes))
 
 
-def chunks(sizes):
-    """(start, stop) runs of consecutive items of at most ``CHUNK`` points in all,
-    given the items' point counts; a larger item is a run of its own."""
+def chunks(sizes, limit=CHUNK):
+    """(start, stop) runs of consecutive items whose sizes add up to at most
+    ``limit`` (by default ``CHUNK`` points); a larger item is a run of its own."""
     ends, start = np.cumsum(sizes), 0
     while start < len(ends):
-        limit = ends[start] - sizes[start] + CHUNK
-        stop = max(start + 1, int(np.searchsorted(ends, limit, side="right")))
+        end = ends[start] - sizes[start] + limit
+        stop = max(start + 1, int(np.searchsorted(ends, end, side="right")))
         yield start, stop
         start = stop
 
@@ -260,15 +280,16 @@ def _reference_slice(depth, first, stop):
 
 def _mapped(t, xi, eta, ref_w):
     """Points and weights of reference points (xi, eta) with weights ``ref_w``
-    on each of the triangles ``t`` (T, 3, 2)."""
+    on each of the triangles ``t`` (T, 3, 2); the points are an (m, 2) view
+    of two contiguous coordinate planes."""
     origin = t[:, 0, :]
     e1 = t[:, 1, :] - origin
     e2 = t[:, 2, :] - origin
     jac = np.abs(e1[:, 0] * e2[:, 1] - e1[:, 1] * e2[:, 0])  # 2 * triangle area
-    pts = np.empty((len(t), len(xi), 2))
+    pts = np.empty((2, len(t), len(xi)))
     for k in (0, 1):
-        np.add(origin[:, k, None] + xi * e1[:, k, None], eta * e2[:, k, None], out=pts[:, :, k])
-    return pts.reshape(-1, 2), (jac[:, None] * ref_w[None, :]).reshape(-1)
+        np.add(origin[:, k, None] + xi * e1[:, k, None], eta * e2[:, k, None], out=pts[k])
+    return pts.reshape(2, -1).T, (jac[:, None] * ref_w[None, :]).reshape(-1)
 
 
 def polygon_sample_points(poly, depth=2):
@@ -282,53 +303,134 @@ class Integrals(NamedTuple):
     """What ``integrals`` returns for a batch of n polygons."""
 
     values: np.ndarray  # (n, k) integrals
-    depths: np.ndarray  # (n,) depth each was taken at
-    steps: np.ndarray  # (n, r) |m_{d-1} - m_d| at chosen depths d; None at fixed depths
+    depths: np.ndarray  # (n,) deepest subdivision level each was taken at
+    steps: np.ndarray  # (n, r) sum of the accepted local changes of m; None at fixed depths
+    mean: np.ndarray  # (r,) mean |m| the tolerance was scaled by; None at fixed depths
+    points: int  # points at which the integrand was called
 
 
-def _each_row(values):
-    """The default compared quantity: every integral, against its row's mean magnitude.
-    A copy, since ``integrals`` overwrites ``values`` at the next depth."""
-    return values.copy(), np.abs(values).mean(axis=0)
+def _same(values, rows):
+    """The default compared quantities: every integral itself, as one term."""
+    return values[:, :, None]
 
 
-def integrals(loops, f, k, depth=None, measure=_each_row):
+def _mean_magnitude(m):
+    """The default mean of the tolerance: the batch's mean of |m| (n, r)."""
+    return m.mean(axis=0)
+
+
+def integrals(loops, f, k, depth=None, measure=_same, mean=_mean_magnitude):
     """``Integrals`` of k quantities over each polygon of a ``Loops`` batch.
 
-    ``f(points, weights, out)`` gets m points (m, 2) and their weights (m,)
-    and writes the k weighted values at them into the rows of ``out`` (k, m).
+    ``f(points, weights, out)`` gets m points (m, 2), a view of two coordinate
+    planes, and their weights (m,), and writes the k weighted values at them
+    into the rows of ``out`` (k, m).
     ``depth`` is one depth for every polygon, or one per polygon; None
-    chooses them by the module's rule, where ``measure(values)`` maps the
-    integrals (n, k) known so far to new arrays of the compared quantities
-    m (n, r) and their mean magnitude (r,).  One ``polygon_fans`` call fans
-    the batch.
+    refines each fan triangle by the module's rule, where
+    ``measure(values, rows)`` maps values (m, k) of polygons ``rows`` (m,)
+    to the terms (m, r, j) of r compared quantities, linearly per row, and
+    ``mean`` is the mean magnitude (r,) of the tolerance, or a function
+    that gives it from the magnitudes |m| (n, r) of the level-1 totals.
+    One ``polygon_fans`` call fans the batch.
     """
     n = len(loops.sizes)
     if not n:
-        return Integrals(np.empty((0, k)), np.zeros(0, dtype=int), None)
+        return Integrals(np.empty((0, k)), np.zeros(0, dtype=int), None, None, 0)
     tris, counts = polygon_fans(loops)
+    if depth is None:
+        return _refined(tris, counts, f, k, measure, mean)
     first = np.cumsum(counts) - counts  # first fan triangle of each polygon
     out = np.empty((n, k))
-    if depth is not None:
-        depths = np.broadcast_to(np.asarray(depth, dtype=int), (n,))
-        for d in np.unique(depths).tolist():
-            members = np.flatnonzero(depths == d)
-            out[members] = _fixed_depth(tris, first, counts, members, f, k, d)
-        return Integrals(out, depths, None)
-    active, depths = np.arange(n), np.zeros(n, dtype=int)
-    out[:] = _fixed_depth(tris, first, counts, active, f, k, 0)
-    m, _ = measure(out)
-    steps = np.empty_like(m)
-    for d in range(1, MAX_DEPTH + 1):
-        out[active] = _fixed_depth(tris, first, counts, active, f, k, d)
-        depths[active] = d
-        finer, mean = measure(out)
-        steps[active] = np.abs(m[active] - finer[active])
-        active = active[~np.all(steps[active] <= TOL * (np.abs(finer[active]) + mean), axis=1)]
-        m = finer
-        if not len(active):
+    depths = np.broadcast_to(np.asarray(depth, dtype=int), (n,))
+    points = 0
+    for d in np.unique(depths).tolist():
+        members = np.flatnonzero(depths == d)
+        out[members] = _fixed_depth(tris, first, counts, members, f, k, d)
+        points += int(counts[members].sum()) * len(RULE.weights) * 4 ** d
+    return Integrals(out, depths, None, None, points)
+
+
+def _refined(tris, counts, f, k, measure, mean):
+    """``integrals`` of a fanned batch by the module's rule, given the fan
+    triangles of the batch and each polygon's count of them."""
+    n, q = len(counts), len(RULE.weights)
+    if not callable(mean):
+        mean = np.asarray(mean, dtype=float)
+    owner = np.repeat(np.arange(n), counts)
+    e1, e2 = tris[:, 1] - tris[:, 0], tris[:, 2] - tris[:, 0]
+    area = np.abs(e1[:, 0] * e2[:, 1] - e1[:, 1] * e2[:, 0])
+    share = area / np.bincount(owner, area, minlength=n)[owner]  # |tau| / |K|
+    out, depths, steps = np.zeros((n, k)), np.zeros(n, dtype=int), None
+    values, points = None, 0  # values: each sub-triangle's integral, after level 1
+    for level in range(1, MAX_DEPTH + 1):
+        seg = np.flatnonzero(np.r_[True, owner[1:] != owner[:-1]])  # polygons with
+        rows, sizes = owner[seg], np.diff(np.r_[seg, len(owner)])  # active sub-triangles
+        at = np.repeat(np.arange(len(seg)), sizes)
+        # Before the mean is frozen, 0 bounds it from below.
+        bound = 0.0 if callable(mean) else mean
+        fine, change, m, kept = np.empty((len(owner), k)), None, None, []
+        per = 5 * q if values is None else 4 * q  # points per sub-triangle
+        for a, b in chunks(sizes, PASS):
+            t0, t1 = seg[a], seg[b - 1] + sizes[b - 1]
+            sums = _rule_sums(tris[t0:t1], f, k, values is None)
+            coarse, kids = (sums[:, 0], sums[:, 1:]) if values is None else (values[t0:t1], sums)
+            points += int(t1 - t0) * per
+            fine[t0:t1] = ((kids[:, 0] + kids[:, 1]) + kids[:, 2]) + kids[:, 3]
+            d = np.abs(measure(fine[t0:t1] - coarse, owner[t0:t1])).sum(axis=2)
+            total = out[rows[a:b]] + np.add.reduceat(fine[t0:t1], seg[a:b] - t0)
+            if change is None:
+                change, m = np.empty((len(owner), d.shape[1])), np.empty((len(seg), d.shape[1]))
+            change[t0:t1], m[a:b] = d, np.abs(measure(total, rows[a:b]).sum(axis=2))
+            if level < MAX_DEPTH:  # keep the children of all that may not pass
+                maybe = ~np.all(d <= TOL * (m[at[t0:t1]] + bound) * share[t0:t1, None], axis=1)
+                kept.append((np.flatnonzero(maybe) + t0, kids[maybe]))
+        if callable(mean):
+            mean = np.asarray(mean(m))
+        ok = np.all(change <= TOL * (m[at] + mean) * share[:, None], axis=1) | (level == MAX_DEPTH)
+        fine[~ok] = 0.0
+        change[~ok] = 0.0
+        out[rows] += np.add.reduceat(fine, seg)
+        if steps is None:
+            steps = np.zeros((n, change.shape[1]))
+        steps[rows] += np.add.reduceat(change, seg)
+        depths[rows] = level
+        if ok.all():
             break
-    return Integrals(out, depths, steps)
+        ids = np.concatenate([i for i, _ in kept])
+        go = ~ok[ids]
+        parents = ids[go]
+        values = np.concatenate([c for _, c in kept])[go].reshape(-1, k)
+        tris = _children(tris[parents])
+        owner = np.repeat(owner[parents], 4)
+        share = np.repeat(share[parents] / 4, 4)
+    return Integrals(out, depths, steps, mean, points)
+
+
+def _rule_sums(tris, f, k, coarse):
+    """Integrals (T, 4, k) of the integrand over the four children of each
+    triangle of ``tris``, one ``RULE`` each, and with ``coarse`` first over
+    the triangle itself, (T, 5, k); in slices of at most ``CHUNK`` points.
+    Each integral is one 16-point sum, whatever else shares its slice."""
+    ref = _LEVEL_RULES[bool(coarse)]
+    subs = len(ref[0]) // len(RULE.weights)
+    out = np.empty((len(tris), subs, k))
+    per = CHUNK // len(ref[0])
+    for s in range(0, len(tris), per):
+        pts, w = _mapped(tris[s:s + per], *ref)
+        rows = np.empty((k, len(w)))
+        f(pts, w, rows)
+        sums = np.add.reduceat(rows, np.arange(0, len(w), len(RULE.weights)), axis=1)
+        out[s:s + per] = sums.reshape(k, -1, subs).transpose(1, 2, 0)
+    return out
+
+
+def _children(tris):
+    """The four uniform children (4T, 3, 2) of triangles ``tris`` (T, 3, 2),
+    each in the order of ``_sub_triangles(1)``."""
+    origin, e1, e2 = _sub_triangles(1)
+    ref = np.stack([origin, origin + e1, origin + e2], axis=1)  # (4, 3, 2) child corners
+    a, b, c = (tris[:, None, None, i] for i in range(3))  # (T, 1, 1, 2) each
+    return (a + ref[..., :1] * (b - a) + ref[..., 1:] * (c - a)).reshape(-1, 3, 2)
 
 
 def _fixed_depth(tris, first, counts, members, f, k, depth):

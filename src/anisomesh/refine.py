@@ -51,7 +51,7 @@ class RefineConfig:
     strategy: str = ISOTROPIC
     marking_factor: float = 0.9
     max_levels: int = 1
-    quad_depth: int = None  # None: error-controlled depth per element
+    quad_depth: int = None  # None: sub-triangles refined where the integral changes
 
     def __post_init__(self):
         if not 0.0 < self.marking_factor <= 1.0:
@@ -252,7 +252,7 @@ def _adaptive_levels(mesh, fld, config):
     when the next one is asked for.  Elements whose parent was not split
     cover the parent's region, so they keep the parent's Gram matrix, also
     when a neighbour's cut added a hanging node to their loop, with its
-    depth and step.
+    depth, step and tolerance mean.
     """
     carried = None
     while True:
@@ -268,7 +268,8 @@ def _adaptive_levels(mesh, fld, config):
         mesh, step = refine(mesh, marked, config.strategy, report)
         kept = np.flatnonzero(np.bincount(step.parent_of)[step.parent_of] == 1)  # parent not split
         parents = step.parent_of[kept]
-        carried = kept, report.gram[parents], report.depth[parents], report.step[parents]
+        carried = (kept, *(a[parents] for a in (report.gram, report.depth, report.step,
+                                                 report.mean)))
 
 
 def adaptive_loop(initial, fld, config):

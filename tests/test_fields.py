@@ -14,10 +14,14 @@ from anisomesh.fields import (
     monomial_field,
     tanh_layer,
 )
-from anisomesh.geometry import Polygon, split_polygon_detailed
+from anisomesh.geometry import Polygon, polygons_of, split_polygon_detailed
 from anisomesh.quadrature import (
     _subdivided_reference,
     EDGE_RULE,
+    MAX_DEPTH,
+    RULE,
+    TOL,
+    integrals,
     integrate_on_edge,
     integrate_on_polygon,
     polygon_fans,
@@ -219,6 +223,74 @@ class TestPolygonIntegration:
                 b, fld.value, depth=2
             )
             assert parts == pytest.approx(whole, rel=1e-10)
+
+
+def value_rows(value):
+    """The integrand of ``integrals`` that writes one weighted row of ``value``."""
+
+    def rows(p, w, out):
+        np.multiply(w, value(p), out=out[0])
+
+    return rows
+
+
+class TestRefinedRule:
+    """``integrals`` without a depth refines each fan triangle where its
+    integral still changes."""
+
+    def test_polynomials_pass_the_first_comparison(self, rng):
+        # RULE is exact to degree 7, so every fan triangle passes against its
+        # four children: 16 + 64 points each, and the exact integral.
+        fld = monomial_field(4, 3)
+        res = integrals(UNIT_SQUARE.batch(), value_rows(fld.value), 1)
+        assert res.depths.tolist() == [1]
+        assert res.points == len(polygon_fans(UNIT_SQUARE.batch())[0]) * 5 * len(RULE.weights)
+        assert res.values[0, 0] == pytest.approx(1.0 / 20.0, rel=1e-13)
+
+    def test_layer_is_resolved_where_it_lies(self):
+        # The unit square is refined only along the two layers: it reaches
+        # the oracle as depth 6 everywhere does, at a fraction of its points.
+        value = tanh_layer().value
+        counted = [0]
+
+        def rows(p, w, out):
+            counted[0] += len(w)
+            np.multiply(w, value(p), out=out[0])
+
+        res = integrals(UNIT_SQUARE.batch(), rows, 1)
+        assert res.points == counted[0]
+        assert res.depths.tolist() == [MAX_DEPTH]
+        assert res.points < len(polygon_sample_points(UNIT_SQUARE, depth=MAX_DEPTH)[1]) / 5
+        assert res.values[0, 0] == pytest.approx(tanh_square_integral_oracle(), abs=1e-9)
+        assert res.steps[0, 0] <= TOL * 2.0 * abs(res.values[0, 0])
+
+    def test_cancelling_terms_do_not_hide_a_change(self):
+        # The compared quantity int v + int (1 - v) = |K| is exact at every
+        # level, but the change of each term counts: int v is still resolved.
+        value = tanh_layer().value
+
+        def rows(p, w, out):
+            np.multiply(w, value(p), out=out[0])
+            np.subtract(w, out[0], out=out[1])
+
+        res = integrals(UNIT_SQUARE.batch(), rows, 2, measure=lambda v, rows: v[:, None, :])
+        assert res.depths.tolist() == [MAX_DEPTH]
+        assert res.values[0, 0] == pytest.approx(tanh_square_integral_oracle(), abs=1e-9)
+
+    def test_rows_do_not_depend_on_the_batch(self, rng):
+        # Given the mean of the tolerance, each polygon's integral is its
+        # batch of one, bit for bit, whatever order the batch is in.
+        value = tanh_layer().value
+        polys = [random_polygon(rng, ratio=float(rng.uniform(1, 50))) for _ in range(6)]
+        polys = [Polygon(p.vertices * 0.1 + 0.4) for p in polys]
+        res = integrals(polygons_of([p.vertices for p in polys]), value_rows(value), 1)
+        order = rng.permutation(len(polys))
+        again = integrals(polygons_of([polys[k].vertices for k in order]), value_rows(value), 1,
+                          mean=res.mean)
+        assert np.array_equal(again.values, res.values[order])
+        for poly, row in zip(polys, res.values):
+            one = integrals(poly.batch(), value_rows(value), 1, mean=res.mean)
+            assert np.array_equal(one.values[0], row)
 
 
 class TestEdgeQuadrature:

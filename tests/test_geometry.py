@@ -31,6 +31,8 @@ def scalar_eig_2x2(a, b, c):
     u1 = [1.0, 0.0]
     if not r <= 1e-14 * max(abs(l1), abs(l2), 1e-300):
         x, y = (r + half_diff, b) if half_diff >= 0.0 else (b, r - half_diff)
+        if max(abs(x), abs(y)) < 2.0 ** -900:
+            x, y = x * 2.0 ** 600, y * 2.0 ** 600
         norm = math.hypot(x, y)
         if norm != 0.0:
             u1 = [x / norm, y / norm]

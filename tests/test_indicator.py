@@ -199,20 +199,40 @@ class TestEtaGlobal:
 HISTORIES = [(ANISOTROPIC, 12), (ISOTROPIC, 14), (UNIFORM, 9)]
 
 
+def counting_gradient(fld, counts):
+    """``fld`` with a gradient that adds the points it is called at to ``counts[0]``."""
+
+    def gradient(p):
+        counts[0] += np.asarray(p).size // 2
+        return fld.gradient(p)
+
+    return ScalarField(fld.value, gradient, fld.hessian, label=fld.label)
+
+
 @pytest.fixture(scope="module")
-def histories():
-    fld = tanh_layer()
-    return {(strategy, levels): adaptive_loop(generate_grid(4, 4), fld,
+def gradient_points():
+    """Gradient points each history took, by (strategy, levels)."""
+    return {}
+
+
+@pytest.fixture(scope="module")
+def histories(gradient_points):
+    out = {}
+    for strategy, levels in HISTORIES:
+        counts = [0]
+        fld = counting_gradient(tanh_layer(), counts)
+        out[strategy, levels] = adaptive_loop(generate_grid(4, 4), fld,
                                               RefineConfig(strategy=strategy, max_levels=levels))
-            for strategy, levels in HISTORIES}
+        gradient_points[strategy, levels] = counts[0]
+    return out
 
 
 def assert_close_to(report, ref):
     """Global eta within 1e-8 relative of ``ref``'s, and each eta_K within
-    2e-6 (eta_K + mean) of its own, the scale marking compares against."""
+    TOL (eta_K + mean) of its own, the scale marking compares against."""
     assert abs(report.eta_global - ref.eta_global) <= 1e-8 * ref.eta_global
     scale = ref.eta_local + ref.eta_local.mean()
-    assert np.all(np.abs(report.eta_local - ref.eta_local) <= 2e-6 * scale)
+    assert np.all(np.abs(report.eta_local - ref.eta_local) <= TOL * scale)
 
 
 # Levels checked against depth 6 on every element, which takes about 0.01 s
@@ -259,7 +279,20 @@ class TestChosenDepths:
         mesh = generate_grid(4, 4)
         report = eta_global(mesh, tanh_layer(), depth=3)
         assert report.depth.tolist() == [3] * mesh.n_elements
-        assert np.isnan(report.step).all()
+        assert np.isnan(report.step).all() and np.isnan(report.mean).all()
+        # Four fan triangles per square, 4^3 sub-triangles of 16 points each.
+        assert report.points == mesh.n_elements * 4 * 4 ** 3 * 16
+
+    # Gradient points of each whole history; a uniform depth per element
+    # took 15.0 M and 10.7 M.
+    POINT_BUDGET = {(ANISOTROPIC, 12): 5_000_000, (UNIFORM, 9): 10_700_000}
+
+    @pytest.mark.parametrize("history", list(POINT_BUDGET))
+    def test_gradient_points(self, histories, gradient_points, history):
+        # The Grams are the only gradient calls of a history, and each report
+        # counts its own.
+        assert gradient_points[history] == sum(r.points for _, r in histories[history])
+        assert gradient_points[history] <= self.POINT_BUDGET[history]
 
 
 class TestHessianTerms:

@@ -20,7 +20,7 @@ from anisomesh.interp import (
 )
 from anisomesh.mesh import (DIRICHLET, INTERIOR, NEUMANN, build_mesh, generate_grid,
                             generate_polygonal)
-from anisomesh.quadrature import integrals, integrate_on_polygon, triangle_rule
+from anisomesh.quadrature import integrals, triangle_rule
 from anisomesh.refine import ANISOTROPIC, ISOTROPIC, RefineConfig, adaptive_loop
 from conftest import random_convex_polygon, random_star_polygon
 
@@ -311,11 +311,14 @@ class TestCoefficients:
         assert (mesh.node_tags == NEUMANN).any()
         patches = [mesh.node_patch(i) for i in range(mesh.n_nodes)]
         assert any(list(p) != sorted(p) for p in patches)
-        # Each element integral at the depth the mesh-wide call chose for it.
-        _, depths, _ = integrals(mesh.geometry,
-                                 lambda p, w, out: np.multiply(w, fld.value(p), out=out[0]), 1)
-        totals = [integrate_on_polygon(el.polygon, fld.value, d)
-                  for el, d in zip(mesh.elements, depths.tolist())]
+        # Each element integral from the element alone, against the mean the
+        # mesh-wide call froze.
+        def value(p, w, out):
+            np.multiply(w, fld.value(p), out=out[0])
+
+        mean = integrals(mesh.geometry, value, 1).mean
+        totals = [integrals(el.polygon.batch(), value, 1, mean=mean).values[0, 0]
+                  for el in mesh.elements]
         want = np.zeros(mesh.n_nodes)
         for i, patch in enumerate(patches):
             if mesh.node_tags[i] == DIRICHLET:

@@ -286,8 +286,8 @@ class TestGramChunks:
     def test_one_row_integrand_matches_single_calls(self, rng):
         # A sliver of more than a chunk between small polygons, at depths 2,
         # 6 and 3 given per polygon: three depth groups, and chunks that hold
-        # one polygon, several, or a slice of one.  Chosen depths give the
-        # integrals of a batch of one at the same depth.
+        # one polygon, several, or a slice of one.  Refined integrals are
+        # those of a batch of one given the batch's mean.
         small = [random_convex_polygon(rng).vertices for _ in range(3)]
         polys = [Polygon(v * scale) for scale in (0.02, 0.05) for v in small]
         polys.insert(2, SLIVER)
@@ -296,13 +296,15 @@ class TestGramChunks:
         def value(p, w, out):
             np.multiply(w, fld.value(p), out=out[0])
 
-        for depths in ([2, 2, 6, 2, 3, 3, 3], None):
-            got, chosen, _ = integrals(batch(polys), value, 1, depths)
-            assert got.shape == (len(polys), 1)
-            if depths is not None:
-                assert chosen.tolist() == depths
-            for poly, row, d in zip(polys, got, chosen.tolist()):
-                assert np.array_equal(row, integrals(poly.batch(), value, 1, d).values[0])
+        depths = [2, 2, 6, 2, 3, 3, 3]
+        got = integrals(batch(polys), value, 1, depths)
+        assert got.values.shape == (len(polys), 1)
+        assert got.depths.tolist() == depths
+        for poly, row, d in zip(polys, got.values, depths):
+            assert np.array_equal(row, integrals(poly.batch(), value, 1, d).values[0])
+        got = integrals(batch(polys), value, 1)
+        for poly, row in zip(polys, got.values):
+            assert np.array_equal(row, integrals(poly.batch(), value, 1, mean=got.mean).values[0])
 
 
 class TestSharedBases:
@@ -321,18 +323,19 @@ class TestSharedBases:
 
 class TestFanIntegrals:
     def test_level_fans_match_reduceat_over_sample_points(self):
-        # CLEMENT's element integrals come from one polygon_fans call per
-        # depth and a field sliced into chunks; each sum is one reduceat
-        # segment over the element's sample points.
+        # Element integrals at fixed depths (6, or the deepest levels the
+        # refined rule reached) come from one polygon_fans call and a field
+        # sliced into chunks; each sum is one reduceat segment over the
+        # element's sample points.
         fld = tanh_layer()
         mesh = generate_polygonal(4, 4, jitter=0.3, seed=1)
 
         def value(p, w, out):
             np.multiply(w, fld.value(p), out=out[0])
 
-        for depth in (None, 6):
-            got, depths, _ = integrals(mesh.geometry, value, 1, depth)
-            for el, total, d in zip(mesh.elements, got[:, 0], depths.tolist()):
+        for depth in (integrals(mesh.geometry, value, 1).depths, 6):
+            got = integrals(mesh.geometry, value, 1, depth)
+            for el, total, d in zip(mesh.elements, got.values[:, 0], got.depths.tolist()):
                 pts, w = polygon_sample_points(el.polygon, depth=d)
                 assert total == slice_sums(w * fld.value(pts))
         pts, w = polygon_sample_points(SLIVER, depth=6)
@@ -346,14 +349,16 @@ def same_bits(a, b):
 
 def assert_take_matches_rows(geom, ids, report, strategy, fld, bases):
     """Every level kernel on ``geom.take(ids)`` gives rows ``ids`` of its result
-    on the whole batch ``geom``, bit for bit; Grams at the depths ``report`` took."""
+    on the whole batch ``geom``, bit for bit; Grams against the mean ``report``
+    reports for them."""
     grams = report.gram
     sub = geom.take(ids)
     for name in ("area", "centroid", "second_moment", "diameter", "lambda1", "lambda2", "u",
                  "alpha"):
         assert same_bits(getattr(sub, name), getattr(geom, name)[ids]), name
     assert same_bits(sub.vertices, np.concatenate([geom.polygon(k).vertices for k in ids]))
-    assert same_bits(gram_elements(sub, fld, depth=report.depth[ids]), grams[ids])
+    assert np.all(report.mean[ids] == report.mean[0])  # one integrals call
+    assert same_bits(gram_elements(sub, fld, mean=report.mean[0]), grams[ids])
     assert same_bits(indicator._contract(sub, grams[ids]), indicator._contract(geom, grams)[ids])
     assert same_bits(loops_simple(sub), loops_simple(geom)[ids])
     keys = interp._similarity_keys(geom)
@@ -406,11 +411,11 @@ def test_level_kernels_match_one_element_calls(seed, jitter, strategy, levels, k
         last = level == len(history) - 1
         assert_take_matches_rows(mesh.geometry, ids, report, strategy, fld,
                                  interp.build_bases(mesh.geometry) if last else None)
+        # Each Gram is its element's alone, given the mean of the tolerance.
         for k, poly in enumerate(polys):
-            depth = report.depth[k]
-            gram = gram_elements(poly.batch(), fld, depth=depth)[0]
+            gram = gram_elements(poly.batch(), fld, mean=report.mean[k])[0]
             assert np.array_equal(report.gram[k], gram)
-            assert report.eta_local[k] == eta_local(poly, fld, depth=depth)
+            assert report.eta_local[k] == eta_local(poly, fld, mean=report.mean[k])
             assert report.eta_local[k] == reference_eta(poly, gram)
         coeffs = coefficients(mesh, fld, POINTWISE)
         parts = interp.l2_parts(mesh, fld, coeffs, cache=BasisCache())

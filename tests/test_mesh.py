@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from anisomesh import mesh as mesh_module
 from anisomesh.errors import InvalidTopology, ParseError
 from anisomesh.fields import tanh_layer
 from anisomesh.mesh import (
@@ -117,6 +118,20 @@ class TestValidate:
         getattr(self, corrupt)(mesh)
         with pytest.raises(InvalidTopology):
             mesh.validate()
+
+    def test_build_makes_each_table_once(self, monkeypatch):
+        # build_mesh checks the loops it was given without rebuilding the
+        # edge table and node patches it has just made; validate rebuilds both.
+        calls = []
+        for name in ("_edge_table", "_node_patch_csr"):
+            def counted(*args, _fn=getattr(mesh_module, name), _name=name):
+                calls.append(_name)
+                return _fn(*args)
+            monkeypatch.setattr(mesh_module, name, counted)
+        mesh = hanging_node_mesh()
+        assert sorted(calls) == ["_edge_table", "_node_patch_csr"]
+        assert mesh.validate()
+        assert sorted(calls) == ["_edge_table"] * 2 + ["_node_patch_csr"] * 2
 
 
 class TestPatches:
