@@ -22,6 +22,7 @@ from .errors import AnisomeshError, ParseError
 from .fields import get_field
 from .interp import BasisCache, CLEMENT, POINTWISE, coefficients, l2_error
 from .mesh import load_mesh, save_mesh, generate_grid, generate_polygonal
+from .quadrature import MAX_DEPTH
 from .refine import ANISOTROPIC, ISOTROPIC, UNIFORM, RefineConfig, _adaptive_levels
 from .regularity import audit_mesh, write_element_csv, write_pair_csv
 from .render import render_svg
@@ -96,6 +97,8 @@ def normalize_config(raw):
         cfg[key] = _number(int, key, cfg[key])
         if cfg[key] < 0:
             raise ParseError(f"{key} must be a non-negative integer, got {cfg[key]}")
+    if cfg["quad_depth"] is not None and cfg["quad_depth"] > MAX_DEPTH:
+        raise ParseError(f"quad_depth must be at most {MAX_DEPTH}, got {cfg['quad_depth']}")
     for key in ("l2", "deterministic", "save_levels"):
         word = cfg[key].lower() if isinstance(cfg[key], str) else json.dumps(cfg[key])
         if word not in _TRUE + _FALSE:

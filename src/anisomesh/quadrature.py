@@ -6,15 +6,17 @@ the one order-7 rule ``RULE``, and every edge integral the order-7 Gauss line
 (the L2 pass in ``interp`` takes its own order-5 rule from ``triangle_rule``).
 Polygons are integrated by fanning into triangles around an interior star
 point.  ``integrals`` is the one function that integrates over polygons: it
-fans a batch once, and its integrand writes k weighted rows in place.  At a
-fixed depth each fan triangle is subdivided uniformly into 4^depth copies of
-``RULE``; the batch is integrated in chunks of at most ``CHUNK`` points of
-whole polygons (a larger polygon is a chunk of its own, passed in slices),
-and one ``reduceat`` segment per polygon and slice sums each row, the slices
-of a polygon adding in order; so an integral depends only on its polygon and
-its depth, not on what else shares its chunk.  Points are mapped as (fan
-triangle, reference point) planes, one coordinate at a time, bit-identical
-to a per-triangle affine map.
+fans a batch once, and its integrand writes k weighted rows in place.
+
+Every integral is summed one way: ``RULE`` on a sub-triangle is one 16-point
+sum, four children's sums are added in order, ((k0 + k1) + k2) + k3, and a
+polygon's integral is one ``reduceat`` segment over its sub-triangles.  A
+fixed depth d sums the 4^d level-d sub-triangles of each fan triangle (level
+0 is the fan triangle itself): the rule below with nothing accepted before
+level d, in chunks of whole polygons of at most ``CHUNK`` points (a larger
+polygon is a chunk of its own).  Points are mapped as (triangle, reference
+point) planes, one coordinate at a time, bit-identical to a per-triangle
+affine map.
 
 Unless the caller fixes a depth, each fan triangle is refined where its
 integral still changes, level by level.  Every fan triangle starts as one
@@ -37,8 +39,7 @@ that scalar, not on its batch.  A level runs in passes of at most ``PASS``
 sub-triangles of whole elements, with the field called on at most ``CHUNK``
 points at once, and keeps the children of only the sub-triangles that may
 fail.  An element's depth is its deepest level, and its step the sum of its
-accepted changes.  Reference rules are kept up to depth 5; depth 6's (1.5
-MB) is made slice by slice.
+accepted changes.
 """
 
 from __future__ import annotations
@@ -117,58 +118,6 @@ CHUNK = 8192  # quadrature points per array pass of a level-wide integral
 TOL = 1e-6  # relative tolerance of the sub-triangle refinement rule
 MAX_DEPTH = 6  # the level at which the rule accepts every sub-triangle
 PASS = 2048  # sub-triangles per bookkeeping pass of the rule, of whole polygons
-
-
-@lru_cache(maxsize=64)
-def _sub_triangles(depth):
-    """Origins and edge vectors, (T, 2) each, of the 4^depth uniform
-    sub-triangles of the reference triangle, in order."""
-    m = 2 ** depth
-    corners = np.empty((4 ** depth, 3, 2))
-    t = 0
-    for i in range(m):
-        for j in range(m - i):
-            corners[t] = (i, j), (i + 1, j), (i, j + 1)
-            t += 1
-            if i + j < m - 1:
-                corners[t] = (i + 1, j), (i + 1, j + 1), (i, j + 1)
-                t += 1
-    corners /= m
-    origin = corners[:, 0, :]
-    e1 = corners[:, 1, :] - origin
-    e2 = corners[:, 2, :] - origin
-    for a in (origin, e1, e2):
-        a.setflags(write=False)
-    return origin, e1, e2
-
-
-def _reference_part(depth, first, stop):
-    """``RULE`` on sub-triangles ``first`` to ``stop`` of depth ``depth``:
-    (xi, eta, weights), point coordinates in the reference triangle, one
-    contiguous array each, and weights that sum to 1/2 over all 4^depth."""
-    origin, e1, e2 = (a[first:stop] for a in _sub_triangles(depth))
-    xi, eta = (
-        (origin[:, k, None] + RULE.points[:, 0] * e1[:, k, None]
-         + RULE.points[:, 1] * e2[:, k, None]).ravel()
-        for k in (0, 1)
-    )
-    return xi, eta, np.tile(RULE.weights, len(origin)) / 4 ** depth
-
-
-@lru_cache(maxsize=64)
-def _subdivided_reference(depth):
-    """``RULE`` replicated over all 4^depth uniform sub-triangles, read-only."""
-    ref = _reference_part(depth, 0, 4 ** depth)
-    for a in ref:
-        a.setflags(write=False)
-    return ref
-
-
-# The reference points of one level of refinement: ``RULE`` on the four
-# children of a triangle, and before them on the triangle itself.
-_LEVEL_RULES = {False: _subdivided_reference(1),
-                True: tuple(np.concatenate(a) for a in zip(_subdivided_reference(0),
-                                                           _subdivided_reference(1)))}
 
 
 def polygon_fans(loops):
@@ -253,31 +202,6 @@ def _any_point_in_triangle(pts, a, b, c):
     return bool(np.any((s1 >= 0) & (s2 >= 0) & (s3 >= 0)))
 
 
-def fan_slices(tris, depth):
-    """(points (m, 2), weights (m,)) of fan triangles, in order, in slices of at
-    most ``CHUNK`` points: whole triangles, or parts of one that has more.
-    Coordinates are mapped as (triangle, reference point) planes."""
-    subs = 4 ** depth
-    per = CHUNK // len(RULE.weights)  # sub-triangles in a slice
-    if subs <= per:
-        ref = _subdivided_reference(depth)
-        for s in range(0, len(tris), per // subs):
-            yield _mapped(tris[s:s + per // subs], *ref)
-    else:
-        for s in range(len(tris)):
-            for a in range(0, subs, per):
-                yield _mapped(tris[s:s + 1], *_reference_slice(depth, a, a + per))
-
-
-def _reference_slice(depth, first, stop):
-    """``_reference_part(depth, first, stop)``, as a view of the kept rule of
-    at most two chunks of points, or made anew for a larger one."""
-    q = len(RULE.weights)
-    if 4 ** depth * q > 2 * CHUNK:
-        return _reference_part(depth, first, stop)
-    return tuple(a[first * q:stop * q] for a in _subdivided_reference(depth))
-
-
 def _mapped(t, xi, eta, ref_w):
     """Points and weights of reference points (xi, eta) with weights ``ref_w``
     on each of the triangles ``t`` (T, 3, 2); the points are an (m, 2) view
@@ -292,11 +216,38 @@ def _mapped(t, xi, eta, ref_w):
     return pts.reshape(2, -1).T, (jac[:, None] * ref_w[None, :]).reshape(-1)
 
 
+# The reference triangle, and its four uniform children with the middle one
+# second: corners (1, 3, 2) and (4, 3, 2).
+_TRIANGLE = np.array([[(0.0, 0.0), (1.0, 0.0), (0.0, 1.0)]])
+_CHILDREN = np.array([[(0, 0), (1, 0), (0, 1)], [(1, 0), (1, 1), (0, 1)],
+                      [(0, 1), (1, 1), (0, 2)], [(1, 0), (2, 0), (1, 1)]]) / 2
+# ``RULE`` on the reference triangle, on its children, and on both, the triangle
+# first: (xi, eta, weights), read-only, the weights on each summing to its area.
+_ONE, _KIDS, _BOTH = ((*pts.T, w) for pts, w in (
+    _mapped(c, *RULE.points.T, RULE.weights)
+    for c in (_TRIANGLE, _CHILDREN, np.concatenate((_TRIANGLE, _CHILDREN)))))
+for _a in (*_ONE, *_KIDS, *_BOTH):
+    _a.setflags(write=False)
+
+
 def polygon_sample_points(poly, depth=2):
-    """Quadrature points (M, 2) and physical weights (M,) covering the polygon;
-    sum(weights) equals the polygon area up to roundoff."""
-    pts, w = zip(*fan_slices(polygon_fans(poly.batch())[0], depth))
-    return np.concatenate(pts), np.concatenate(w)
+    """Quadrature points (M, 2) and physical weights (M,) of the polygon at a
+    fixed ``depth``, in the order ``integrals`` sums them: 16 per sub-triangle
+    of level ``depth``, four children after four; sum(weights) equals the
+    polygon area up to roundoff."""
+    tris, ref = _leaves(polygon_fans(poly.batch())[0], depth)
+    return _mapped(tris, *ref)
+
+
+def _leaves(tris, depth):
+    """The triangles and the reference rule that together place ``RULE`` on
+    the level-``depth`` sub-triangles of ``tris``: ``_ONE`` on ``tris`` at
+    depth 0, else ``_KIDS`` on their level-(depth - 1) sub-triangles."""
+    if not depth:
+        return tris, _ONE
+    for _ in range(depth - 1):
+        tris = _children(tris)
+    return tris, _KIDS
 
 
 class Integrals(NamedTuple):
@@ -345,7 +296,7 @@ def integrals(loops, f, k, depth=None, measure=_same, mean=_mean_magnitude):
     points = 0
     for d in np.unique(depths).tolist():
         members = np.flatnonzero(depths == d)
-        out[members] = _fixed_depth(tris, first, counts, members, f, k, d)
+        out[members] = _uniform(tris, first, counts, members, f, k, d)
         points += int(counts[members].sum()) * len(RULE.weights) * 4 ** d
     return Integrals(out, depths, None, None, points)
 
@@ -372,7 +323,7 @@ def _refined(tris, counts, f, k, measure, mean):
         per = 5 * q if values is None else 4 * q  # points per sub-triangle
         for a, b in chunks(sizes, PASS):
             t0, t1 = seg[a], seg[b - 1] + sizes[b - 1]
-            sums = _rule_sums(tris[t0:t1], f, k, values is None)
+            sums = _rule_sums(tris[t0:t1], f, k, _BOTH if values is None else _KIDS)
             coarse, kids = (sums[:, 0], sums[:, 1:]) if values is None else (values[t0:t1], sums)
             points += int(t1 - t0) * per
             fine[t0:t1] = ((kids[:, 0] + kids[:, 1]) + kids[:, 2]) + kids[:, 3]
@@ -406,12 +357,11 @@ def _refined(tris, counts, f, k, measure, mean):
     return Integrals(out, depths, steps, mean, points)
 
 
-def _rule_sums(tris, f, k, coarse):
-    """Integrals (T, 4, k) of the integrand over the four children of each
-    triangle of ``tris``, one ``RULE`` each, and with ``coarse`` first over
-    the triangle itself, (T, 5, k); in slices of at most ``CHUNK`` points.
-    Each integral is one 16-point sum, whatever else shares its slice."""
-    ref = _LEVEL_RULES[bool(coarse)]
+def _rule_sums(tris, f, k, ref):
+    """Integrals (T, S, k) of the integrand over the S reference sub-triangles
+    of ``ref`` (``_ONE``, ``_KIDS`` or ``_BOTH``) on each triangle of ``tris``,
+    one ``RULE`` each; in slices of at most ``CHUNK`` points.  Each integral
+    is one 16-point sum, whatever else shares its slice."""
     subs = len(ref[0]) // len(RULE.weights)
     out = np.empty((len(tris), subs, k))
     per = CHUNK // len(ref[0])
@@ -426,33 +376,24 @@ def _rule_sums(tris, f, k, coarse):
 
 def _children(tris):
     """The four uniform children (4T, 3, 2) of triangles ``tris`` (T, 3, 2),
-    each in the order of ``_sub_triangles(1)``."""
-    origin, e1, e2 = _sub_triangles(1)
-    ref = np.stack([origin, origin + e1, origin + e2], axis=1)  # (4, 3, 2) child corners
+    each in the order of ``_CHILDREN``."""
     a, b, c = (tris[:, None, None, i] for i in range(3))  # (T, 1, 1, 2) each
-    return (a + ref[..., :1] * (b - a) + ref[..., 1:] * (c - a)).reshape(-1, 3, 2)
+    return (a + _CHILDREN[..., :1] * (b - a) + _CHILDREN[..., 1:] * (c - a)).reshape(-1, 3, 2)
 
 
-def _fixed_depth(tris, first, counts, members, f, k, depth):
+def _uniform(tris, first, counts, members, f, k, depth):
     """``integrals`` (len(members), k) of polygons ``members`` at one depth, given the
     fan triangles of the whole batch and each polygon's first one and count."""
     counts = counts[members]
     tris = tris[block_pairs(np.arange(len(members)), first[members], counts)[1]]
     start = np.cumsum(counts) - counts
-    r = len(RULE.weights) * 4 ** depth  # points per fan triangle
+    subs = 4 ** max(depth - 1, 0)  # sub-triangles of a fan triangle that ``_leaves`` gives
     out = np.empty((len(members), k))
-    for a, b in chunks(counts * r):
-        t0, t1 = start[a], start[b - 1] + counts[b - 1]
-        sums = None
-        for pts, w in fan_slices(tris[t0:t1], depth):
-            rows = np.empty((k, len(w)))
-            f(pts, w, rows)
-            # One segment per polygon fixes each sum's order whatever shares
-            # the chunk (w @ x or x.sum() would round differently); a polygon
-            # of more than a chunk adds its slices' sums in order.
-            part = np.add.reduceat(rows, (start[a:b] - t0) * r, axis=1)
-            sums = part if sums is None else sums + part
-        out[a:b] = sums.T
+    for a, b in chunks(counts * len(RULE.weights) * 4 ** depth):
+        leaves, ref = _leaves(tris[start[a]:start[b - 1] + counts[b - 1]], depth)
+        sums = _rule_sums(leaves, f, k, ref)
+        fine = sums[:, 0] if not depth else ((sums[:, 0] + sums[:, 1]) + sums[:, 2]) + sums[:, 3]
+        out[a:b] = np.add.reduceat(fine, (start[a:b] - start[a]) * subs)
     return out
 
 

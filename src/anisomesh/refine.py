@@ -24,6 +24,7 @@ from .geometry import (SNAP_TOL, CutEnds, block_pairs, loop_successors, split_po
                        symmetric_eig_2x2)
 from .indicator import eta_global
 from .mesh import INTERIOR, build_mesh
+from .quadrature import MAX_DEPTH
 
 log = logging.getLogger(__name__)
 
@@ -60,6 +61,8 @@ class RefineConfig:
             raise ValueError("max_levels must be >= 1")
         if self.strategy not in (UNIFORM, ISOTROPIC, ANISOTROPIC):
             raise ValueError(f"unknown strategy {self.strategy!r}")
+        if self.quad_depth is not None and not 0 <= self.quad_depth <= MAX_DEPTH:
+            raise ValueError(f"quad_depth must be in [0, {MAX_DEPTH}]")
 
 
 @dataclass

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from anisomesh.geometry import Polygon
-from anisomesh.quadrature import CHUNK
+from anisomesh.quadrature import RULE
 
 
 def _spread_angles(rng, n):
@@ -47,13 +47,16 @@ def random_polygon(rng, n_vertices=None, ratio=1.0):
     return random_star_polygon(rng, n_vertices, ratio)
 
 
-def slice_sums(x):
-    """The sum of a polygon's weighted values ``x`` (..., M) as ``quadrature.integrals``
-    takes it: one ``reduceat`` segment per slice of ``CHUNK`` points, slices added in order."""
+def slice_sums(x, depth):
+    """The sum of a polygon's weighted values ``x`` (..., M), its ``polygon_sample_points``
+    at ``depth``, as ``quadrature.integrals`` takes it: one sum per 16 points, each four
+    children added in order above depth 0, then one ``reduceat`` segment."""
     x = np.asarray(x)
-    parts = [np.add.reduceat(np.ascontiguousarray(x[..., a:a + CHUNK]), [0], axis=-1)[..., 0]
-             for a in range(0, x.shape[-1], CHUNK)]
-    return sum(parts[1:], parts[0])
+    sums = np.add.reduceat(x, np.arange(0, x.shape[-1], len(RULE.weights)), axis=-1)
+    if depth:
+        kids = sums.reshape(*sums.shape[:-1], -1, 4)
+        sums = ((kids[..., 0] + kids[..., 1]) + kids[..., 2]) + kids[..., 3]
+    return np.add.reduceat(np.ascontiguousarray(sums.T), [0], axis=0)[0]
 
 
 def monte_carlo_moments(poly, n_samples, rng, n_chunks=10):

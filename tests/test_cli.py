@@ -14,6 +14,7 @@ from anisomesh.cli import main, make_initial_mesh, normalize_config, parse_confi
 from anisomesh.errors import ParseError
 from anisomesh.fields import tanh_layer
 from anisomesh.mesh import generate_grid, save_mesh
+from anisomesh.quadrature import MAX_DEPTH
 from anisomesh.refine import ANISOTROPIC, RefineConfig, adaptive_loop
 from anisomesh.render import color_ramp, render_svg
 
@@ -74,6 +75,14 @@ class TestConfig:
         with pytest.raises(ParseError):
             normalize_config({key: value})
         assert normalize_config({key: "0"})[key] == 0
+
+    @pytest.mark.parametrize("value", ["7", 7, "12"])
+    def test_quad_depth_above_max_depth_rejected(self, value):
+        # Parsed only: depth 12 would integrate 16 4^12 points per fan triangle,
+        # 1.07 G on a unit square.
+        with pytest.raises(ParseError):
+            normalize_config({"quad_depth": value})
+        assert normalize_config({"quad_depth": str(MAX_DEPTH)})["quad_depth"] == MAX_DEPTH
 
     @pytest.mark.parametrize("line", [
         "seed=abc", "mesh=grid a 4", "mesh=grid 0 4", "marking_factor=x", "marking_factor=2",

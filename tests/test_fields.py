@@ -16,7 +16,8 @@ from anisomesh.fields import (
 )
 from anisomesh.geometry import Polygon, polygons_of, split_polygon_detailed
 from anisomesh.quadrature import (
-    _subdivided_reference,
+    _KIDS,
+    _children,
     EDGE_RULE,
     MAX_DEPTH,
     RULE,
@@ -172,9 +173,13 @@ class TestPolygonIntegration:
                  random_convex_polygon(rng, ratio=1e6), random_star_polygon(rng, ratio=1e3)]
         for poly in polys:
             for depth in range(2, 7):
-                xi, eta, ref_w = _subdivided_reference(depth)
+                # RULE on the four children of each level depth - 1 sub-triangle.
+                xi, eta, ref_w = _KIDS
+                tris = polygon_fans(poly.batch())[0]
+                for _ in range(depth - 1):
+                    tris = _children(tris)
                 want_pts, want_w = [], []
-                for a, b, c in polygon_fans(poly.batch())[0]:
+                for a, b, c in tris:
                     e1, e2 = b - a, c - a
                     want_pts.append(np.column_stack(
                         [a[k] + xi * e1[k] + eta * e2[k] for k in (0, 1)]))

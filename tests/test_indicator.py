@@ -76,8 +76,7 @@ class TestGram:
             for depth in (2, 4, 6):
                 pts, w = polygon_sample_points(poly, depth=depth)
                 gx, gy = fld.gradient(pts).T
-                # One segment below CHUNK points; at depths 4 and 6, one per slice.
-                g11, g12, g22 = slice_sums([w * gx * gx, w * gx * gy, w * gy * gy])
+                g11, g12, g22 = slice_sums([w * gx * gx, w * gx * gy, w * gy * gy], depth)
                 got = gram_elements(poly.batch(), fld, depth=depth)[0]
                 assert np.array_equal(got, np.array([[g11, g12], [g12, g22]]))
 

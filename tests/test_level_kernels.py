@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from anisomesh import indicator, interp
+from anisomesh import indicator, interp, quadrature
 from anisomesh.errors import CutMissesPolygon, DegenerateElement
 from anisomesh.fields import tanh_layer
 from anisomesh.geometry import (CovarianceSpectrum, Polygon, loops_simple, polygons_of,
@@ -25,6 +25,7 @@ from anisomesh.interp import POINTWISE, BasisCache, build_basis, coefficients, e
 from anisomesh.mesh import build_mesh, generate_grid, generate_polygonal
 from anisomesh.quadrature import (
     CHUNK,
+    MAX_DEPTH,
     _ear_clip,
     integrals,
     integrate_on_polygon,
@@ -257,7 +258,7 @@ class TestGramChunks:
         for poly, gram in zip(polys, grams):
             assert np.array_equal(gram, gram_elements(poly.batch(), fld, depth=6)[0])
         gx, gy = fld.gradient(pts).T
-        g11, g12, g22 = slice_sums([w * gx * gx, w * gx * gy, w * gy * gy])
+        g11, g12, g22 = slice_sums([w * gx * gx, w * gx * gy, w * gy * gy], 6)
         assert np.array_equal(grams[1], np.array([[g11, g12], [g12, g22]]))
 
     def test_sliver_gram_allocates_no_whole_row(self):
@@ -337,9 +338,23 @@ class TestFanIntegrals:
             got = integrals(mesh.geometry, value, 1, depth)
             for el, total, d in zip(mesh.elements, got.values[:, 0], got.depths.tolist()):
                 pts, w = polygon_sample_points(el.polygon, depth=d)
-                assert total == slice_sums(w * fld.value(pts))
+                assert total == slice_sums(w * fld.value(pts), d)
         pts, w = polygon_sample_points(SLIVER, depth=6)
-        assert integrate_on_polygon(SLIVER, fld.value, depth=6) == slice_sums(w * fld.value(pts))
+        assert integrate_on_polygon(SLIVER, fld.value, depth=6) == slice_sums(w * fld.value(pts), 6)
+
+    def test_fixed_depth_is_the_rule_that_accepts_nothing_before_it(self, monkeypatch):
+        # A tolerance no change meets leaves every sub-triangle to MAX_DEPTH,
+        # where the rule accepts them all: the same sums as that fixed depth.
+        fld = tanh_layer()
+        geom = generate_polygonal(4, 4, jitter=0.3, seed=1).geometry
+
+        def value(p, w, out):
+            np.multiply(w, fld.value(p), out=out[0])
+
+        monkeypatch.setattr(quadrature, "TOL", -1.0)
+        got = integrals(geom, value, 1)
+        assert got.depths.tolist() == [MAX_DEPTH] * len(got.depths)
+        assert np.array_equal(got.values, integrals(geom, value, 1, MAX_DEPTH).values)
 
 
 def same_bits(a, b):

@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from anisomesh.fields import constant_field, tanh_layer
 from anisomesh.indicator import IndicatorReport, eta_global, gram_elements
+from anisomesh.quadrature import MAX_DEPTH
 from anisomesh.mesh import (
     DIRICHLET,
     INTERIOR,
@@ -368,6 +369,13 @@ class TestRefineConfig:
             RefineConfig(max_levels=0)
         with pytest.raises(ValueError):
             RefineConfig(strategy="SIDEWAYS")
+
+    @pytest.mark.parametrize("depth", [-1, MAX_DEPTH + 1, 12])
+    def test_quad_depth_outside_the_rule_rejected(self, depth):
+        # Constructed only: depth 12 would integrate 16 4^12 points per fan triangle.
+        with pytest.raises(ValueError):
+            RefineConfig(quad_depth=depth)
+        assert RefineConfig(quad_depth=MAX_DEPTH).quad_depth == MAX_DEPTH
 
 
 def neumann_on_two_sides(mesh):

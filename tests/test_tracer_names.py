@@ -14,6 +14,7 @@ import os
 import anisomesh.geometry
 import anisomesh.interp
 from anisomesh.mesh import generate_grid
+from anisomesh.quadrature import polygon_fans, polygon_sample_points
 from anisomesh.refine import UNIFORM, RefinementStep, refine
 
 TRACING = os.path.join(os.path.dirname(__file__), os.pardir, "bench", "tracing.py")
@@ -49,6 +50,17 @@ def test_wrapped_signatures():
     assert list(params) == ["self", "poly", "depth"]
     params = inspect.signature(importlib.import_module("anisomesh.parallel").pmap).parameters
     assert list(params) == ["fn", "items"]
+
+
+def test_sample_points_return_read_by_tracer():
+    # The tracer adds len(out[1]) of polygon_sample_points to quadrature.points:
+    # the weights, 16 per sub-triangle of the depth, 4^depth per fan triangle.
+    poly = anisomesh.geometry.Polygon([(0, 0), (2, 0), (2, 1), (1, 2), (0, 1)])
+    fans = len(polygon_fans(poly.batch())[0])
+    for depth in range(3):
+        points, weights = polygon_sample_points(poly, depth)
+        assert points.shape == (16 * 4 ** depth * fans, 2)
+        assert weights.shape == (16 * 4 ** depth * fans,)
 
 
 def test_return_attributes_read_by_tracer():
